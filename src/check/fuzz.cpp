@@ -5,7 +5,6 @@
 #include <fstream>
 #include <limits>
 #include <ostream>
-#include <queue>
 #include <stdexcept>
 
 #include "adapt/adaptive_strategy.hpp"
@@ -32,177 +31,6 @@ namespace rdp::check {
 namespace {
 
 constexpr Time kNever = std::numeric_limits<Time>::infinity();
-
-// ---------------------------------------------------------------------
-// Naive reference for the failure-aware dispatcher. This is deliberately
-// the textbook O(n) rescan-per-event algorithm (the shape the production
-// dispatcher had before it grew per-machine eligibility heaps), kept as
-// an independent oracle: the optimized dispatcher must reproduce it
-// bit-for-bit on every fuzzed failure plan.
-
-enum class RefEventKind : int { kTaskFinish = 0, kFailure = 1, kMachineFree = 2 };
-
-struct RefEvent {
-  Time when;
-  RefEventKind kind;
-  MachineId machine;
-  TaskId task;
-  std::uint64_t epoch;
-  std::uint64_t seq;
-
-  bool operator<(const RefEvent& other) const noexcept {
-    if (when != other.when) return when > other.when;
-    if (kind != other.kind) return static_cast<int>(kind) > static_cast<int>(other.kind);
-    if (kind == RefEventKind::kMachineFree && machine != other.machine) {
-      return machine > other.machine;
-    }
-    return seq > other.seq;
-  }
-};
-
-enum class RefStatus { kWaiting, kRunning, kDone };
-
-FailureDispatchResult reference_dispatch_with_failures(
-    const Instance& instance, const Placement& placement, const Realization& actual,
-    const std::vector<TaskId>& priority, const FailurePlan& plan) {
-  const std::size_t n = instance.num_tasks();
-  const MachineId m = instance.num_machines();
-
-  std::vector<Time> fail_time(m, kNever);
-  for (const MachineFailure& f : plan.failures) {
-    fail_time[f.machine] = std::min(fail_time[f.machine], f.when);
-  }
-  std::vector<std::uint32_t> rank(n, UINT32_MAX);
-  for (std::uint32_t r = 0; r < n; ++r) rank[priority[r]] = r;
-
-  std::vector<RefStatus> status(n, RefStatus::kWaiting);
-  std::vector<bool> refetch(n, false);
-  std::vector<Time> earliest(n, 0);
-  std::vector<std::uint64_t> epoch(n, 0);
-  std::vector<bool> failed(m, false);
-  std::vector<bool> machine_idle(m, false);
-  std::vector<TaskId> running_on(m, kNoTask);
-
-  FailureDispatchResult result;
-  result.schedule.assignment = Assignment(n);
-  result.schedule.start.assign(n, 0);
-  result.schedule.finish.assign(n, 0);
-
-  std::priority_queue<RefEvent> events;
-  std::uint64_t seq = 0;
-  for (MachineId i = 0; i < m; ++i) {
-    events.push(RefEvent{0, RefEventKind::kMachineFree, i, kNoTask, 0, seq++});
-    if (fail_time[i] < kNever) {
-      events.push(RefEvent{fail_time[i], RefEventKind::kFailure, i, kNoTask, 0,
-                           seq++});
-    }
-  }
-
-  std::size_t remaining = n;
-  auto eligible = [&](TaskId j, MachineId i) {
-    if (failed[i]) return false;
-    return refetch[j] ? true : placement.allows(j, i);
-  };
-  auto duration_of = [&](TaskId j) {
-    return actual[j] + (refetch[j] ? plan.refetch_penalty : Time{0});
-  };
-  auto wake_idle_machines = [&](Time t) {
-    for (MachineId i = 0; i < m; ++i) {
-      if (machine_idle[i] && !failed[i]) {
-        machine_idle[i] = false;
-        events.push(RefEvent{t, RefEventKind::kMachineFree, i, kNoTask, 0, seq++});
-      }
-    }
-  };
-
-  while (remaining > 0) {
-    if (events.empty()) {
-      throw std::invalid_argument("reference_dispatch_with_failures: deadlock");
-    }
-    const RefEvent e = events.top();
-    events.pop();
-    switch (e.kind) {
-      case RefEventKind::kTaskFinish: {
-        const TaskId j = e.task;
-        if (status[j] != RefStatus::kRunning || epoch[j] != e.epoch) break;
-        status[j] = RefStatus::kDone;
-        running_on[e.machine] = kNoTask;
-        --remaining;
-        events.push(RefEvent{e.when, RefEventKind::kMachineFree, e.machine, kNoTask,
-                             0, seq++});
-        break;
-      }
-      case RefEventKind::kFailure: {
-        const MachineId i = e.machine;
-        if (failed[i]) break;
-        failed[i] = true;
-        machine_idle[i] = false;
-        if (running_on[i] != kNoTask) {
-          const TaskId j = running_on[i];
-          running_on[i] = kNoTask;
-          status[j] = RefStatus::kWaiting;
-          ++epoch[j];
-          earliest[j] = e.when;
-          ++result.restarts;
-        }
-        for (TaskId j = 0; j < n; ++j) {
-          if (status[j] != RefStatus::kWaiting || refetch[j]) continue;
-          bool any_alive = false;
-          for (MachineId machine : placement.machines_for(j)) {
-            if (!failed[machine]) {
-              any_alive = true;
-              break;
-            }
-          }
-          if (!any_alive) {
-            refetch[j] = true;
-            ++result.refetches;
-          }
-        }
-        wake_idle_machines(e.when);
-        break;
-      }
-      case RefEventKind::kMachineFree: {
-        const MachineId i = e.machine;
-        if (failed[i] || running_on[i] != kNoTask) break;
-        TaskId best_now = kNoTask;
-        std::uint32_t best_now_rank = UINT32_MAX;
-        Time soonest_future = kNever;
-        for (TaskId j = 0; j < n; ++j) {
-          if (status[j] != RefStatus::kWaiting || !eligible(j, i)) continue;
-          if (earliest[j] <= e.when) {
-            if (rank[j] < best_now_rank) {
-              best_now_rank = rank[j];
-              best_now = j;
-            }
-          } else {
-            soonest_future = std::min(soonest_future, earliest[j]);
-          }
-        }
-        if (best_now != kNoTask) {
-          const TaskId j = best_now;
-          status[j] = RefStatus::kRunning;
-          running_on[i] = j;
-          const Time dur = duration_of(j);
-          result.schedule.assignment.machine_of[j] = i;
-          result.schedule.start[j] = e.when;
-          result.schedule.finish[j] = e.when + dur;
-          result.trace.events.push_back(DispatchEvent{e.when, j, i, dur});
-          events.push(RefEvent{e.when + dur, RefEventKind::kTaskFinish, i, j,
-                               epoch[j], seq++});
-        } else if (soonest_future < kNever) {
-          events.push(RefEvent{soonest_future, RefEventKind::kMachineFree, i,
-                               kNoTask, 0, seq++});
-        } else {
-          machine_idle[i] = true;
-        }
-        break;
-      }
-    }
-  }
-  result.makespan = result.schedule.makespan();
-  return result;
-}
 
 // ---------------------------------------------------------------------
 // Case generation.
@@ -330,7 +158,7 @@ FuzzCase restrict_tasks(const FuzzCase& fuzz_case, std::size_t num_tasks) {
 
 namespace {
 
-constexpr std::size_t kChecksPerCase = 13;
+constexpr std::size_t kChecksPerCase = 15;
 constexpr double kTol = 1e-9;
 
 struct CheckContext {
@@ -359,6 +187,23 @@ struct CheckContext {
     fail(check, detail);
   }
 };
+
+/// First divergence between two chronological traces (same length, and
+/// every event's time, task, machine and duration compared with ==);
+/// empty when they are bit-identical.
+std::string diff_traces(const DispatchTrace& a, const DispatchTrace& b) {
+  if (a.size() != b.size()) return "trace lengths diverge";
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    const DispatchEvent& x = a.events[k];
+    const DispatchEvent& y = b.events[k];
+    if (x.when != y.when || x.task != y.task || x.machine != y.machine ||
+        x.actual != y.actual) {
+      return "trace event " + std::to_string(k) + " diverges (task " +
+             std::to_string(x.task) + " vs " + std::to_string(y.task) + ")";
+    }
+  }
+  return {};
+}
 
 /// Earliest failure time per machine (infinity = never fails).
 std::vector<Time> first_failure_times(const FuzzCase& c) {
@@ -598,6 +443,30 @@ void check_transfer_invariants(const CheckContext& ctx) {
   ctx.fail_violations("transfer-invariants", violations);
 }
 
+void check_transfer_reference_differential(const CheckContext& ctx) {
+  // Bit-exact against the naive rescan-every-task oracle, under the
+  // case's priced model and under a free one (where remote and local
+  // runs cost the same and only the locality preference decides).
+  const FuzzCase& c = ctx.c;
+  for (const TransferModel& model : {c.transfer, zero_cost_model()}) {
+    const TransferDispatchResult fast = dispatch_with_transfers(
+        c.instance, c.placement, c.actual, c.priority, model);
+    const TransferDispatchResult reference = reference_dispatch_with_transfers(
+        c.instance, c.placement, c.actual, c.priority, model);
+    std::string diff = diff_schedules(fast.schedule, reference.schedule);
+    if (diff.empty()) diff = diff_traces(fast.trace, reference.trace);
+    if (diff.empty() && (fast.remote_runs != reference.remote_runs ||
+                         fast.transfer_time != reference.transfer_time)) {
+      diff = "remote_runs/transfer_time diverge from the reference";
+    }
+    if (!diff.empty()) {
+      ctx.fail("transfer-reference-differential",
+               diff + " (bandwidth " + std::to_string(model.bandwidth) + ")");
+      return;
+    }
+  }
+}
+
 void check_speculative_disabled(const CheckContext& ctx) {
   const FuzzCase& c = ctx.c;
   const DispatchResult online =
@@ -643,6 +512,59 @@ void check_speculative_enabled(const CheckContext& ctx) {
   violations.insert(violations.end(), invariant_violations.begin(),
                     invariant_violations.end());
   ctx.fail_violations("speculative-invariants", violations);
+}
+
+void check_speculative_reference_differential(const CheckContext& ctx) {
+  // Bit-exact against the naive O(n)-scan oracle -- schedule, trace and
+  // backup counters -- in three regimes: the case as drawn; every third
+  // machine a 0.25-speed straggler with up to three copies; and the same
+  // stragglers with every estimate equal, so backup candidates that
+  // started together tie on their earliest estimated finish and the
+  // lowest-id rule decides (eager duplication of overdue tasks allowed).
+  const FuzzCase& c = ctx.c;
+  const MachineId m = c.instance.num_machines();
+  std::vector<double> stragglers(m, 1.0);
+  for (MachineId i = static_cast<MachineId>(c.seed % 3); i < m; i += 3) {
+    stragglers[i] = 0.25;
+  }
+  std::vector<Task> flat(c.instance.tasks().begin(), c.instance.tasks().end());
+  for (Task& task : flat) task.estimate = 4.0;
+  const Instance equal_estimates(std::move(flat), m, c.instance.alpha());
+  struct Variant {
+    const Instance& instance;
+    const std::vector<double>& speeds;
+    unsigned max_copies;
+    Time min_estimated_remaining;
+    const char* name;
+  };
+  const Variant variants[] = {
+      {c.instance, c.speeds, 2, 0.0, "drawn speeds"},
+      {c.instance, stragglers, 3, 0.0, "stragglers"},
+      {equal_estimates, stragglers, 2 + static_cast<unsigned>(c.seed % 2), -1.0,
+       "equal estimates"},
+  };
+  for (const Variant& v : variants) {
+    SpeculationPolicy policy;
+    policy.max_copies = v.max_copies;
+    policy.min_estimated_remaining = v.min_estimated_remaining;
+    const SpeedProfile speeds(v.speeds);
+    const SpeculativeResult fast = dispatch_speculative(
+        v.instance, c.placement, c.actual, c.priority, speeds, policy);
+    const SpeculativeResult reference = reference_dispatch_speculative(
+        v.instance, c.placement, c.actual, c.priority, speeds, policy);
+    std::string diff = diff_schedules(fast.schedule, reference.schedule);
+    if (diff.empty()) diff = diff_traces(fast.trace, reference.trace);
+    if (diff.empty() && (fast.duplicates_launched != reference.duplicates_launched ||
+                         fast.duplicates_won != reference.duplicates_won ||
+                         fast.wasted_time != reference.wasted_time)) {
+      diff = "launched/won/wasted counters diverge from the reference";
+    }
+    if (!diff.empty()) {
+      ctx.fail("speculative-reference-differential",
+               diff + " (" + v.name + ")");
+      return;
+    }
+  }
 }
 
 void check_certify_ptas_lb(const CheckContext& ctx) {
@@ -695,21 +617,10 @@ void check_serve_drain_parity(const CheckContext& ctx,
     ctx.fail("serve-drain-parity", diff + " (with speeds)");
     return;
   }
-  if (drained.trace.size() != offline.trace.size()) {
-    ctx.fail("serve-drain-parity", "trace lengths diverge");
+  if (const std::string diff = diff_traces(drained.trace, offline.trace);
+      !diff.empty()) {
+    ctx.fail("serve-drain-parity", diff);
     return;
-  }
-  for (std::size_t k = 0; k < offline.trace.size(); ++k) {
-    const DispatchEvent& a = drained.trace.events[k];
-    const DispatchEvent& b = offline.trace.events[k];
-    if (a.when != b.when || a.task != b.task || a.machine != b.machine ||
-        a.actual != b.actual) {
-      ctx.fail("serve-drain-parity",
-               "trace event " + std::to_string(k) + " diverges (task " +
-                   std::to_string(a.task) + " vs " + std::to_string(b.task) +
-                   ")");
-      return;
-    }
   }
   if (drained.peak_backlog != c.instance.num_tasks()) {
     ctx.fail("serve-drain-parity",
@@ -791,6 +702,8 @@ std::vector<FuzzFailure> run_fuzz_case(const FuzzCase& fuzz_case) {
   check_certify_ptas_lb(ctx);
   check_serve_drain_parity(ctx, online);
   check_adaptive_bound(ctx);
+  check_transfer_reference_differential(ctx);
+  check_speculative_reference_differential(ctx);
   return failures;
 }
 

@@ -17,11 +17,14 @@
 //     bit-identical to dispatch_online on full replication, and on
 //     arbitrary placements must add exactly zero fetch time; with a
 //     random model it must pass the invariants with remote tasks paying
-//     exactly the model's fetch, plus locality-preference compliance;
+//     exactly the model's fetch, plus locality-preference compliance, and
+//     match a naive rescan-every-task reference bit-for-bit;
 //   * dispatch_speculative with speculation disabled must be
-//     bit-identical to dispatch_online on the same speed profile, and
-//     with speculation enabled must never exceed the non-speculative
-//     makespan on the same realization.
+//     bit-identical to dispatch_online on the same speed profile; with
+//     speculation enabled it must never exceed the non-speculative
+//     makespan on the same realization, and must match a naive O(n)-scan
+//     reference bit-for-bit (schedule, trace, launched/won/wasted) under
+//     drawn speeds, stragglers, and tied estimates.
 //
 // Failing seeds are minimized by binary-search shrinking over the task
 // count (a failing case is re-expanded from its seed, truncated to a task

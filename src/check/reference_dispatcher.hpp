@@ -8,6 +8,11 @@
 //  * the ext_sim_throughput bench can measure the speedup honestly: both
 //    cores run in the same binary on the same instance.
 //
+// Next to it sit naive rescan-per-event oracles for the failure,
+// speculative and transfer loops: the simplest algorithm with each
+// loop's exact semantics, which the fuzzer holds the production loops to
+// bit-for-bit.
+//
 // Nothing here is used by production code paths.
 #pragma once
 
@@ -17,7 +22,11 @@
 
 #include "core/placement.hpp"
 #include "core/types.hpp"
+#include "hetero/uniform_machines.hpp"
+#include "sim/failures.hpp"
 #include "sim/online_dispatcher.hpp"
+#include "sim/speculative.hpp"
+#include "sim/transfer_dispatcher.hpp"
 
 namespace rdp {
 class Instance;
@@ -34,6 +43,34 @@ namespace rdp::check {
     const Instance& instance, const Placement& placement, const Realization& actual,
     const std::vector<TaskId>& priority, std::vector<Time> initial_ready = {},
     std::vector<double> speeds = {});
+
+/// Naive failure-aware dispatcher: the textbook O(n) rescan per event
+/// (the shape rdp::dispatch_with_failures had before it served tasks from
+/// replica-set queues), kept as an independent oracle. Must reproduce the
+/// production dispatcher bit-for-bit on every failure plan.
+[[nodiscard]] FailureDispatchResult reference_dispatch_with_failures(
+    const Instance& instance, const Placement& placement, const Realization& actual,
+    const std::vector<TaskId>& priority, const FailurePlan& plan);
+
+/// Naive speculative dispatcher: an idle machine rescans every task for
+/// the best-ranked waiting task it holds a replica of, and otherwise
+/// rescans every running task in ascending id order for a backup
+/// candidate (latest earliest estimated finish, strict `>` so the lowest
+/// id wins ties). The O(n)-per-idle-machine algorithm rdp::
+/// dispatch_speculative ran before it indexed running tasks per replica
+/// set; must match it bit-for-bit, trace and counters included.
+[[nodiscard]] SpeculativeResult reference_dispatch_speculative(
+    const Instance& instance, const Placement& placement, const Realization& actual,
+    const std::vector<TaskId>& priority, const SpeedProfile& speeds,
+    const SpeculationPolicy& policy);
+
+/// Naive locality-aware transfer dispatcher: on each dispatch the next
+/// idle machine rescans every task for its best-ranked unscheduled local
+/// task and falls back to the best-ranked unscheduled task anywhere,
+/// paying the fetch. Must match rdp::dispatch_with_transfers bit-for-bit.
+[[nodiscard]] TransferDispatchResult reference_dispatch_with_transfers(
+    const Instance& instance, const Placement& placement, const Realization& actual,
+    const std::vector<TaskId>& priority, const TransferModel& model);
 
 /// Pre-rewrite EventQueue: std::priority_queue with a (time, seq) wrapper
 /// and a *copy-out* pop -- the shape the production queue had before the

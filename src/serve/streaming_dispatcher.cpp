@@ -16,6 +16,7 @@
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "sim/ready_heap.hpp"
+#include "sim/set_queues.hpp"
 #include "sim/workspace.hpp"
 
 namespace rdp {
@@ -165,18 +166,37 @@ void serve_stream(const Instance& instance, const Placement& placement,
   ws.begin_run(n, m);
   MonotonicArena& arena = ws.arena;
 
-  // The replica-set queue / machine CSR layout is dispatch_online's; see
-  // the commentary there. The one addition: each queue's slice gets a
-  // hierarchical bitmap over its slots, because here a slot only becomes
-  // eligible at its task's arrival -- the offline head pointer turns into
+  // The replica-set queues are dispatch_online's (sim/set_queues.hpp),
+  // with slot-indexed durations and the per-task slot map filled in the
+  // same pass. slot_of[j] is packed (queue << 32 | slot): the admission
+  // hot path reads one word instead of chasing set_id and a slot map
+  // separately. The one addition: each queue's slice gets a hierarchical
+  // bitmap over its slots, because here a slot only becomes eligible at
+  // its task's arrival -- the offline head pointer turns into
   // find-first-set over the admitted bits.
-  const std::uint32_t num_queues = placement.num_distinct_sets();
-  const std::span<std::uint32_t> queue_begin =
-      arena.allocate_span<std::uint32_t>(num_queues + 1);
-  queue_begin[0] = 0;
-  for (std::uint32_t q = 0; q < num_queues; ++q) {
-    queue_begin[q + 1] = queue_begin[q] + placement.set_population(q);
-  }
+  const std::span<Time> queue_durations = arena.allocate_span<Time>(n);
+  const std::span<std::uint64_t> queue_slot_of =
+      cohort_fast ? std::span<std::uint64_t>{}
+                  : arena.allocate_span<std::uint64_t>(n);
+  SetQueues queues;
+  queues.build(arena, placement, priority,
+               "serve_stream: priority is not a permutation",
+               [&](std::uint32_t pos, TaskId j, std::uint32_t) {
+                 if (!cohort_fast) {
+                   const std::uint32_t q = placement.set_id(j);
+                   queue_slot_of[j] = (std::uint64_t{q} << 32) | (pos - queues.begin[q]);
+                 }
+                 queue_durations[pos] = actual[j];
+               });
+  const std::uint32_t num_queues = queues.count;
+  const std::span<std::uint32_t> queue_begin = queues.begin;
+  const std::span<TaskId> queue_tasks = queues.tasks;
+  const std::span<std::uint32_t> queue_ranks = queues.ranks;
+  const std::span<std::uint32_t> machine_begin = queues.machine_begin;
+  const std::span<std::uint32_t> machine_queues = queues.machine_queues;
+  const std::span<std::uint32_t> machine_queue_of = queues.machine_queue_of;
+  const bool single_queue_machines = queues.single_queue_machines;
+
   // Bitmap geometry: per queue, level word counts shrink by 64x until a
   // single word covers the whole slice.
   const std::span<std::uint32_t> level_off =
@@ -218,75 +238,6 @@ void serve_stream(const Instance& instance, const Placement& placement,
   bool tail_mode = false;
   // Cohort runs keep tail_pos as the identity instead of materializing it.
   const bool tail_identity = cohort_fast;
-
-  const std::span<std::uint32_t> machine_degree =
-      arena.make_span<std::uint32_t>(m, 0);
-  std::uint32_t max_degree = 0;
-  for (std::uint32_t q = 0; q < num_queues; ++q) {
-    for (MachineId i : placement.distinct_set(q)) {
-      max_degree = std::max(max_degree, ++machine_degree[i]);
-    }
-  }
-  const std::span<std::uint32_t> machine_begin =
-      arena.allocate_span<std::uint32_t>(m + 1);
-  machine_begin[0] = 0;
-  for (MachineId i = 0; i < m; ++i) {
-    machine_begin[i + 1] = machine_begin[i] + machine_degree[i];
-  }
-  const std::span<std::uint32_t> machine_fill =
-      arena.allocate_span<std::uint32_t>(m);
-  for (MachineId i = 0; i < m; ++i) machine_fill[i] = machine_begin[i];
-  const std::span<std::uint32_t> machine_queues =
-      arena.allocate_span<std::uint32_t>(machine_begin[m]);
-  for (std::uint32_t q = 0; q < num_queues; ++q) {
-    for (MachineId i : placement.distinct_set(q)) {
-      machine_queues[machine_fill[i]++] = q;
-    }
-  }
-  const bool single_queue_machines = max_degree <= 1;
-  const std::span<std::uint32_t> machine_queue_of =
-      arena.allocate_span<std::uint32_t>(m);
-  for (MachineId i = 0; i < m; ++i) {
-    machine_queue_of[i] = machine_begin[i] < machine_begin[i + 1]
-                              ? machine_queues[machine_begin[i]]
-                              : UINT32_MAX;
-  }
-
-  // Single pass over the priority order, as in dispatch_online:
-  // permutation validation fused with the queue fill. slot_of[j] is the
-  // queue-local slot an arrival of j flips in the bitmap; queue_ranks /
-  // queue_durations are position-indexed companions to queue_tasks.
-  const std::size_t bit_words = (n + 63) / 64;
-  const std::span<std::uint64_t> seen =
-      arena.make_span<std::uint64_t>(bit_words, 0);
-  const std::span<TaskId> queue_tasks = arena.allocate_span<TaskId>(n);
-  // Packed (queue << 32 | slot) per task: the admission hot path reads
-  // one word instead of chasing set_id and a slot map separately.
-  const std::span<std::uint64_t> queue_slot_of =
-      cohort_fast ? std::span<std::uint64_t>{}
-                  : arena.allocate_span<std::uint64_t>(n);
-  const std::span<std::uint32_t> queue_ranks =
-      single_queue_machines ? std::span<std::uint32_t>{}
-                            : arena.allocate_span<std::uint32_t>(n);
-  const std::span<Time> queue_durations = arena.allocate_span<Time>(n);
-  const std::span<std::uint32_t> queue_fill =
-      arena.allocate_span<std::uint32_t>(num_queues);
-  for (std::uint32_t q = 0; q < num_queues; ++q) queue_fill[q] = queue_begin[q];
-  for (std::uint32_t r = 0; r < n; ++r) {
-    const TaskId j = priority[r];
-    if (j >= n || ((seen[j / 64] >> (j % 64)) & 1u) != 0) {
-      throw std::invalid_argument("serve_stream: priority is not a permutation");
-    }
-    seen[j / 64] |= std::uint64_t{1} << (j % 64);
-    const std::uint32_t q = placement.set_id(j);
-    const std::uint32_t pos = queue_fill[q]++;
-    queue_tasks[pos] = j;
-    if (!cohort_fast) {
-      queue_slot_of[j] = (std::uint64_t{q} << 32) | (pos - queue_begin[q]);
-    }
-    if (!single_queue_machines) queue_ranks[pos] = r;
-    queue_durations[pos] = actual[j];
-  }
 
   // Admission order: (arrival time, task id).
   std::span<TaskId> order;

@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
+#include "sim/set_queues.hpp"
 #include "sim/workspace.hpp"
 
 namespace rdp {
@@ -23,9 +24,9 @@ constexpr Time kNever = std::numeric_limits<Time>::infinity();
 
 enum : std::uint8_t { kWaiting = 0, kRunning = 1, kDone = 2 };
 
-// (priority rank, task) min-heaps over the workspace's vectors. Entries
-// are invalidated lazily: a pop whose task is no longer kWaiting is
-// skipped. Duplicates are harmless for the same reason.
+// (priority rank, task) min-heaps over the workspace's overflow vectors.
+// Entries are invalidated lazily: a pop whose task is no longer kWaiting
+// is skipped. Duplicates are harmless for the same reason.
 inline void heap_push(std::vector<RankedTask>& heap, RankedTask entry) {
   heap.push_back(entry);
   std::push_heap(heap.begin(), heap.end(), std::greater<>{});
@@ -74,14 +75,12 @@ void dispatch_with_failures(const Instance& instance, const Placement& placement
     fail_time[f.machine] = std::min(fail_time[f.machine], f.when);
   }
 
-  const std::span<std::uint32_t> rank = arena.make_span<std::uint32_t>(n, UINT32_MAX);
-  for (std::uint32_t r = 0; r < n; ++r) {
-    const TaskId j = priority[r];
-    if (j >= n || rank[j] != UINT32_MAX) {
-      throw std::invalid_argument("dispatch_with_failures: bad priority permutation");
-    }
-    rank[j] = r;
-  }
+  // Tasks never dispatched are served from the replica-set queues.
+  const std::span<std::uint32_t> rank = arena.allocate_span<std::uint32_t>(n);
+  SetQueues queues;
+  queues.build(arena, placement, priority,
+               "dispatch_with_failures: bad priority permutation",
+               [&](std::uint32_t, TaskId j, std::uint32_t r) { rank[j] = r; });
 
   obs::MetricsRegistry* const mx = obs::metrics();
   obs::Tracer* const tr = obs::tracer();
@@ -91,45 +90,33 @@ void dispatch_with_failures(const Instance& instance, const Placement& placement
   // SoA hot fields, all arena-backed.
   const std::span<std::uint8_t> status = arena.make_span<std::uint8_t>(n, kWaiting);
   const std::span<std::uint8_t> refetch = arena.make_span<std::uint8_t>(n, 0);
-  const std::span<Time> earliest = arena.make_span<Time>(n, 0);
   const std::span<std::uint32_t> epoch = arena.make_span<std::uint32_t>(n, 0);
   const std::span<std::uint8_t> failed = arena.make_span<std::uint8_t>(m, 0);
   const std::span<std::uint8_t> machine_idle = arena.make_span<std::uint8_t>(m, 0);
   const std::span<TaskId> running_on = arena.make_span<TaskId>(m, kNoTask);
 
-  // Per-task live-replica counts plus the machine->tasks CSR that keeps
-  // them current: a failure decrements only the tasks hosted on the dead
-  // machine (the former implementation rescanned every task's whole
-  // replica set on every failure).
-  const std::span<std::uint32_t> alive_replicas = arena.allocate_span<std::uint32_t>(n);
-  const std::span<std::uint32_t> host_degree = arena.make_span<std::uint32_t>(m, 0);
-  for (TaskId j = 0; j < n; ++j) {
-    const auto& set = placement.machines_for(j);
-    alive_replicas[j] = static_cast<std::uint32_t>(set.size());
-    for (MachineId i : set) ++host_degree[i];
+  // Live machines per replica set. All tasks of a set lose their last
+  // replica together, so a failure only decrements the sets holding the
+  // dead machine, and a set reaching zero refetches its waiting tasks.
+  const std::span<std::uint32_t> alive_in_set =
+      arena.allocate_span<std::uint32_t>(queues.count);
+  for (std::uint32_t q = 0; q < queues.count; ++q) {
+    alive_in_set[q] = static_cast<std::uint32_t>(placement.distinct_set(q).size());
   }
-  const std::span<std::uint32_t> host_begin = arena.allocate_span<std::uint32_t>(m + 1);
-  host_begin[0] = 0;
-  for (MachineId i = 0; i < m; ++i) host_begin[i + 1] = host_begin[i] + host_degree[i];
-  const std::span<std::uint32_t> host_fill = arena.allocate_span<std::uint32_t>(m);
-  for (MachineId i = 0; i < m; ++i) host_fill[i] = host_begin[i];
-  const std::span<TaskId> host_tasks = arena.allocate_span<TaskId>(host_begin[m]);
-  for (TaskId j = 0; j < n; ++j) {
-    for (MachineId i : placement.machines_for(j)) host_tasks[host_fill[i]++] = j;
-  }
+  std::vector<TaskId> lost;  // tasks refetched by one failure, by id
 
-  // Per-machine candidate heaps: a task is pushed onto the heap of each
-  // machine that could run it (its replica set initially; every live
-  // machine once it refetches), and entries go stale in place when the
-  // task is dispatched -- pops discard entries whose task is not waiting.
-  // A machine's eligibility can only grow (refetch) or the machine dies
-  // (its heap is never consulted again), so a popped entry with a waiting
-  // task is always currently runnable on that machine.
-  for (TaskId j = 0; j < n; ++j) {
-    for (MachineId i : placement.machines_for(j)) {
-      heap_push(ws.machine_heaps[i], RankedTask{rank[j], j});
-    }
-  }
+  // A live machine serves its replica-set queues, and no task in them is
+  // ever refetched: a task refetches only once every machine of its set
+  // is dead, and dead machines never read a queue again. So the tasks
+  // past each head a live machine reads are exactly the never-dispatched
+  // ones, all runnable now. Restarted and refetched tasks go onto
+  // per-machine overflow heaps instead: pushed onto each live machine
+  // that could run them (their replica set, or every live machine once
+  // refetched), going stale in place when the task is dispatched -- pops
+  // discard entries whose task is not waiting. A machine's eligibility
+  // can only grow (refetch) or the machine dies (its heap is never
+  // consulted again), so a popped entry with a waiting task is always
+  // currently runnable on that machine.
   auto push_everywhere = [&](TaskId j) {
     for (MachineId i = 0; i < m; ++i) {
       if (!failed[i]) heap_push(ws.machine_heaps[i], RankedTask{rank[j], j});
@@ -161,8 +148,8 @@ void dispatch_with_failures(const Instance& instance, const Placement& placement
     return actual[j] + (refetch[j] ? plan.refetch_penalty : Time{0});
   };
 
-  // Requeue-time wakeups: when tasks become waiting again (failure) or a
-  // machine finds only future-eligible tasks, we push machine-free events.
+  // Requeue-time wakeups: when tasks become waiting again (failure), idle
+  // machines get a machine-free event.
   auto wake_idle_machines = [&](Time t) {
     for (MachineId i = 0; i < m; ++i) {
       if (machine_idle[i] && !failed[i]) {
@@ -212,23 +199,28 @@ void dispatch_with_failures(const Instance& instance, const Placement& placement
           running_on[i] = kNoTask;
           status[j] = kWaiting;
           ++epoch[j];
-          earliest[j] = e.when;
           ++out.restarts;
           restarted = j;
         }
         // A waiting task losing its last replica must refetch and becomes
-        // runnable on every surviving machine. Counts make this exact: a
-        // non-refetched task can only hit zero live replicas while
-        // waiting (running implies a live replica hosts it), so the
-        // transition moment is the marking moment.
-        for (std::uint32_t k = host_begin[i]; k < host_begin[i + 1]; ++k) {
-          const TaskId j = host_tasks[k];
-          if (--alive_replicas[j] == 0 && status[j] == kWaiting && !refetch[j]) {
-            refetch[j] = 1;
-            ++out.refetches;
-            if (tl) tl->record(e.when, obs::TimelineEventKind::kRefetch, j);
-            push_everywhere(j);
+        // runnable on every surviving machine. Only waiting tasks can be
+        // stranded (running implies a live replica hosts it), and a set
+        // dies once, so no task is marked twice.
+        lost.clear();
+        for (std::uint32_t k = queues.machine_begin[i]; k < queues.machine_begin[i + 1];
+             ++k) {
+          const std::uint32_t q = queues.machine_queues[k];
+          if (--alive_in_set[q] > 0) continue;
+          for (std::uint32_t pos = queues.begin[q]; pos < queues.begin[q + 1]; ++pos) {
+            if (status[queues.tasks[pos]] == kWaiting) lost.push_back(queues.tasks[pos]);
           }
+        }
+        std::sort(lost.begin(), lost.end());
+        for (const TaskId j : lost) {
+          refetch[j] = 1;
+          ++out.refetches;
+          if (tl) tl->record(e.when, obs::TimelineEventKind::kRefetch, j);
+          push_everywhere(j);
         }
         // Re-advertise the killed attempt. A previously-refetched task
         // must be pushed everywhere again: its old entries were consumed
@@ -251,28 +243,23 @@ void dispatch_with_failures(const Instance& instance, const Placement& placement
       case kSimEventFree: {
         const MachineId i = e.machine;
         if (failed[i] || running_on[i] != kNoTask) break;
-        // Best-ranked waiting candidate runnable here, now or later.
-        TaskId best_now = kNoTask;
-        Time soonest_future = kNever;
+        // Best-ranked waiting task runnable here: the best queue front,
+        // unless the overflow heap holds a better one. A restarted task is
+        // runnable from its failure time on, and events pop in time order,
+        // so every waiting task is runnable by the time a machine frees.
+        const std::uint32_t q = queues.best_queue(i);
+        const std::uint32_t queue_rank =
+            q == SetQueues::kNone ? UINT32_MAX : rank[queues.tasks[queues.head[q]]];
         std::vector<RankedTask>& heap = ws.machine_heaps[i];
-        ws.deferred.clear();
-        while (!heap.empty()) {
-          const auto [r, j] = heap.front();
-          if (status[j] != kWaiting) {
-            heap_pop(heap);  // stale: dispatched or done since it was pushed
-            continue;
-          }
-          if (earliest[j] > e.when) {
-            soonest_future = std::min(soonest_future, earliest[j]);
-            ws.deferred.push_back(RankedTask{r, j});
-            heap_pop(heap);
-            continue;
-          }
-          best_now = j;
+        // Stale entries: dispatched or done since they were pushed.
+        while (!heap.empty() && status[heap.front().second] != kWaiting) heap_pop(heap);
+        TaskId best_now = kNoTask;
+        if (!heap.empty() && heap.front().first < queue_rank) {
+          best_now = heap.front().second;
           heap_pop(heap);
-          break;
+        } else if (q != SetQueues::kNone) {
+          best_now = queues.pop(q);
         }
-        for (const RankedTask& entry : ws.deferred) heap_push(heap, entry);
         if (best_now != kNoTask) {
           const TaskId j = best_now;
           status[j] = kRunning;
@@ -283,9 +270,6 @@ void dispatch_with_failures(const Instance& instance, const Placement& placement
           out.schedule.finish[j] = e.when + dur;
           out.trace.events.push_back(DispatchEvent{e.when, j, i, dur});
           events.push(SimEvent{e.when + dur, kSimEventFinish, i, j, epoch[j], seq++});
-        } else if (soonest_future < kNever) {
-          events.push(
-              SimEvent{soonest_future, kSimEventFree, i, kNoTask, 0, seq++});
         } else {
           machine_idle[i] = 1;  // re-woken on the next requeue
         }

@@ -1,6 +1,5 @@
 #include "sim/online_dispatcher.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -12,6 +11,7 @@
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "sim/ready_heap.hpp"
+#include "sim/set_queues.hpp"
 #include "sim/workspace.hpp"
 
 namespace rdp {
@@ -61,95 +61,36 @@ void dispatch_online(const Instance& instance, const Placement& placement,
   ws.begin_run(n, m);
   MonotonicArena& arena = ws.arena;
 
-  // One dispatch queue per distinct replica set. The bucketing itself was
-  // interned by Placement at construction (a placement is dispatched
-  // against many realizations in a sweep), so here a queue id is a plain
-  // array read instead of a per-task hash + probe.
-  const std::uint32_t num_queues = placement.num_distinct_sets();
-
-  // CSR layout of the queues (sizes precomputed by the interning).
-  // Filling in priority order makes each queue's slice already
-  // rank-sorted -- no comparison sort needed.
-  const std::span<std::uint32_t> queue_begin =
-      arena.allocate_span<std::uint32_t>(num_queues + 1);
-  queue_begin[0] = 0;
-  for (std::uint32_t q = 0; q < num_queues; ++q) {
-    queue_begin[q + 1] = queue_begin[q] + placement.set_population(q);
-  }
-  const std::span<std::uint32_t> queue_head =
-      arena.allocate_span<std::uint32_t>(num_queues);
-  const std::span<std::uint32_t> queue_end =
-      arena.allocate_span<std::uint32_t>(num_queues);
-  for (std::uint32_t q = 0; q < num_queues; ++q) {
-    queue_head[q] = queue_begin[q];
-    queue_end[q] = queue_begin[q];  // fill cursor, becomes queue_begin[q+1]
-  }
-
-  // CSR of which queues each machine serves.
-  const std::span<std::uint32_t> machine_degree =
-      arena.make_span<std::uint32_t>(m, 0);
-  std::uint32_t max_degree = 0;
-  for (std::uint32_t q = 0; q < num_queues; ++q) {
-    for (MachineId i : placement.distinct_set(q)) {
-      max_degree = std::max(max_degree, ++machine_degree[i]);
-    }
-  }
-  const std::span<std::uint32_t> machine_begin =
-      arena.allocate_span<std::uint32_t>(m + 1);
-  machine_begin[0] = 0;
-  for (MachineId i = 0; i < m; ++i) {
-    machine_begin[i + 1] = machine_begin[i] + machine_degree[i];
-  }
-  const std::span<std::uint32_t> machine_fill =
-      arena.allocate_span<std::uint32_t>(m);
-  for (MachineId i = 0; i < m; ++i) machine_fill[i] = machine_begin[i];
-  const std::span<std::uint32_t> machine_queues =
-      arena.allocate_span<std::uint32_t>(machine_begin[m]);
-  for (std::uint32_t q = 0; q < num_queues; ++q) {
-    for (MachineId i : placement.distinct_set(q)) {
-      machine_queues[machine_fill[i]++] = q;
-    }
-  }
-  // With every machine serving at most one queue (disjoint replica sets
-  // -- the group-replication regime), rank comparisons are unnecessary:
-  // a machine's next task is always its queue's front (read through a
-  // direct machine -> queue map). queue_ranks is only materialized for
-  // the overlapping-queues general path.
-  const bool single_queue_machines = max_degree <= 1;
-  const std::span<std::uint32_t> machine_queue_of =
-      arena.allocate_span<std::uint32_t>(m);
-  for (MachineId i = 0; i < m; ++i) {
-    machine_queue_of[i] = machine_begin[i] < machine_begin[i + 1]
-                              ? machine_queues[machine_begin[i]]
-                              : UINT32_MAX;
-  }
-
-  // Single pass over the priority order: permutation validation (a seen-
-  // bitset -- n bits, not an n-word rank array) fused with the queue
-  // fill. queue_ranks / queue_durations are position-indexed companions
-  // to queue_tasks: the dispatch loop reads the front task's rank and
+  // One dispatch queue per distinct replica set (sim/set_queues.hpp). The
+  // bucketing itself was interned by Placement at construction (a
+  // placement is dispatched against many realizations in a sweep), so a
+  // queue id is a plain array read instead of a per-task hash + probe.
+  //
+  // queue_durations is a slot-indexed companion to the queues, filled in
+  // the same pass: the dispatch loop reads the front task's rank and
   // duration at `queue_head[q]`, a streaming access per queue. Looking up
   // rank[...] / actual[...] inside the loop instead would be a serialized
   // random cache miss per event; here the misses overlap across
   // independent iterations.
-  const std::size_t bit_words = (n + 63) / 64;
-  const std::span<std::uint64_t> seen = arena.make_span<std::uint64_t>(bit_words, 0);
-  const std::span<TaskId> queue_tasks = arena.allocate_span<TaskId>(n);
-  const std::span<std::uint32_t> queue_ranks =
-      single_queue_machines ? std::span<std::uint32_t>{}
-                            : arena.allocate_span<std::uint32_t>(n);
   const std::span<Time> queue_durations = arena.allocate_span<Time>(n);
-  for (std::uint32_t r = 0; r < n; ++r) {
-    const TaskId j = priority[r];
-    if (j >= n || ((seen[j / 64] >> (j % 64)) & 1u) != 0) {
-      throw std::invalid_argument("dispatch_online: priority is not a permutation");
-    }
-    seen[j / 64] |= std::uint64_t{1} << (j % 64);
-    const std::uint32_t pos = queue_end[placement.set_id(j)]++;
-    queue_tasks[pos] = j;
-    if (!single_queue_machines) queue_ranks[pos] = r;
-    queue_durations[pos] = actual[j];
-  }
+  SetQueues queues;
+  queues.build(arena, placement, priority,
+               "dispatch_online: priority is not a permutation",
+               [&](std::uint32_t pos, TaskId j, std::uint32_t) {
+                 queue_durations[pos] = actual[j];
+               });
+  const std::span<std::uint32_t> queue_begin = queues.begin;
+  const std::span<std::uint32_t> queue_head = queues.head;
+  const std::span<TaskId> queue_tasks = queues.tasks;
+  const std::span<std::uint32_t> queue_ranks = queues.ranks;
+  const std::span<std::uint32_t> machine_begin = queues.machine_begin;
+  const std::span<std::uint32_t> machine_queues = queues.machine_queues;
+  const std::span<std::uint32_t> machine_queue_of = queues.machine_queue_of;
+  // With every machine serving at most one queue (disjoint replica sets
+  // -- the group-replication regime), rank comparisons are unnecessary:
+  // a machine's next task is always its queue's front (read through a
+  // direct machine -> queue map).
+  const bool single_queue_machines = queues.single_queue_machines;
 
   // Observability: null sinks reduce every hook below to a dead branch on
   // a cached pointer; nothing here influences dispatch decisions.

@@ -1,7 +1,6 @@
 #include "sim/speculative.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -10,6 +9,7 @@
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/set_queues.hpp"
 #include "sim/workspace.hpp"
 
 namespace rdp {
@@ -19,16 +19,6 @@ namespace {
 constexpr Time kNever = std::numeric_limits<Time>::infinity();
 
 enum : std::uint8_t { kWaiting = 0, kRunning = 1, kDone = 2 };
-
-inline void heap_push(std::vector<RankedTask>& heap, RankedTask entry) {
-  heap.push_back(entry);
-  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-}
-
-inline void heap_pop(std::vector<RankedTask>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-  heap.pop_back();
-}
 
 }  // namespace
 
@@ -46,6 +36,10 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
   if (speeds.size() != m) {
     throw std::invalid_argument("dispatch_speculative: speed profile mismatch");
   }
+  if (placement.num_machines() != m) {
+    throw std::invalid_argument(
+        "dispatch_speculative: placement built for a different machine count");
+  }
   if (policy.max_copies == 0) {
     throw std::invalid_argument("dispatch_speculative: max_copies must be >= 1");
   }
@@ -54,14 +48,12 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
   ws.begin_run(n, m);
   MonotonicArena& arena = ws.arena;
 
-  const std::span<std::uint32_t> rank = arena.make_span<std::uint32_t>(n, UINT32_MAX);
-  for (std::uint32_t r = 0; r < n; ++r) {
-    const TaskId j = priority[r];
-    if (j >= n || rank[j] != UINT32_MAX) {
-      throw std::invalid_argument("dispatch_speculative: bad priority");
-    }
-    rank[j] = r;
-  }
+  // Waiting tasks sit in the replica-set queues. A task never returns to
+  // waiting here (no failures), so each set's head pointer only moves
+  // forward and an idle machine's next task is the best front among its
+  // sets.
+  SetQueues queues;
+  queues.build(arena, placement, priority, "dispatch_speculative: bad priority");
 
   obs::MetricsRegistry* const mx = obs::metrics();
   obs::Tracer* const tr = obs::tracer();
@@ -90,13 +82,13 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
   result.schedule.finish.assign(n, 0);
   result.trace.events.reserve(n);
 
-  // Per-machine waiting-task heaps; tasks never return to kWaiting here
-  // (no failures), so entries are pushed once and go stale in place.
-  for (TaskId j = 0; j < n; ++j) {
-    for (MachineId i : placement.machines_for(j)) {
-      heap_push(ws.machine_heaps[i], RankedTask{rank[j], j});
-    }
-  }
+  // Running tasks of each replica set, as intrusive doubly-linked lists
+  // threaded through per-task links: a backup scan visits only the
+  // running tasks of the sets holding the idle machine.
+  const std::span<TaskId> running_head =
+      arena.make_span<TaskId>(queues.count, kNoTask);
+  const std::span<TaskId> running_next = arena.allocate_span<TaskId>(n);
+  const std::span<TaskId> running_prev = arena.allocate_span<TaskId>(n);
 
   SimEventQueue& events = ws.events;
   std::uint64_t seq = 0;
@@ -115,7 +107,14 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
     copy_finish[c] = now + duration;
     copy_alive[c] = 1;
     machine_busy[i] = 1;
-    state[j] = kRunning;
+    if (state[j] == kWaiting) {
+      state[j] = kRunning;
+      const std::uint32_t q = placement.set_id(j);
+      running_prev[j] = kNoTask;
+      running_next[j] = running_head[q];
+      if (running_head[q] != kNoTask) running_prev[running_head[q]] = j;
+      running_head[q] = j;
+    }
     if (is_backup) {
       ++result.duplicates_launched;
       if (tr) {
@@ -154,6 +153,10 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
       copy_alive[c] = 0;
       machine_busy[copy_machine[c]] = 0;
       state[j] = kDone;
+      const TaskId prev = running_prev[j];
+      const TaskId next = running_next[j];
+      (prev != kNoTask ? running_next[prev] : running_head[placement.set_id(j)]) = next;
+      if (next != kNoTask) running_prev[next] = prev;
       --remaining;
       result.schedule.assignment.machine_of[j] = copy_machine[c];
       result.schedule.start[j] = copy_start[c];
@@ -177,41 +180,42 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
     const MachineId i = e.machine;
     if (machine_busy[i]) continue;  // stale
 
-    // 1. Highest-priority waiting task with a replica here (lazy heap;
-    // ranks are a permutation, so the pop matches the former full scan).
-    std::vector<RankedTask>& heap = ws.machine_heaps[i];
-    while (!heap.empty() && state[heap.front().second] != kWaiting) heap_pop(heap);
-    if (!heap.empty()) {
-      const TaskId j = heap.front().second;
-      heap_pop(heap);
-      launch(j, i, e.when, /*is_backup=*/false);
+    // 1. Highest-priority waiting task with a replica here.
+    if (const std::uint32_t q = queues.best_queue(i); q != SetQueues::kNone) {
+      launch(queues.pop(q), i, e.when, /*is_backup=*/false);
       continue;
     }
 
-    // 2. No waiting work: consider speculating on a running task.
+    // 2. No waiting work: consider speculating on a running task of one
+    // of this machine's replica sets. Ties on the latest estimate go to
+    // the lowest task id.
     if (speculation_on) {
       TaskId candidate = kNoTask;
       Time latest_estimate = -kNever;
-      for (TaskId j = 0; j < n; ++j) {
-        if (state[j] != kRunning || !placement.allows(j, i)) continue;
-        std::size_t live = 0;
-        Time earliest_est_finish = kNever;
-        for (std::size_t k = j * stride; k < j * stride + copy_count[j]; ++k) {
-          if (!copy_alive[k]) continue;
-          ++live;
-          const Time est =
-              copy_start[k] + instance.estimate(j) / speeds.speed(copy_machine[k]);
-          earliest_est_finish = std::min(earliest_est_finish, est);
-        }
-        if (live == 0 || live >= policy.max_copies) continue;
-        if (earliest_est_finish - e.when < policy.min_estimated_remaining) continue;
-        // Don't duplicate onto a machine that wouldn't even beat the
-        // current copy's *estimated* completion.
-        const Time my_est_finish = e.when + instance.estimate(j) / speeds.speed(i);
-        if (my_est_finish >= earliest_est_finish) continue;
-        if (earliest_est_finish > latest_estimate) {
-          latest_estimate = earliest_est_finish;
-          candidate = j;
+      for (std::uint32_t k = queues.machine_begin[i]; k < queues.machine_begin[i + 1];
+           ++k) {
+        for (TaskId j = running_head[queues.machine_queues[k]]; j != kNoTask;
+             j = running_next[j]) {
+          std::size_t live = 0;
+          Time earliest_est_finish = kNever;
+          for (std::size_t c = j * stride; c < j * stride + copy_count[j]; ++c) {
+            if (!copy_alive[c]) continue;
+            ++live;
+            const Time est =
+                copy_start[c] + instance.estimate(j) / speeds.speed(copy_machine[c]);
+            earliest_est_finish = std::min(earliest_est_finish, est);
+          }
+          if (live == 0 || live >= policy.max_copies) continue;
+          if (earliest_est_finish - e.when < policy.min_estimated_remaining) continue;
+          // Don't duplicate onto a machine that wouldn't even beat the
+          // current copy's *estimated* completion.
+          const Time my_est_finish = e.when + instance.estimate(j) / speeds.speed(i);
+          if (my_est_finish >= earliest_est_finish) continue;
+          if (earliest_est_finish > latest_estimate ||
+              (earliest_est_finish == latest_estimate && j < candidate)) {
+            latest_estimate = earliest_est_finish;
+            candidate = j;
+          }
         }
       }
       if (candidate != kNoTask) {

@@ -1,9 +1,6 @@
 #include "sim/transfer_dispatcher.hpp"
 
-#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <stdexcept>
 
 #include "core/instance.hpp"
@@ -12,23 +9,10 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/ready_heap.hpp"
+#include "sim/set_queues.hpp"
 #include "sim/workspace.hpp"
 
 namespace rdp {
-
-namespace {
-
-inline void heap_push(std::vector<RankedTask>& heap, RankedTask entry) {
-  heap.push_back(entry);
-  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-}
-
-inline void heap_pop(std::vector<RankedTask>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-  heap.pop_back();
-}
-
-}  // namespace
 
 TransferDispatchResult dispatch_with_transfers(const Instance& instance,
                                                const Placement& placement,
@@ -46,37 +30,29 @@ TransferDispatchResult dispatch_with_transfers(const Instance& instance,
   if (model.latency < 0.0) {
     throw std::invalid_argument("dispatch_with_transfers: negative latency");
   }
+  if (placement.num_machines() != m) {
+    throw std::invalid_argument(
+        "dispatch_with_transfers: placement built for a different machine count");
+  }
 
   SimWorkspace& ws = thread_workspace();
   ws.begin_run(n, m);
   MonotonicArena& arena = ws.arena;
 
-  const std::span<std::uint32_t> rank = arena.make_span<std::uint32_t>(n, UINT32_MAX);
-  for (std::uint32_t r = 0; r < n; ++r) {
-    const TaskId j = priority[r];
-    if (j >= n || rank[j] != UINT32_MAX) {
-      throw std::invalid_argument("dispatch_with_transfers: bad priority");
-    }
-    rank[j] = r;
-  }
+  // Local candidates come from the replica-set queues; a remote run takes
+  // a task out of the middle of its queue, so fronts skip scheduled tasks
+  // lazily. The best remote candidate needs no per-machine structure:
+  // when a machine has no local waiting task at all, every waiting task
+  // is remote for it, so the globally best-ranked waiting task -- found
+  // by a cursor over the priority permutation -- is the remote pick.
+  SetQueues queues;
+  queues.build(arena, placement, priority, "dispatch_with_transfers: bad priority");
+  const std::span<std::uint8_t> scheduled = arena.make_span<std::uint8_t>(n, 0);
+  const auto is_scheduled = [&](TaskId j) { return scheduled[j] != 0; };
+  std::size_t head = 0;  // first maybe-unscheduled rank in priority order
 
   obs::MetricsRegistry* const mx = obs::metrics();
   obs::ScopedSpan span(obs::tracer(), "dispatch_with_transfers", "sim");
-
-  const std::span<std::uint8_t> scheduled = arena.make_span<std::uint8_t>(n, 0);
-
-  // Per-machine *local* candidate heaps (lazily invalidated). The best
-  // remote candidate needs no per-machine structure: when a machine has
-  // no local waiting task at all, every waiting task is remote for it, so
-  // the globally best-ranked waiting task -- found by a cursor over the
-  // priority permutation -- is the remote pick. Together these replace
-  // the former all-tasks scan per dispatch.
-  for (TaskId j = 0; j < n; ++j) {
-    for (MachineId i : placement.machines_for(j)) {
-      heap_push(ws.machine_heaps[i], RankedTask{rank[j], j});
-    }
-  }
-  std::size_t head = 0;  // first maybe-unscheduled rank in priority order
 
   ReadyHeap pool;
   pool.init(arena, m, {});
@@ -94,13 +70,11 @@ TransferDispatchResult dispatch_with_transfers(const Instance& instance,
     }
     const MachineId i = pool.top();
 
-    std::vector<RankedTask>& heap = ws.machine_heaps[i];
-    while (!heap.empty() && scheduled[heap.front().second]) heap_pop(heap);
-    const bool use_local = !heap.empty();
+    const std::uint32_t q = queues.best_queue(i, is_scheduled);
+    const bool use_local = q != SetQueues::kNone;
     TaskId j = kNoTask;
     if (use_local) {
-      j = heap.front().second;
-      heap_pop(heap);
+      j = queues.pop(q);
     } else {
       while (head < n && scheduled[priority[head]]) ++head;
       if (head < n) j = priority[head];

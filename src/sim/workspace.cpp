@@ -9,8 +9,6 @@ void SimWorkspace::begin_run(std::size_t /*num_tasks*/, MachineId num_machines) 
   // the next run at this machine count.
   if (machine_heaps.size() < num_machines) machine_heaps.resize(num_machines);
   for (MachineId i = 0; i < num_machines; ++i) machine_heaps[i].clear();
-  heaps_in_use_ = num_machines;
-  deferred.clear();
   parked.clear();
 }
 

@@ -1,7 +1,7 @@
 // Reusable per-run state for the simulator hot path. A SimWorkspace owns
 // the arena that backs every struct-of-arrays hot field (task state,
-// ranks, start/finish times, assignments, per-machine tables) plus the
-// calendar event queue and the candidate-heap containers, so a sweep that
+// ranks, start/finish times, assignments, replica-set queues) plus the
+// calendar event queue and the failure loop's overflow heaps, so a sweep that
 // reuses one workspace per worker thread performs zero steady-state
 // allocation: the first trial at a given (n, m) sizes everything, later
 // trials only rewind cursors and clear vectors in place.
@@ -59,8 +59,8 @@ struct SimEventBefore {
 
 using SimEventQueue = CalendarQueue<SimEvent, SimEventTime, SimEventBefore>;
 
-/// (priority rank, task) candidate entry for the per-machine eligible
-/// heaps; min-heap order on rank (ranks are a permutation, so ties are
+/// (priority rank, task) entry of the failure loop's overflow heaps;
+/// min-heap order on rank (ranks are a permutation, so ties are
 /// impossible and the order is total).
 using RankedTask = std::pair<std::uint32_t, TaskId>;
 
@@ -77,19 +77,15 @@ class SimWorkspace {
   MonotonicArena arena;
   SimEventQueue events;
 
-  /// Per-machine candidate heaps (vector heaps driven by std::push_heap /
-  /// std::pop_heap). Sized to the largest m seen; inner capacity sticks.
+  /// dispatch_with_failures' per-machine overflow heaps (vector heaps
+  /// driven by std::push_heap / std::pop_heap). Only restarted and
+  /// refetched tasks go here; every other waiting task is served from the
+  /// replica-set queues. Sized to the largest m seen; inner capacity sticks.
   std::vector<std::vector<RankedTask>> machine_heaps;
 
-  /// Entries popped too early (eligible only in the future); re-pushed
-  /// after each selection.
-  std::vector<RankedTask> deferred;
-
-  /// Machines idle with no eligible work, woken by the next completion.
+  /// dispatch_speculative's machines idle with no eligible work, woken by
+  /// the next completion.
   std::vector<MachineId> parked;
-
- private:
-  std::size_t heaps_in_use_ = 0;
 };
 
 /// The calling thread's lazily-created workspace. The by-value dispatcher

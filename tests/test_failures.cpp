@@ -111,6 +111,45 @@ TEST(Failures, ReplicationAvoidsRefetchPenalty) {
   EXPECT_LT(good.makespan, bad.makespan);
 }
 
+TEST(Failures, RestartedTaskOutranksTheReplicaSetQueueFront) {
+  // One replica set {0, 1}. Task 0 (rank 0) runs on m0, task 1 on m1;
+  // m0 dies at t=2 and task 0 waits again. When m1 frees at t=3 the
+  // restarted task 0 must beat task 2, the next never-dispatched task.
+  Instance inst = Instance::from_estimates({10.0, 3.0, 1.0, 1.0}, 2, 1.0);
+  const Placement p = Placement::everywhere(4, 2);
+  const Realization r = exact_realization(inst);
+  FailurePlan plan;
+  plan.failures = {{0, 2.0}};
+  const FailureDispatchResult result =
+      dispatch_with_failures(inst, p, r, identity_priority(4), plan);
+  EXPECT_EQ(result.restarts, 1u);
+  EXPECT_EQ(result.refetches, 0u);
+  EXPECT_EQ(result.schedule.assignment[0], 1u);
+  EXPECT_DOUBLE_EQ(result.schedule.start[0], 3.0);
+  EXPECT_DOUBLE_EQ(result.schedule.start[2], 13.0);
+  EXPECT_DOUBLE_EQ(result.schedule.start[3], 14.0);
+  EXPECT_DOUBLE_EQ(result.makespan, 15.0);
+}
+
+TEST(Failures, ReplicaSetQueueFrontOutranksRestartedTask) {
+  // The mirror case. Tasks 0 and 1 live only on m1, task 2 on {0, 1}.
+  // m0 takes task 2 at t=0 and dies at t=2; when m1 frees at t=3 the
+  // queued task 1 outranks the restarted task 2 and runs first.
+  Instance inst = Instance::from_estimates({3.0, 1.0, 10.0}, 2, 1.0);
+  const Placement p({{1}, {1}, {0, 1}}, 2);
+  const Realization r = exact_realization(inst);
+  FailurePlan plan;
+  plan.failures = {{0, 2.0}};
+  const FailureDispatchResult result =
+      dispatch_with_failures(inst, p, r, identity_priority(3), plan);
+  EXPECT_EQ(result.restarts, 1u);
+  EXPECT_EQ(result.refetches, 0u);
+  EXPECT_DOUBLE_EQ(result.schedule.start[1], 3.0);
+  EXPECT_EQ(result.schedule.assignment[2], 1u);
+  EXPECT_DOUBLE_EQ(result.schedule.start[2], 4.0);
+  EXPECT_DOUBLE_EQ(result.makespan, 14.0);
+}
+
 TEST(Failures, TaskFinishingExactlyAtFailureSurvives) {
   Instance inst = Instance::from_estimates({2.0}, 1, 1.0);
   const Placement p = Placement::singleton({0}, 1);

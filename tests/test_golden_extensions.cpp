@@ -65,6 +65,29 @@ TEST(GoldenExtensions, SpeculativeDispatcher) {
   EXPECT_DOUBLE_EQ(r.wasted_time, 0.0);
 }
 
+TEST(GoldenExtensions, SpeculativeDispatcherBackupsWin) {
+  // 16 machines in four LS groups, the first machine of each group a
+  // 0.25-speed straggler: groups drain unevenly, idle machines back up
+  // the stragglers' tasks, and the backups win.
+  WorkloadParams params;
+  params.num_tasks = 128;
+  params.num_machines = 16;
+  params.alpha = 1.6;
+  params.seed = 4242;
+  const Instance inst = uniform_workload(params, 1.0, 10.0);
+  const Realization actual = realize(inst, NoiseModel::kUniform, 555);
+  const auto priority = make_priority(inst, PriorityRule::kInputOrder);
+  const Placement grouped = LsGroupPlacement(4).place(inst);
+  std::vector<double> speeds(16, 1.0);
+  for (MachineId g = 0; g < 4; ++g) speeds[4 * g] = 0.25;
+  const SpeculativeResult r = dispatch_speculative(
+      inst, grouped, actual, priority, SpeedProfile(speeds), SpeculationPolicy{});
+  EXPECT_DOUBLE_EQ(r.makespan, 76.205448921538874);
+  EXPECT_EQ(r.duplicates_launched, 3u);
+  EXPECT_EQ(r.duplicates_won, 3u);
+  EXPECT_DOUBLE_EQ(r.wasted_time, 49.700179805655019);
+}
+
 TEST(GoldenExtensions, PtasAndPartition) {
   const Fixture f = make_fixture();
   const PtasResult ptas = ptas_cmax(f.actual.actual, 6, 3);

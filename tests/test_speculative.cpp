@@ -174,6 +174,29 @@ TEST(Speculative, WorkspaceReuseAcrossShrinkingMachineCounts) {
   }
 }
 
+TEST(Speculative, TiedBackupCandidatesGoToTheLowerId) {
+  // Tasks 0 and 1 start together on the two 0.25-speed machines, so both
+  // have earliest estimated finish 16. Machine 2 finishes task 2 at t=1,
+  // finds nothing waiting, and must back up task 0 -- the lower id --
+  // whichever of the two ranks (and so launched) first.
+  Instance inst = Instance::from_estimates({4.0, 4.0, 1.0}, 3, 1.0);
+  const Placement p = Placement::everywhere(3, 3);
+  const Realization r = exact_realization(inst);
+  const SpeedProfile speeds({0.25, 0.25, 1.0});
+  for (const std::vector<TaskId>& priority :
+       {std::vector<TaskId>{0, 1, 2}, std::vector<TaskId>{1, 0, 2}}) {
+    const SpeculativeResult spec =
+        dispatch_speculative(inst, p, r, priority, speeds, SpeculationPolicy{});
+    ASSERT_GE(spec.trace.size(), 4u);
+    const DispatchEvent& backup = spec.trace.events[3];
+    EXPECT_DOUBLE_EQ(backup.when, 1.0);
+    EXPECT_EQ(backup.task, 0u) << "priority starts with task " << priority[0];
+    EXPECT_EQ(backup.machine, 2u);
+    EXPECT_EQ(spec.schedule.assignment[0], 2u);
+    EXPECT_DOUBLE_EQ(spec.schedule.finish[0], 5.0);
+  }
+}
+
 TEST(Speculative, ValidatesInputs) {
   Instance inst = Instance::from_estimates({1.0}, 1, 1.0);
   const Placement p = Placement::singleton({0}, 1);
@@ -189,6 +212,11 @@ TEST(Speculative, ValidatesInputs) {
                std::invalid_argument);
   EXPECT_THROW((void)dispatch_speculative(inst, p, r, identity(1),
                                           SpeedProfile::identical(2),
+                                          SpeculationPolicy{}),
+               std::invalid_argument);
+  // A placement built for a different machine count than the instance.
+  EXPECT_THROW((void)dispatch_speculative(inst, Placement::singleton({0}, 2), r,
+                                          identity(1), SpeedProfile::identical(1),
                                           SpeculationPolicy{}),
                std::invalid_argument);
 }

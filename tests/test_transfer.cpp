@@ -102,6 +102,29 @@ TEST(TransferDispatch, LowBandwidthApproachesPinnedBehaviour) {
   EXPECT_GE(result.remote_runs, 1u);
 }
 
+TEST(TransferDispatch, RemoteRunsTakeTasksBehindTheLocalQueueHead) {
+  // Every task is pinned to machine 0. At t=0 machine 0 takes task 0,
+  // and machines 1 and 2, with nothing local, steal tasks 1 and 2 -- the
+  // second steal takes a task queued behind one already taken remotely.
+  // When machine 0 frees at t=1 it must skip both stolen tasks and run
+  // task 3 locally.
+  Instance inst({{1.0, 1.0}, {5.0, 1.0}, {5.0, 1.0}, {1.0, 1.0}}, 3, 1.0);
+  const Placement p = Placement::singleton({0, 0, 0, 0}, 3);
+  const Realization r = exact_realization(inst);
+  TransferModel model;
+  model.bandwidth = 10.0;
+  const TransferDispatchResult result =
+      dispatch_with_transfers(inst, p, r, identity(4), model);
+  EXPECT_EQ(result.remote_runs, 2u);
+  EXPECT_DOUBLE_EQ(result.transfer_time, 0.2);
+  EXPECT_EQ(result.schedule.assignment[1], 1u);
+  EXPECT_EQ(result.schedule.assignment[2], 2u);
+  EXPECT_EQ(result.schedule.assignment[3], 0u);
+  EXPECT_DOUBLE_EQ(result.schedule.start[3], 1.0);
+  EXPECT_DOUBLE_EQ(result.schedule.finish[3], 2.0);  // local: no fetch
+  EXPECT_EQ(result.trace.size(), 4u);
+}
+
 TEST(TransferDispatch, ValidatesInputs) {
   Instance inst = Instance::from_estimates({1.0}, 1, 1.0);
   const Placement p = Placement::singleton({0}, 1);
@@ -116,6 +139,10 @@ TEST(TransferDispatch, ValidatesInputs) {
                std::invalid_argument);
   TransferModel ok;
   EXPECT_THROW((void)dispatch_with_transfers(inst, p, r, {0, 0}, ok),
+               std::invalid_argument);
+  // A placement built for a different machine count than the instance.
+  EXPECT_THROW((void)dispatch_with_transfers(inst, Placement::singleton({0}, 2), r,
+                                             identity(1), ok),
                std::invalid_argument);
 }
 
