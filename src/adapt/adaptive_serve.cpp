@@ -130,21 +130,21 @@ AdaptiveServeResult serve_adaptive(const Instance& instance,
     if (tl != nullptr) {
       const auto block = tl->reserve(3 * count);
       std::size_t cursor = 0;
-      for (std::size_t t = 0; t < count && cursor < block.count; ++t, ++cursor) {
+      for (TaskId t = 0; t < count && cursor < block.count; ++t, ++cursor) {
         block.when[cursor] = sub_arrivals[t];
         block.task[cursor] = order[begin + t];
         block.machine[cursor] = obs::kTimelineNone;
         block.kind[cursor] =
             static_cast<std::uint8_t>(obs::TimelineEventKind::kArrive);
       }
-      for (std::size_t t = 0; t < count && cursor < block.count; ++t, ++cursor) {
+      for (TaskId t = 0; t < count && cursor < block.count; ++t, ++cursor) {
         block.when[cursor] = served.schedule.start[t];
         block.task[cursor] = order[begin + t];
         block.machine[cursor] = served.schedule.assignment[t];
         block.kind[cursor] =
             static_cast<std::uint8_t>(obs::TimelineEventKind::kStart);
       }
-      for (std::size_t t = 0; t < count && cursor < block.count; ++t, ++cursor) {
+      for (TaskId t = 0; t < count && cursor < block.count; ++t, ++cursor) {
         block.when[cursor] = served.schedule.finish[t];
         block.task[cursor] = order[begin + t];
         block.machine[cursor] = served.schedule.assignment[t];
@@ -153,7 +153,7 @@ AdaptiveServeResult serve_adaptive(const Instance& instance,
       }
     }
 
-    for (std::size_t t = 0; t < count; ++t) {
+    for (TaskId t = 0; t < count; ++t) {
       const TaskId j = order[begin + t];
       const MachineId i = served.schedule.assignment[t];
       result.schedule.assignment.machine_of[j] = i;

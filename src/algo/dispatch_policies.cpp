@@ -19,21 +19,19 @@ std::string to_string(PriorityRule rule) {
 }
 
 std::vector<TaskId> make_priority(const Instance& instance, PriorityRule rule) {
-  const std::size_t n = instance.num_tasks();
-  std::vector<TaskId> order(n);
-  for (TaskId j = 0; j < n; ++j) order[j] = j;
+  const auto identity = [n = instance.num_tasks()] {
+    std::vector<TaskId> order(n);
+    for (TaskId j = 0; j < n; ++j) order[j] = j;
+    return order;
+  };
   switch (rule) {
     case PriorityRule::kInputOrder:
-      return order;
-    case PriorityRule::kLongestEstimateFirst: {
-      const auto estimates = instance.estimates();
-      std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-        return estimates[a] > estimates[b];
-      });
-      return order;
-    }
+      return identity();
+    case PriorityRule::kLongestEstimateFirst:
+      return lpt_order(instance.estimates());
     case PriorityRule::kShortestEstimateFirst: {
       const auto estimates = instance.estimates();
+      std::vector<TaskId> order = identity();
       std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
         return estimates[a] < estimates[b];
       });

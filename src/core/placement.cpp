@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,6 +11,8 @@
 namespace rdp {
 
 namespace {
+
+constexpr std::uint32_t kNoSet = UINT32_MAX;
 
 /// Order-insensitive mix of the (sorted, deduplicated) set contents.
 /// Per-element finalizers are independent, so the hash pipelines instead
@@ -26,14 +29,18 @@ std::uint64_t hash_machine_set(const std::vector<MachineId>& set) {
   return h;
 }
 
+void require_machines(MachineId num_machines) {
+  if (num_machines == 0) {
+    throw std::invalid_argument("Placement: need at least one machine");
+  }
+}
+
 }  // namespace
 
 Placement::Placement(std::vector<std::vector<MachineId>> sets, MachineId num_machines)
-    : sets_(std::move(sets)), machines_(num_machines) {
-  if (machines_ == 0) {
-    throw std::invalid_argument("Placement: need at least one machine");
-  }
-  for (auto& set : sets_) {
+    : machines_(num_machines) {
+  require_machines(machines_);
+  for (auto& set : sets) {
     std::sort(set.begin(), set.end());
     set.erase(std::unique(set.begin(), set.end()), set.end());
     if (set.empty()) {
@@ -46,28 +53,27 @@ Placement::Placement(std::vector<std::vector<MachineId>> sets, MachineId num_mac
   }
 
   // Intern identical sets: open-addressed table of canonical ids keyed by
-  // the set hash, confirmed by full comparison against the id's
-  // representative (hash collisions must never merge different sets).
-  const std::size_t n = sets_.size();
+  // the set hash, confirmed by full comparison against the stored set
+  // (hash collisions must never merge different sets). A first-seen set
+  // moves into the table; duplicates are dropped with `sets`.
+  const std::size_t n = sets.size();
   set_id_.resize(n);
   const std::size_t table_cap = std::max<std::size_t>(64, std::bit_ceil(2 * n + 1));
-  std::vector<std::uint32_t> table(table_cap, UINT32_MAX);
+  std::vector<std::uint32_t> table(table_cap, kNoSet);
   std::vector<std::uint64_t> id_hash;
   for (TaskId j = 0; j < n; ++j) {
-    const std::uint64_t h = hash_machine_set(sets_[j]);
+    const std::uint64_t h = hash_machine_set(sets[j]);
     std::size_t idx = h & (table_cap - 1);
     std::uint32_t s;
     while (true) {
       s = table[idx];
-      if (s == UINT32_MAX) {
-        s = static_cast<std::uint32_t>(distinct_rep_.size());
-        distinct_rep_.push_back(j);
-        set_population_.push_back(0);
+      if (s == kNoSet) {
+        s = add_set(std::move(sets[j]));
         id_hash.push_back(h);
         table[idx] = s;
         break;
       }
-      if (id_hash[s] == h && sets_[distinct_rep_[s]] == sets_[j]) break;
+      if (id_hash[s] == h && distinct_[s] == sets[j]) break;
       idx = (idx + 1) & (table_cap - 1);
     }
     set_id_[j] = s;
@@ -75,19 +81,57 @@ Placement::Placement(std::vector<std::vector<MachineId>> sets, MachineId num_mac
   }
 }
 
+std::uint32_t Placement::add_set(std::vector<MachineId> set) {
+  distinct_.push_back(std::move(set));
+  set_population_.push_back(0);
+  return static_cast<std::uint32_t>(distinct_.size() - 1);
+}
+
+Placement Placement::contiguous_blocks(const std::vector<MachineId>& block_of,
+                                       MachineId block_size, MachineId num_machines,
+                                       const char* what) {
+  require_machines(num_machines);
+  Placement p;
+  p.machines_ = num_machines;
+  p.set_id_.resize(block_of.size());
+  // Ids in first-appearance task order, exactly as the interning
+  // constructor assigns them.
+  std::vector<std::uint32_t> id_of_block(num_machines / block_size, kNoSet);
+  for (std::size_t j = 0; j < block_of.size(); ++j) {
+    const MachineId b = block_of[j];
+    if (b >= id_of_block.size()) {
+      throw std::invalid_argument(std::string("Placement: ") + what + " " +
+                                  std::to_string(b) + " out of range");
+    }
+    std::uint32_t& s = id_of_block[b];
+    if (s == kNoSet) {
+      std::vector<MachineId> set(block_size);
+      std::iota(set.begin(), set.end(), b * block_size);
+      s = p.add_set(std::move(set));
+    }
+    p.set_id_[j] = s;
+    ++p.set_population_[s];
+  }
+  return p;
+}
+
 Placement Placement::singleton(const std::vector<MachineId>& machine_of,
                                MachineId num_machines) {
-  std::vector<std::vector<MachineId>> sets;
-  sets.reserve(machine_of.size());
-  for (MachineId i : machine_of) sets.push_back({i});
-  return Placement(std::move(sets), num_machines);
+  return contiguous_blocks(machine_of, 1, num_machines, "machine id");
 }
 
 Placement Placement::everywhere(std::size_t num_tasks, MachineId num_machines) {
-  std::vector<MachineId> all(num_machines);
-  for (MachineId i = 0; i < num_machines; ++i) all[i] = i;
-  std::vector<std::vector<MachineId>> sets(num_tasks, all);
-  return Placement(std::move(sets), num_machines);
+  require_machines(num_machines);
+  Placement p;
+  p.machines_ = num_machines;
+  p.set_id_.assign(num_tasks, 0);
+  if (num_tasks > 0) {
+    std::vector<MachineId> all(num_machines);
+    std::iota(all.begin(), all.end(), MachineId{0});
+    p.add_set(std::move(all));
+    p.set_population_[0] = static_cast<std::uint32_t>(num_tasks);
+  }
+  return p;
 }
 
 Placement Placement::in_groups(const std::vector<MachineId>& group_of, MachineId k,
@@ -95,41 +139,32 @@ Placement Placement::in_groups(const std::vector<MachineId>& group_of, MachineId
   if (k == 0 || num_machines % k != 0) {
     throw std::invalid_argument("Placement::in_groups: k must divide m");
   }
-  const MachineId group_size = num_machines / k;
-  std::vector<std::vector<MachineId>> sets;
-  sets.reserve(group_of.size());
-  for (MachineId g : group_of) {
-    if (g >= k) {
-      throw std::invalid_argument("Placement::in_groups: group id out of range");
-    }
-    std::vector<MachineId> set(group_size);
-    for (MachineId i = 0; i < group_size; ++i) set[i] = g * group_size + i;
-    sets.push_back(std::move(set));
-  }
-  return Placement(std::move(sets), num_machines);
+  return contiguous_blocks(group_of, num_machines / k, num_machines, "group id");
 }
 
 std::size_t Placement::max_replication_degree() const noexcept {
   std::size_t best = 0;
-  for (const auto& set : sets_) best = std::max(best, set.size());
+  for (const auto& set : distinct_) best = std::max(best, set.size());
   return best;
 }
 
 bool Placement::allows(TaskId j, MachineId i) const {
-  const auto& set = sets_.at(j);
+  const auto& set = machines_for(j);
   return std::binary_search(set.begin(), set.end(), i);
 }
 
 std::size_t Placement::total_replicas() const noexcept {
   std::size_t sum = 0;
-  for (const auto& set : sets_) sum += set.size();
+  for (std::uint32_t s = 0; s < distinct_.size(); ++s) {
+    sum += distinct_[s].size() * set_population_[s];
+  }
   return sum;
 }
 
 std::vector<std::vector<TaskId>> Placement::tasks_per_machine() const {
   std::vector<std::vector<TaskId>> out(machines_);
-  for (TaskId j = 0; j < sets_.size(); ++j) {
-    for (MachineId i : sets_[j]) out[i].push_back(j);
+  for (TaskId j = 0; j < set_id_.size(); ++j) {
+    for (MachineId i : distinct_[set_id_[j]]) out[i].push_back(j);
   }
   return out;
 }

@@ -13,8 +13,9 @@ namespace rdp {
 class Instance;
 
 /// Replication sets M_j for every task. Each set is stored sorted and
-/// duplicate-free. A Placement is only meaningful relative to the Instance
-/// it was built for (same task count, machine ids < m).
+/// duplicate-free, once per distinct set: a task holds only the id of its
+/// set. A Placement is only meaningful relative to the Instance it was
+/// built for (same task count, machine ids < m).
 class Placement {
  public:
   Placement() = default;
@@ -23,11 +24,13 @@ class Placement {
   /// std::invalid_argument if any set is empty or contains a machine >= m.
   Placement(std::vector<std::vector<MachineId>> sets, MachineId num_machines);
 
-  /// |M_j| = 1 for all j: task j pinned to `machine_of[j]`.
+  /// |M_j| = 1 for all j: task j pinned to `machine_of[j]`. Throws
+  /// std::invalid_argument if m = 0 or any machine id is >= m.
   static Placement singleton(const std::vector<MachineId>& machine_of,
                              MachineId num_machines);
 
-  /// |M_j| = m for all j: every task replicated on every machine.
+  /// |M_j| = m for all j: every task replicated on every machine. Throws
+  /// std::invalid_argument if m = 0.
   static Placement everywhere(std::size_t num_tasks, MachineId num_machines);
 
   /// Group replication: machines are partitioned into `k` equal contiguous
@@ -36,17 +39,17 @@ class Placement {
   static Placement in_groups(const std::vector<MachineId>& group_of, MachineId k,
                              MachineId num_machines);
 
-  [[nodiscard]] std::size_t num_tasks() const noexcept { return sets_.size(); }
+  [[nodiscard]] std::size_t num_tasks() const noexcept { return set_id_.size(); }
   [[nodiscard]] MachineId num_machines() const noexcept { return machines_; }
 
-  /// The sorted replica set M_j.
+  /// The sorted replica set M_j (shared by every task with the same set).
   [[nodiscard]] const std::vector<MachineId>& machines_for(TaskId j) const {
-    return sets_.at(j);
+    return distinct_[set_id_.at(j)];
   }
 
   /// |M_j|.
   [[nodiscard]] std::size_t replication_degree(TaskId j) const {
-    return sets_.at(j).size();
+    return machines_for(j).size();
   }
 
   /// max_j |M_j| (0 for an empty placement).
@@ -62,14 +65,15 @@ class Placement {
   [[nodiscard]] std::vector<std::vector<TaskId>> tasks_per_machine() const;
 
   // Tasks sharing an identical replica set are interned to one canonical
-  // set id at construction (ids in first-appearance task order). A
-  // placement is built once and then dispatched against many realizations
-  // in a sweep, so the simulators read the precomputed ids instead of
-  // re-hashing every task's set on every run.
+  // set id at construction (ids in first-appearance task order, whichever
+  // constructor or factory built the placement). A placement is built once
+  // and then dispatched against many realizations in a sweep, so the
+  // simulators read the precomputed ids instead of re-hashing every task's
+  // set on every run.
 
   /// Number of distinct replica sets.
   [[nodiscard]] std::uint32_t num_distinct_sets() const noexcept {
-    return static_cast<std::uint32_t>(distinct_rep_.size());
+    return static_cast<std::uint32_t>(distinct_.size());
   }
 
   /// Canonical id of task j's replica set, in [0, num_distinct_sets()).
@@ -77,7 +81,7 @@ class Placement {
 
   /// The shared replica set with canonical id `s`.
   [[nodiscard]] const std::vector<MachineId>& distinct_set(std::uint32_t s) const {
-    return sets_.at(distinct_rep_.at(s));
+    return distinct_.at(s);
   }
 
   /// Number of tasks whose replica set has canonical id `s`.
@@ -86,10 +90,18 @@ class Placement {
   }
 
  private:
-  std::vector<std::vector<MachineId>> sets_;
-  std::vector<std::uint32_t> set_id_;         ///< per task, canonical set id
-  std::vector<TaskId> distinct_rep_;          ///< representative task per id
-  std::vector<std::uint32_t> set_population_; ///< tasks per id
+  /// Task j replicated on the `block_size` contiguous machines starting at
+  /// `block_of[j] * block_size`; `what` names a block id in error messages.
+  static Placement contiguous_blocks(const std::vector<MachineId>& block_of,
+                                     MachineId block_size, MachineId num_machines,
+                                     const char* what);
+
+  /// Appends a new distinct set with no tasks yet and returns its id.
+  std::uint32_t add_set(std::vector<MachineId> set);
+
+  std::vector<std::vector<MachineId>> distinct_; ///< sorted set per id
+  std::vector<std::uint32_t> set_id_;            ///< per task, canonical set id
+  std::vector<std::uint32_t> set_population_;    ///< tasks per id
   MachineId machines_ = 0;
 };
 

@@ -34,17 +34,8 @@ std::string check_placement(const Instance& instance, const Placement& placement
        << instance.num_machines();
     return os.str();
   }
-  for (TaskId j = 0; j < placement.num_tasks(); ++j) {
-    const auto& set = placement.machines_for(j);
-    if (set.empty()) {
-      os << "task " << j << " has an empty replica set";
-      return os.str();
-    }
-    if (set.back() >= instance.num_machines()) {
-      os << "task " << j << " replicated on machine " << set.back() << " >= m";
-      return os.str();
-    }
-  }
+  // Placement's constructors already reject empty sets and machine ids
+  // >= its m, so once m matches, every task's set is valid.
   return {};
 }
 

@@ -1,7 +1,10 @@
 // Unit tests for core/placement.hpp and core/validate.hpp placement checks.
 #include <gtest/gtest.h>
 
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/instance.hpp"
 #include "core/placement.hpp"
@@ -114,6 +117,90 @@ TEST(PlacementInterning, AllDistinctSetsGetDistinctIds) {
   for (TaskId j = 0; j < 600; ++j) {
     EXPECT_EQ(p.set_population(p.set_id(j)), 1u);
     EXPECT_EQ(p.distinct_set(p.set_id(j)), p.machines_for(j));
+  }
+}
+
+TEST(Placement, SingletonMachineOutOfRangeRejected) {
+  EXPECT_THROW(Placement::singleton({0, 3}, 3), std::invalid_argument);
+}
+
+TEST(Placement, ZeroMachinesRejectedByFactories) {
+  EXPECT_THROW(Placement::singleton({0}, 0), std::invalid_argument);
+  EXPECT_THROW(Placement::singleton({}, 0), std::invalid_argument);
+  EXPECT_THROW(Placement::everywhere(3, 0), std::invalid_argument);
+  EXPECT_THROW(Placement::everywhere(0, 0), std::invalid_argument);
+}
+
+TEST(PlacementStorage, TasksWithTheSameSetShareOneVector) {
+  const Placement generic({{1, 0}, {2}, {0, 1}}, 3);
+  EXPECT_EQ(&generic.machines_for(0), &generic.machines_for(2));
+  EXPECT_NE(&generic.machines_for(0), &generic.machines_for(1));
+  const Placement groups = Placement::in_groups({1, 0, 1}, 2, 4);
+  EXPECT_EQ(&groups.machines_for(0), &groups.machines_for(2));
+  const Placement single = Placement::singleton({2, 2}, 3);
+  EXPECT_EQ(&single.machines_for(0), &single.machines_for(1));
+  const Placement all = Placement::everywhere(2, 3);
+  EXPECT_EQ(&all.machines_for(0), &all.machines_for(1));
+}
+
+// Every observable of `actual` equals that of `expected`, including the
+// canonical ids, which SetQueues uses to lay out its queues.
+void expect_same_placement(const Placement& actual, const Placement& expected) {
+  ASSERT_EQ(actual.num_tasks(), expected.num_tasks());
+  ASSERT_EQ(actual.num_machines(), expected.num_machines());
+  ASSERT_EQ(actual.num_distinct_sets(), expected.num_distinct_sets());
+  for (std::uint32_t s = 0; s < expected.num_distinct_sets(); ++s) {
+    EXPECT_EQ(actual.distinct_set(s), expected.distinct_set(s));
+    EXPECT_EQ(actual.set_population(s), expected.set_population(s));
+  }
+  for (TaskId j = 0; j < expected.num_tasks(); ++j) {
+    EXPECT_EQ(actual.set_id(j), expected.set_id(j));
+    EXPECT_EQ(actual.machines_for(j), expected.machines_for(j));
+  }
+  EXPECT_EQ(actual.total_replicas(), expected.total_replicas());
+  EXPECT_EQ(actual.max_replication_degree(), expected.max_replication_degree());
+  EXPECT_EQ(actual.tasks_per_machine(), expected.tasks_per_machine());
+}
+
+// Property: each factory builds exactly what the generic constructor
+// builds from the same per-task sets, on random inputs including n = 0.
+TEST(PlacementFactories, MatchGenericConstructorOnRandomInputs) {
+  std::mt19937 rng(20150525);
+  for (int trial = 0; trial < 200; ++trial) {
+    const MachineId m = std::uniform_int_distribution<MachineId>(1, 12)(rng);
+    const std::size_t n =
+        trial % 10 == 0 ? 0 : std::uniform_int_distribution<std::size_t>(1, 60)(rng);
+    SCOPED_TRACE("trial " + std::to_string(trial) + ": n=" + std::to_string(n) +
+                 " m=" + std::to_string(m));
+
+    std::vector<MachineId> machine_of(n);
+    for (auto& i : machine_of) i = std::uniform_int_distribution<MachineId>(0, m - 1)(rng);
+    std::vector<std::vector<MachineId>> singletons;
+    for (MachineId i : machine_of) singletons.push_back({i});
+    expect_same_placement(Placement::singleton(machine_of, m),
+                          Placement(std::move(singletons), m));
+
+    std::vector<MachineId> all(m);
+    for (MachineId i = 0; i < m; ++i) all[i] = m - 1 - i;  // unsorted on purpose
+    expect_same_placement(Placement::everywhere(n, m),
+                          Placement(std::vector<std::vector<MachineId>>(n, all), m));
+
+    std::vector<MachineId> divisors;
+    for (MachineId k = 1; k <= m; ++k) {
+      if (m % k == 0) divisors.push_back(k);
+    }
+    const MachineId k = divisors[std::uniform_int_distribution<std::size_t>(
+        0, divisors.size() - 1)(rng)];
+    std::vector<MachineId> group_of(n);
+    for (auto& g : group_of) g = std::uniform_int_distribution<MachineId>(0, k - 1)(rng);
+    std::vector<std::vector<MachineId>> groups;
+    for (MachineId g : group_of) {
+      std::vector<MachineId> set;
+      for (MachineId i = 0; i < m / k; ++i) set.push_back(g * (m / k) + i);
+      groups.push_back(std::move(set));
+    }
+    expect_same_placement(Placement::in_groups(group_of, k, m),
+                          Placement(std::move(groups), m));
   }
 }
 
