@@ -21,6 +21,7 @@
 #include "parallel/thread_pool.hpp"
 #include "rng/distributions.hpp"
 #include "rng/rng.hpp"
+#include "serve/arrivals.hpp"
 #include "serve/streaming_dispatcher.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "sim/speculative.hpp"
@@ -158,7 +159,7 @@ FuzzCase restrict_tasks(const FuzzCase& fuzz_case, std::size_t num_tasks) {
 
 namespace {
 
-constexpr std::size_t kChecksPerCase = 15;
+constexpr std::size_t kChecksPerCase = 16;
 constexpr double kTol = 1e-9;
 
 struct CheckContext {
@@ -637,6 +638,123 @@ void check_serve_drain_parity(const CheckContext& ctx,
   }
 }
 
+void check_serve_stream_parity(const CheckContext& ctx) {
+  // Staggered arrivals, the regime a service runs in: serve_stream must
+  // match the naive streaming oracle bit-for-bit (schedule, trace and
+  // peak backlog) and pass the release-aware invariants. Placements: the
+  // case's own, usually overlapping, and the paper's three shapes built
+  // from it (singleton, groups, full replication), where every machine
+  // serves one replica set. Streams: Poisson arrivals snapped to a grid,
+  // so arrivals tie; MMPP-2 bursts at integer times over integer actuals
+  // and integer initial ready times, so arrivals also tie with machines
+  // coming free; and integer Poisson arrivals shuffled across tasks, so
+  // task order is not time order.
+  const FuzzCase& c = ctx.c;
+  const std::size_t n = c.instance.num_tasks();
+  const MachineId m = c.instance.num_machines();
+
+  std::vector<MachineId> first(n);
+  for (TaskId j = 0; j < n; ++j) first[j] = c.placement.machines_for(j).front();
+  std::vector<MachineId> divisors;
+  for (MachineId k = 1; k <= m; ++k) {
+    if (m % k == 0) divisors.push_back(k);
+  }
+  const MachineId groups = divisors[c.seed % divisors.size()];
+  std::vector<MachineId> group_of(n);
+  for (TaskId j = 0; j < n; ++j) group_of[j] = first[j] / (m / groups);
+  struct NamedPlacement {
+    Placement placement;
+    const char* name;
+  };
+  const NamedPlacement placements[] = {
+      {c.placement, "drawn placement"},
+      {Placement::singleton(first, m), "singleton"},
+      {Placement::in_groups(group_of, groups, m), "groups"},
+      {Placement::everywhere(n, m), "everywhere"},
+  };
+
+  Realization integral;
+  integral.actual.resize(n);
+  Time total = 0;
+  for (TaskId j = 0; j < n; ++j) {
+    integral.actual[j] = std::max(Time{1}, std::round(c.actual[j]));
+    total += c.actual[j];
+  }
+  const Time mean_actual = total / static_cast<double>(n);
+  ArrivalParams params;
+  params.rate = (0.5 + 0.3 * static_cast<double>(c.seed % 4)) *
+                static_cast<double>(m) / mean_actual;
+  params.burst_boost = 3.0;
+  params.burst_on = 2.0 * mean_actual;
+  params.burst_off = 6.0 * mean_actual;
+  const auto snapped = [&](ArrivalModel model, std::uint64_t seed, Time grid) {
+    params.model = model;
+    params.seed = seed;
+    std::vector<Time> arrivals = generate_arrivals(params, n);
+    for (Time& t : arrivals) t = std::floor(t / grid) * grid;
+    return arrivals;
+  };
+  const Time grid = mean_actual / 4.0;
+  std::vector<Time> shuffled = snapped(ArrivalModel::kPoisson, c.seed + 3, 1.0);
+  Xoshiro256 rng(c.seed + 4);
+  shuffle(rng, shuffled);
+  std::vector<Time> grid_ready(m), integer_ready(m);
+  for (MachineId i = 0; i < m; ++i) {
+    grid_ready[i] = grid * static_cast<double>(i % 3);
+    integer_ready[i] = static_cast<double>((i * 7 + c.seed) % 4);
+  }
+  std::vector<double> binary_speeds(m);
+  for (MachineId i = 0; i < m; ++i) binary_speeds[i] = i % 2 == 0 ? 1.0 : 2.0;
+  struct Stream {
+    std::vector<Time> arrivals;
+    const Realization& actual;
+    std::vector<Time> initial_ready;
+    std::vector<double> speeds;
+    const char* name;
+  };
+  const Stream streams[] = {
+      {snapped(ArrivalModel::kPoisson, c.seed + 1, grid), c.actual, grid_ready,
+       c.speeds, "poisson on a grid"},
+      {snapped(ArrivalModel::kBurst, c.seed + 2, 1.0), integral, integer_ready,
+       {}, "integer burst"},
+      {shuffled, integral, {}, binary_speeds, "shuffled integer poisson"},
+  };
+
+  for (const NamedPlacement& p : placements) {
+    for (const Stream& s : streams) {
+      const std::string where =
+          std::string(" (") + p.name + ", " + s.name + ")";
+      const StreamingDispatchResult fast =
+          serve_stream(c.instance, p.placement, s.actual, c.priority, s.arrivals,
+                       s.initial_ready, s.speeds);
+      const StreamingDispatchResult reference =
+          reference_serve_stream(c.instance, p.placement, s.actual, c.priority,
+                                 s.arrivals, s.initial_ready, s.speeds);
+      std::string diff = diff_schedules(fast.schedule, reference.schedule);
+      if (diff.empty()) diff = diff_traces(fast.trace, reference.trace);
+      if (diff.empty() && fast.peak_backlog != reference.peak_backlog) {
+        diff = "peak backlog " + std::to_string(fast.peak_backlog) +
+               " != reference " + std::to_string(reference.peak_backlog);
+      }
+      if (!diff.empty()) {
+        ctx.fail("serve-stream-parity", diff + where);
+        return;
+      }
+      InvariantOptions options;
+      options.arrivals = s.arrivals;
+      options.speeds = s.speeds;
+      options.check_lower_bound = s.speeds.empty();  // unit speeds only
+      std::vector<Violation> violations = check_invariants(
+          c.instance, p.placement, s.actual, fast.schedule, options);
+      if (!violations.empty()) {
+        violations.front().detail += where;
+        ctx.fail_violations("serve-stream-parity", violations);
+        return;
+      }
+    }
+  }
+}
+
 void check_adaptive_bound(const CheckContext& ctx) {
   // Adaptive-degree soundness: warm an estimator on the case's own
   // (estimate, actual) history, let the adaptive policy pick per-class
@@ -704,6 +822,7 @@ std::vector<FuzzFailure> run_fuzz_case(const FuzzCase& fuzz_case) {
   check_adaptive_bound(ctx);
   check_transfer_reference_differential(ctx);
   check_speculative_reference_differential(ctx);
+  check_serve_stream_parity(ctx);
   return failures;
 }
 

@@ -24,7 +24,12 @@
 //     speculation enabled it must never exceed the non-speculative
 //     makespan on the same realization, and must match a naive O(n)-scan
 //     reference bit-for-bit (schedule, trace, launched/won/wasted) under
-//     drawn speeds, stragglers, and tied estimates.
+//     drawn speeds, stragglers, and tied estimates;
+//   * serve_stream in drain mode must be bit-identical to dispatch_online,
+//     and under staggered arrivals (grid-snapped and integer, so arrivals
+//     tie with each other and with machines coming free) must match a
+//     naive streaming reference bit-for-bit (schedule, trace, peak
+//     backlog) and never start a task before its arrival.
 //
 // Failing seeds are minimized by binary-search shrinking over the task
 // count (a failing case is re-expanded from its seed, truncated to a task

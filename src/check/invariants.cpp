@@ -91,6 +91,10 @@ std::vector<Violation> check_invariants(const Instance& instance,
     add(out, "shape", "speeds size mismatch");
     return out;
   }
+  if (!options.arrivals.empty() && options.arrivals.size() != n) {
+    add(out, "shape", "arrivals size mismatch");
+    return out;
+  }
 
   // -- Per-task checks: assignment, finiteness, duration --------------
   for (TaskId j = 0; j < n; ++j) {
@@ -115,6 +119,13 @@ std::vector<Violation> check_invariants(const Instance& instance,
     }
     if (s < -tol) {
       add(out, "start-time", task_str(j) + " starts before time 0");
+    }
+    if (!options.arrivals.empty() && s < options.arrivals[j] &&
+        !nearly_equal(s, options.arrivals[j], tol)) {
+      std::ostringstream os;
+      os << task_str(j) << " starts at " << s << ", before its arrival at "
+         << options.arrivals[j];
+      add(out, "release", os.str());
     }
     Time work = actual[j];
     if (!options.extra_duration.empty()) work += options.extra_duration[j];

@@ -7,6 +7,7 @@
 //
 //   * assignment respects the placement (unless a task is explicitly
 //     allowed off-placement, e.g. after a refetch or a paid transfer);
+//   * no task starts before its release time, when one is given;
 //   * no two tasks overlap on a machine;
 //   * finish - start equals the realized duration (actual time, plus any
 //     declared per-task extra such as a refetch/fetch penalty, divided by
@@ -57,6 +58,9 @@ struct InvariantOptions {
   std::vector<bool> off_placement_ok;
   /// Per-machine speed factors (duration = work / speed). Empty = unit.
   std::vector<double> speeds;
+  /// Per-task release times (streaming runs): starting before one is a
+  /// "release" violation. Empty means every task is released at t = 0.
+  std::vector<Time> arrivals;
   /// Check makespan >= makespan_lower_bound(actual, m). Only sound when
   /// speeds are unit (set false for heterogeneous runs).
   bool check_lower_bound = true;
@@ -65,8 +69,9 @@ struct InvariantOptions {
 };
 
 /// Runs the structural invariants (shape, placement-respecting
-/// assignment, overlap-freedom, duration consistency, work conservation,
-/// lower-bound dominance). Returns every violation found; empty == valid.
+/// assignment, release times, overlap-freedom, duration consistency,
+/// work conservation, lower-bound dominance). Returns every violation
+/// found; empty == valid.
 [[nodiscard]] std::vector<Violation> check_invariants(
     const Instance& instance, const Placement& placement,
     const Realization& actual, const Schedule& schedule,

@@ -541,4 +541,81 @@ TransferDispatchResult reference_dispatch_with_transfers(
   return result;
 }
 
+StreamingDispatchResult reference_serve_stream(
+    const Instance& instance, const Placement& placement, const Realization& actual,
+    const std::vector<TaskId>& priority, const std::vector<Time>& arrivals,
+    std::vector<Time> initial_ready, std::vector<double> speeds) {
+  const std::size_t n = instance.num_tasks();
+  const MachineId m = instance.num_machines();
+  if (placement.num_tasks() != n || placement.num_machines() != m ||
+      actual.size() != n || priority.size() != n || arrivals.size() != n) {
+    throw std::invalid_argument("reference_serve_stream: size mismatch");
+  }
+  std::vector<std::uint32_t> rank(n, UINT32_MAX);
+  for (std::uint32_t r = 0; r < n; ++r) {
+    const TaskId j = priority[r];
+    if (j >= n || rank[j] != UINT32_MAX) {
+      throw std::invalid_argument(
+          "reference_serve_stream: priority is not a permutation");
+    }
+    rank[j] = r;
+  }
+  std::vector<Time> ready =
+      initial_ready.empty() ? std::vector<Time>(m, 0) : std::move(initial_ready);
+  std::vector<bool> started(n, false);
+
+  StreamingDispatchResult result;
+  result.schedule.assignment = Assignment(n);
+  result.schedule.start.assign(n, 0);
+  result.schedule.finish.assign(n, 0);
+  result.trace.events.reserve(n);
+
+  for (std::size_t step = 0; step < n; ++step) {
+    MachineId i = kNoMachine;
+    Time when = kNever;
+    for (MachineId k = 0; k < m; ++k) {
+      Time earliest = kNever;
+      for (TaskId j = 0; j < n; ++j) {
+        if (!started[j] && placement.allows(j, k)) {
+          earliest = std::min(earliest, arrivals[j]);
+        }
+      }
+      if (earliest == kNever) continue;  // nothing left that k can run
+      const Time t = std::max(ready[k], earliest);
+      if (t < when) {  // strict: the lowest id wins equal times
+        when = t;
+        i = k;
+      }
+    }
+    if (i == kNoMachine) {
+      throw std::logic_error("reference_serve_stream: deadlock");
+    }
+    TaskId best = kNoTask;
+    for (TaskId j = 0; j < n; ++j) {
+      if (!started[j] && placement.allows(j, i) && arrivals[j] <= when &&
+          (best == kNoTask || rank[j] < rank[best])) {
+        best = j;
+      }
+    }
+    const Time duration = speeds.empty() ? actual[best] : actual[best] / speeds[i];
+    const Time finish = when + duration;
+    ready[i] = finish;
+    started[best] = true;
+    result.schedule.assignment.machine_of[best] = i;
+    result.schedule.start[best] = when;
+    result.schedule.finish[best] = finish;
+    result.trace.events.push_back(DispatchEvent{when, best, i, duration});
+  }
+
+  for (TaskId j = 0; j < n; ++j) {
+    std::size_t backlog = 0;
+    for (TaskId k = 0; k < n; ++k) {
+      if (arrivals[k] <= arrivals[j]) ++backlog;
+      if (result.schedule.start[k] < arrivals[j]) --backlog;
+    }
+    result.peak_backlog = std::max(result.peak_backlog, backlog);
+  }
+  return result;
+}
+
 }  // namespace rdp::check

@@ -9,9 +9,9 @@
 //    cores run in the same binary on the same instance.
 //
 // Next to it sit naive rescan-per-event oracles for the failure,
-// speculative and transfer loops: the simplest algorithm with each
-// loop's exact semantics, which the fuzzer holds the production loops to
-// bit-for-bit.
+// speculative, transfer and streaming loops: the simplest algorithm with
+// each loop's exact semantics, which the fuzzer holds the production
+// loops to bit-for-bit.
 //
 // Nothing here is used by production code paths.
 #pragma once
@@ -23,6 +23,7 @@
 #include "core/placement.hpp"
 #include "core/types.hpp"
 #include "hetero/uniform_machines.hpp"
+#include "serve/streaming_dispatcher.hpp"
 #include "sim/failures.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "sim/speculative.hpp"
@@ -71,6 +72,20 @@ namespace rdp::check {
 [[nodiscard]] TransferDispatchResult reference_dispatch_with_transfers(
     const Instance& instance, const Placement& placement, const Realization& actual,
     const std::vector<TaskId>& priority, const TransferModel& model);
+
+/// Naive streaming dispatcher: machine i next decides at max(ready_i,
+/// earliest arrival of an unstarted task it holds), decisions run in
+/// (time, machine id) order, and each takes the best-ranked task the
+/// machine holds whose arrival is <= the decision time. peak_backlog is
+/// the most arrived-but-unstarted tasks at any arrival instant t, counting
+/// the arrivals at t before the starts at t. A rescan of every machine
+/// and task per decision, with no parking, waking or admission state;
+/// must match rdp::serve_stream bit-for-bit, trace and peak_backlog
+/// included.
+[[nodiscard]] StreamingDispatchResult reference_serve_stream(
+    const Instance& instance, const Placement& placement, const Realization& actual,
+    const std::vector<TaskId>& priority, const std::vector<Time>& arrivals,
+    std::vector<Time> initial_ready = {}, std::vector<double> speeds = {});
 
 /// Pre-rewrite EventQueue: std::priority_queue with a (time, seq) wrapper
 /// and a *copy-out* pop -- the shape the production queue had before the

@@ -119,8 +119,15 @@ SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
                ? schedule.start[a] < schedule.start[b]
                : a < b;
   });
-  std::vector<Time> arrive_sorted(arrivals.begin(), arrivals.end());
-  std::sort(arrive_sorted.begin(), arrive_sorted.end());
+  // Generated streams arrive non-decreasing already; only an unsorted
+  // trace pays for a sorted copy.
+  std::vector<Time> arrive_copy;
+  std::span<const Time> arrive_sorted = arrivals;
+  if (!std::is_sorted(arrivals.begin(), arrivals.end())) {
+    arrive_copy.assign(arrivals.begin(), arrivals.end());
+    std::sort(arrive_copy.begin(), arrive_copy.end());
+    arrive_sorted = arrive_copy;
+  }
 
   // The rolling response window is sustain-1 intervals deep (min 1): a
   // single bad interval then pollutes at most sustain-1 consecutive

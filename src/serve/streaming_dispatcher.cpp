@@ -250,11 +250,43 @@ void serve_stream(const Instance& instance, const Placement& placement,
     });
   }
 
-  /// 1 while the machine is out of the pool, idle with no admitted work
-  /// but more arrivals possible on its queues; an admission to one of
-  /// those queues re-inserts it ready at the arrival time.
-  const std::span<std::uint8_t> parked = arena.make_span<std::uint8_t>(m, 0);
+  // Parked machines are out of the pool, idle with no admitted work but
+  // more arrivals possible on their queues; an admission re-inserts one
+  // ready at the arrival time. When every machine serves at most one
+  // queue, a parked machine of q proves q holds no admitted task, and all
+  // arrivals at one instant are admitted in one burst, so a burst of k
+  // tasks into q is taken by the k lowest ids among q's parked machines
+  // and those freeing at that instant. Waking only the lowest parked id
+  // per admission therefore wakes every machine that would take a task,
+  // and the pop order -- (ready, id) is a strict total order -- is
+  // unchanged. Each queue keeps a bitmap over the positions of its sorted
+  // distinct_set(q) (m bits in all); parking sets the machine's bit and
+  // an admission pops the lowest. With overlapping sets a woken machine
+  // may take another queue's task instead, so there every parked machine
+  // of q wakes and all but the takers park again.
+  std::span<std::uint32_t> parked_word_begin;  // per queue, count + 1
+  std::span<std::uint32_t> parked_bit_of;      // per machine
+  std::span<std::uint64_t> parked_words;
+  std::span<std::uint8_t> parked;  // overlapping sets: 1 while parked
   std::uint32_t parked_count = 0;
+  if (single_queue_machines) {
+    parked_word_begin = arena.allocate_span<std::uint32_t>(num_queues + 1);
+    parked_bit_of = arena.allocate_span<std::uint32_t>(m);
+    parked_word_begin[0] = 0;
+    for (std::uint32_t q = 0; q < num_queues; ++q) {
+      const std::vector<MachineId>& set = placement.distinct_set(q);
+      for (std::uint32_t k = 0; k < set.size(); ++k) {
+        parked_bit_of[set[k]] = parked_word_begin[q] * 64 + k;
+      }
+      parked_word_begin[q + 1] =
+          parked_word_begin[q] + static_cast<std::uint32_t>((set.size() + 63) / 64);
+    }
+    parked_words = arena.make_span<std::uint64_t>(parked_word_begin[num_queues], 0);
+  } else {
+    parked = arena.make_span<std::uint8_t>(m, 0);
+  }
+  std::size_t wakes = 0;
+  std::size_t parks = 0;
 
   obs::MetricsRegistry* const mx = obs::metrics();
   obs::Tracer* const tr = obs::tracer();
@@ -325,12 +357,28 @@ void serve_stream(const Instance& instance, const Placement& placement,
         const std::uint64_t qs = queue_slot_of[j];
         const auto q = static_cast<std::uint32_t>(qs >> 32);
         bitmaps.set(q, static_cast<std::uint32_t>(qs));
-        if (parked_count > 0) {
+        if (single_queue_machines) {
+          for (std::uint32_t w = parked_word_begin[q]; w < parked_word_begin[q + 1];
+               ++w) {
+            std::uint64_t& bits = parked_words[w];
+            if (bits == 0) continue;
+            const auto k = (w - parked_word_begin[q]) * 64 +
+                           static_cast<std::uint32_t>(std::countr_zero(bits));
+            bits &= bits - 1;
+            pool.push(next_when, placement.distinct_set(q)[k]);
+            ++wakes;
+            // The woken machine is ready now, before any later arrival
+            // in this batch; it dispatches in between.
+            next_free = next_when;
+            break;
+          }
+        } else if (parked_count > 0) {
           for (MachineId i : placement.distinct_set(q)) {
             if (parked[i]) {
               parked[i] = 0;
               --parked_count;
               pool.push(next_when, i);
+              ++wakes;
             }
           }
           // A woken machine may now free before later arrivals in this
@@ -448,13 +496,21 @@ void serve_stream(const Instance& instance, const Placement& placement,
         }
       }
       if (best_queue == UINT32_MAX) {
-        // Nothing admitted but arrivals are still flowing: park. Any
-        // future admission to one of this machine's queues wakes it, so
-        // a machine parked on queues that never refill simply sleeps
-        // until the run ends.
+        // Nothing admitted but arrivals are still flowing: park, so a
+        // future admission to one of this machine's queues can wake it
+        // (a machine parked on queues that never refill sleeps until the
+        // run ends). A machine in no replica set can never get work, so
+        // it retires for good instead.
         pool.retire_top();
-        parked[i] = 1;
-        ++parked_count;
+        if (machine_begin[i] == machine_begin[i + 1]) continue;
+        ++parks;
+        if (single_queue_machines) {
+          const std::uint32_t b = parked_bit_of[i];
+          parked_words[b / 64] |= std::uint64_t{1} << (b % 64);
+        } else {
+          parked[i] = 1;
+          ++parked_count;
+        }
         continue;
       }
 
@@ -487,6 +543,8 @@ void serve_stream(const Instance& instance, const Placement& placement,
   if (mx) {
     mx->counter("serve.stream.calls").add(1);
     mx->counter("serve.stream.tasks").add(n);
+    mx->counter("serve.stream.wakes").add(wakes);
+    mx->counter("serve.stream.parks").add(parks);
     mx->gauge("serve.stream.peak_backlog")
         .set_max(static_cast<double>(out.peak_backlog));
   }

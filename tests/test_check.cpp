@@ -90,6 +90,26 @@ TEST(Invariants, DetectsOffPlacementRunUnlessAllowed) {
   EXPECT_TRUE(check::check_invariants(inst, p, r, s, allow).empty());
 }
 
+TEST(Invariants, DetectsStartBeforeArrival) {
+  const Instance inst = Instance::from_estimates({1.0, 1.0}, 1, 1.0);
+  const Placement p = Placement::everywhere(2, 1);
+  const Realization r = exact_realization(inst);
+  Schedule s;
+  s.assignment = Assignment(2);
+  s.assignment.machine_of = {0, 0};
+  s.start = {0.0, 1.0};
+  s.finish = {1.0, 2.0};
+  check::InvariantOptions released;
+  released.arrivals = {0.0, 1.0};  // task 1 starts exactly at its arrival
+  EXPECT_TRUE(check::check_invariants(inst, p, r, s, released).empty());
+  released.arrivals = {0.5, 1.0};  // task 0 starts before it arrives
+  const auto violations = check::check_invariants(inst, p, r, s, released);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations.front().invariant, "release");
+  // Without release times every task counts as released at t = 0.
+  EXPECT_TRUE(check::check_invariants(inst, p, r, s).empty());
+}
+
 TEST(Invariants, DetectsUnassignedTask) {
   const Instance inst = Instance::from_estimates({1.0}, 1, 1.0);
   const Placement p = Placement::everywhere(1, 1);

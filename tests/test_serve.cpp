@@ -12,11 +12,13 @@
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
+#include "check/invariants.hpp"
 #include "core/instance.hpp"
 #include "core/placement.hpp"
 #include "core/realization.hpp"
 #include "perturb/stochastic.hpp"
 #include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/service.hpp"
@@ -355,6 +357,12 @@ TEST(ServeStream, OnlineInvariantsHold) {
   }
   EXPECT_GE(result.peak_backlog, 1u);
   EXPECT_LE(result.peak_backlog, n);
+
+  check::InvariantOptions options;
+  options.arrivals = fx.arrivals;
+  const std::vector<check::Violation> violations = check::check_invariants(
+      fx.instance, fx.placement, fx.actual, result.schedule, options);
+  EXPECT_TRUE(violations.empty()) << check::to_string(violations.front());
 }
 
 TEST(ServeStream, DispatchRespectsPriorityAmongAdmitted) {
@@ -404,6 +412,93 @@ TEST(ServeStream, IdleMachineWaitsForArrivalsAndWakes) {
   EXPECT_DOUBLE_EQ(result.schedule.start[2], 6.0);
   EXPECT_DOUBLE_EQ(result.schedule.finish[2], 8.0);
   EXPECT_EQ(result.peak_backlog, 1u);
+}
+
+TEST(ServeStream, SimultaneousArrivalsWakeTheLowestParkedIds) {
+  // Full replication, m = 4: machines 0, 2 and 3 park at t = 0 (nothing
+  // has arrived) while machine 1 comes free at exactly t = 10, when two
+  // tasks arrive. The takers are the two lowest ids among the parked and
+  // the just-freed machines, in rank order: machine 0 runs task 1 and
+  // machine 1 runs task 0. Machines 2 and 3 stay idle.
+  const Instance instance = Instance::from_estimates({3.0, 5.0}, 4, 2.0);
+  const Placement placement = Placement::everywhere(2, 4);
+  const std::vector<TaskId> priority = {1, 0};
+  const Realization actual{{3.0, 5.0}};
+  const std::vector<Time> arrivals = {10.0, 10.0};
+
+  const StreamingDispatchResult result = serve_stream(
+      instance, placement, actual, priority, arrivals, {0.0, 10.0, 0.0, 0.0});
+  EXPECT_EQ(result.schedule.assignment.machine_of[1], 0u);
+  EXPECT_EQ(result.schedule.assignment.machine_of[0], 1u);
+  EXPECT_EQ(result.schedule.start[0], 10.0);
+  EXPECT_EQ(result.schedule.start[1], 10.0);
+  EXPECT_EQ(result.peak_backlog, 2u);
+}
+
+TEST(ServeStream, OverlappingSetsWakeEveryParkedMachine) {
+  // Machine A = 0 serves sets q1 = {0, 2} and q2 = {0, 1}; B = 1 serves
+  // only q2 and C = 2 only q1. All three park, then task x in q2 and the
+  // better-ranked task y in q1 arrive together. A takes y, so x runs only
+  // because B was woken as well: waking one machine per admission would
+  // wake A for x and leave B parked. This is why overlapping placements
+  // keep the wake-all loop.
+  const Instance instance = Instance::from_estimates({2.0, 4.0}, 3, 2.0);
+  const Placement placement({{0, 1}, {0, 2}}, 3);  // x = task 0, y = task 1
+  const std::vector<TaskId> priority = {1, 0};
+  const Realization actual{{2.0, 4.0}};
+  const std::vector<Time> arrivals = {5.0, 5.0};
+
+  const StreamingDispatchResult result =
+      serve_stream(instance, placement, actual, priority, arrivals);
+  EXPECT_EQ(result.schedule.assignment.machine_of[1], 0u);
+  EXPECT_EQ(result.schedule.start[1], 5.0);
+  EXPECT_EQ(result.schedule.assignment.machine_of[0], 1u);
+  EXPECT_EQ(result.schedule.start[0], 5.0);
+}
+
+TEST(ServeStream, LightLoadWakesAtMostOneMachinePerTask) {
+  // Full replication at about a third of capacity: machines park between
+  // arrivals, and each admission wakes at most the one machine that
+  // takes it.
+  const ServeFixture fx = poisson_fixture(2000, 8, 1, 0.5, 21);  // one group
+  const std::size_t n = fx.instance.num_tasks();
+  obs::MetricsRegistry registry;
+  {
+    obs::ObservabilityScope scope(&registry, nullptr);
+    const StreamingDispatchResult result = serve_stream(
+        fx.instance, fx.placement, fx.actual, fx.priority, fx.arrivals);
+    ASSERT_EQ(result.trace.size(), n);
+  }
+  const std::uint64_t wakes = registry.counter("serve.stream.wakes").value();
+  const std::uint64_t parks = registry.counter("serve.stream.parks").value();
+  EXPECT_GT(wakes, 0u);
+  EXPECT_LE(wakes, n);
+  EXPECT_GE(parks, wakes);
+}
+
+TEST(ServeStream, MachineInNoReplicaSetRetiresInsteadOfParking) {
+  // Overlapping sets {0, 1} and {1}; machine 2 holds neither. At t = 0
+  // nothing has arrived: machines 0 and 1 park, machine 2 retires. Task 0
+  // at t = 5 wakes 0 and 1; 0 runs it and 1 parks again, and 0 parks
+  // once it frees at t = 7. Task 1 at t = 10 wakes 1, which runs it.
+  // Four parks and three wakes in all; machine 2 never parks.
+  const Instance instance = Instance::from_estimates({2.0, 2.0}, 3, 2.0);
+  const Placement placement({{0, 1}, {1}}, 3);
+  const std::vector<TaskId> priority = {0, 1};
+  const Realization actual{{2.0, 2.0}};
+  const std::vector<Time> arrivals = {5.0, 10.0};
+  obs::MetricsRegistry registry;
+  StreamingDispatchResult result;
+  {
+    obs::ObservabilityScope scope(&registry, nullptr);
+    result = serve_stream(instance, placement, actual, priority, arrivals);
+  }
+  EXPECT_EQ(result.schedule.assignment.machine_of[0], 0u);
+  EXPECT_EQ(result.schedule.start[0], 5.0);
+  EXPECT_EQ(result.schedule.assignment.machine_of[1], 1u);
+  EXPECT_EQ(result.schedule.start[1], 10.0);
+  EXPECT_EQ(registry.counter("serve.stream.parks").value(), 4u);
+  EXPECT_EQ(registry.counter("serve.stream.wakes").value(), 3u);
 }
 
 TEST(ServeStream, LaterArrivalOfHigherPriorityTaskPreemptsQueueOrder) {

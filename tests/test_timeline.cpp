@@ -435,6 +435,45 @@ TEST(SloEvaluate, BacklogWatermarkCatchesQueueGrowth) {
   EXPECT_FALSE(report.windows.back().violated);
 }
 
+TEST(SloEvaluate, UnsortedArrivalsMatchTheSortedRelabelling) {
+  // A queue that builds (one arrival per second, two seconds of service
+  // on one machine), evaluated once in arrival order and once with the
+  // task ids reversed, so the arrivals come in descending order. The
+  // report is a function of the (arrival, start, finish) triples, not of
+  // the ids, so both runs must agree window by window.
+  const std::size_t n = 12;
+  std::vector<Time> arrivals(n), reversed_arrivals(n);
+  Schedule schedule, reversed;
+  for (Schedule* s : {&schedule, &reversed}) {
+    s->assignment.machine_of.assign(n, 0);
+    s->start.resize(n);
+    s->finish.resize(n);
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t r = n - 1 - j;
+    arrivals[j] = reversed_arrivals[r] = static_cast<double>(j);
+    schedule.start[j] = reversed.start[r] = 2.0 * static_cast<double>(j);
+    schedule.finish[j] = reversed.finish[r] = 2.0 * static_cast<double>(j) + 2.0;
+  }
+  SloSpec spec;
+  spec.p99 = 4.0;
+  spec.backlog = 3.0;
+  spec.sustain = 2;
+  const SloReport a = evaluate_slo(schedule, arrivals, spec);
+  const SloReport b = evaluate_slo(reversed, reversed_arrivals, spec);
+  ASSERT_EQ(a.windows.size(), b.windows.size());
+  for (std::size_t w = 0; w < a.windows.size(); ++w) {
+    EXPECT_EQ(a.windows[w].backlog_watermark, b.windows[w].backlog_watermark);
+    EXPECT_EQ(a.windows[w].response.count, b.windows[w].response.count);
+    EXPECT_EQ(a.windows[w].response.p99, b.windows[w].response.p99);
+    EXPECT_EQ(a.windows[w].queue_wait.sum, b.windows[w].queue_wait.sum);
+    EXPECT_EQ(a.windows[w].violated, b.windows[w].violated);
+  }
+  EXPECT_GT(a.violating_windows, 0u);
+  EXPECT_EQ(a.violating_windows, b.violating_windows);
+  EXPECT_EQ(a.sustained_violation, b.sustained_violation);
+}
+
 TEST(SloEvaluate, PublishesWindowGaugesWhenRegistryInstalled) {
   std::vector<Time> arrivals;
   const Schedule schedule = uniform_schedule(20, 0.5, &arrivals);
