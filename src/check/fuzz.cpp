@@ -206,6 +206,15 @@ std::string diff_traces(const DispatchTrace& a, const DispatchTrace& b) {
   return {};
 }
 
+/// First divergence between two dispatch results: schedule bytes, then
+/// the trace. Empty when both are bit-identical.
+template <typename A, typename B>
+std::string diff_runs(const A& a, const B& b) {
+  std::string diff = diff_schedules(a.schedule, b.schedule);
+  if (diff.empty()) diff = diff_traces(a.trace, b.trace);
+  return diff;
+}
+
 /// Earliest failure time per machine (infinity = never fails).
 std::vector<Time> first_failure_times(const FuzzCase& c) {
   std::vector<Time> fail_time(c.instance.num_machines(), kNever);
@@ -235,29 +244,22 @@ void check_online(const CheckContext& ctx, const DispatchResult& online) {
 void check_online_reference_differential(const CheckContext& ctx,
                                          const DispatchResult& online) {
   // The struct-of-arrays core must be bit-exact against the retained
-  // pre-rewrite dispatcher: same schedule bytes, same trace length, and
-  // the same decision sequence (start times in trace order).
+  // pre-rewrite dispatcher: same schedule bytes and the same decision
+  // sequence (every trace event's time, task, machine and duration), with
+  // the case's speeds and on identical machines (speeds exercise a
+  // separate division).
   const FuzzCase& c = ctx.c;
-  const DispatchResult reference = reference_dispatch_online(
-      c.instance, c.placement, c.actual, c.priority, {}, c.speeds);
   const DispatchResult fast =
       dispatch_online(c.instance, c.placement, c.actual, c.priority, {}, c.speeds);
-  if (const std::string diff = diff_schedules(fast.schedule, reference.schedule);
-      !diff.empty()) {
-    ctx.fail("online-reference-differential", diff);
-    return;
-  }
-  if (fast.trace.size() != reference.trace.size()) {
-    ctx.fail("online-reference-differential",
-             "trace lengths diverge from the reference");
-    return;
-  }
-  // Identical-machines run as well (speeds exercise a separate division).
+  const DispatchResult reference = reference_dispatch_online(
+      c.instance, c.placement, c.actual, c.priority, {}, c.speeds);
   const DispatchResult reference_plain = reference_dispatch_online(
       c.instance, c.placement, c.actual, c.priority);
-  if (const std::string diff =
-          diff_schedules(online.schedule, reference_plain.schedule);
-      !diff.empty()) {
+  if (const std::string diff = diff_runs(fast, reference); !diff.empty()) {
+    ctx.fail("online-reference-differential", diff + " (with speeds)");
+    return;
+  }
+  if (const std::string diff = diff_runs(online, reference_plain); !diff.empty()) {
     ctx.fail("online-reference-differential", diff);
   }
 }
@@ -454,8 +456,7 @@ void check_transfer_reference_differential(const CheckContext& ctx) {
         c.instance, c.placement, c.actual, c.priority, model);
     const TransferDispatchResult reference = reference_dispatch_with_transfers(
         c.instance, c.placement, c.actual, c.priority, model);
-    std::string diff = diff_schedules(fast.schedule, reference.schedule);
-    if (diff.empty()) diff = diff_traces(fast.trace, reference.trace);
+    std::string diff = diff_runs(fast, reference);
     if (diff.empty() && (fast.remote_runs != reference.remote_runs ||
                          fast.transfer_time != reference.transfer_time)) {
       diff = "remote_runs/transfer_time diverge from the reference";
@@ -553,8 +554,7 @@ void check_speculative_reference_differential(const CheckContext& ctx) {
         v.instance, c.placement, c.actual, c.priority, speeds, policy);
     const SpeculativeResult reference = reference_dispatch_speculative(
         v.instance, c.placement, c.actual, c.priority, speeds, policy);
-    std::string diff = diff_schedules(fast.schedule, reference.schedule);
-    if (diff.empty()) diff = diff_traces(fast.trace, reference.trace);
+    std::string diff = diff_runs(fast, reference);
     if (diff.empty() && (fast.duplicates_launched != reference.duplicates_launched ||
                          fast.duplicates_won != reference.duplicates_won ||
                          fast.wasted_time != reference.wasted_time)) {
@@ -599,49 +599,54 @@ void check_certify_ptas_lb(const CheckContext& ctx) {
   }
 }
 
-void check_serve_drain_parity(const CheckContext& ctx,
-                              const DispatchResult& online) {
-  // Drain mode: every task arrives at t = 0, so the streaming dispatcher
-  // must make exactly the offline decisions -- bit-identical schedule
-  // bytes AND the identical chronological trace (same dispatch order,
-  // same machines, same start times). This is the serve/ equivalence
-  // contract documented in docs/SERVING.md.
+void check_serve_drain_parity(const CheckContext& ctx) {
+  // Drain mode: every task arrives at t = 0. serve_stream and
+  // dispatch_online run the same loop there, so comparing them would be
+  // a tautology; instead drain mode must reproduce the retained offline
+  // oracle -- bit-identical schedule bytes AND chronological trace, with
+  // all n tasks backlogged at once -- with the case's speeds, on
+  // identical machines, and from non-zero initial ready times (ABO's
+  // path). This is the serve/ equivalence contract in docs/SERVING.md.
   const FuzzCase& c = ctx.c;
+  const MachineId m = c.instance.num_machines();
   const std::vector<Time> arrivals(c.instance.num_tasks(), Time{0});
-  const StreamingDispatchResult drained =
-      serve_stream(c.instance, c.placement, c.actual, c.priority, arrivals, {},
-                   c.speeds);
-  const DispatchResult offline = dispatch_online(
-      c.instance, c.placement, c.actual, c.priority, {}, c.speeds);
-  if (const std::string diff = diff_schedules(drained.schedule, offline.schedule);
-      !diff.empty()) {
-    ctx.fail("serve-drain-parity", diff + " (with speeds)");
-    return;
+  std::vector<Time> busy(m);
+  for (MachineId i = 0; i < m; ++i) {
+    busy[i] = 0.5 * static_cast<double>((i * 7 + c.seed) % 5);
   }
-  if (const std::string diff = diff_traces(drained.trace, offline.trace);
-      !diff.empty()) {
-    ctx.fail("serve-drain-parity", diff);
-    return;
-  }
-  if (drained.peak_backlog != c.instance.num_tasks()) {
-    ctx.fail("serve-drain-parity",
-             "drain-mode peak backlog " + std::to_string(drained.peak_backlog) +
-                 " != n");
-    return;
-  }
-  // Identical machines as well (the speeds-free division-less path).
-  const StreamingDispatchResult plain = serve_stream(
-      c.instance, c.placement, c.actual, c.priority, arrivals, {}, {});
-  if (const std::string diff = diff_schedules(plain.schedule, online.schedule);
-      !diff.empty()) {
-    ctx.fail("serve-drain-parity", diff);
+  struct Variant {
+    std::vector<Time> initial_ready;
+    std::vector<double> speeds;
+    const char* name;
+  };
+  const Variant variants[] = {
+      {{}, c.speeds, "with speeds"},
+      {{}, {}, "identical machines"},
+      {busy, {}, "initial ready"},
+  };
+  for (const Variant& v : variants) {
+    const StreamingDispatchResult drained =
+        serve_stream(c.instance, c.placement, c.actual, c.priority, arrivals,
+                     v.initial_ready, v.speeds);
+    const DispatchResult reference = reference_dispatch_online(
+        c.instance, c.placement, c.actual, c.priority, v.initial_ready, v.speeds);
+    std::string diff = diff_runs(drained, reference);
+    if (diff.empty() && drained.peak_backlog != c.instance.num_tasks()) {
+      diff = "drain-mode peak backlog " + std::to_string(drained.peak_backlog) +
+             " != n";
+    }
+    if (!diff.empty()) {
+      ctx.fail("serve-drain-parity", diff + " (" + v.name + ")");
+      return;
+    }
   }
 }
 
 void check_serve_stream_parity(const CheckContext& ctx) {
   // Staggered arrivals, the regime a service runs in: serve_stream must
   // match the naive streaming oracle bit-for-bit (schedule, trace and
-  // peak backlog) and pass the release-aware invariants. Placements: the
+  // peak backlog) and pass the release-aware invariants, priority
+  // compliance among admitted tasks included. Placements: the
   // case's own, usually overlapping, and the paper's three shapes built
   // from it (singleton, groups, full replication), where every machine
   // serves one replica set. Streams: Poisson arrivals snapped to a grid,
@@ -730,8 +735,7 @@ void check_serve_stream_parity(const CheckContext& ctx) {
       const StreamingDispatchResult reference =
           reference_serve_stream(c.instance, p.placement, s.actual, c.priority,
                                  s.arrivals, s.initial_ready, s.speeds);
-      std::string diff = diff_schedules(fast.schedule, reference.schedule);
-      if (diff.empty()) diff = diff_traces(fast.trace, reference.trace);
+      std::string diff = diff_runs(fast, reference);
       if (diff.empty() && fast.peak_backlog != reference.peak_backlog) {
         diff = "peak backlog " + std::to_string(fast.peak_backlog) +
                " != reference " + std::to_string(reference.peak_backlog);
@@ -746,6 +750,11 @@ void check_serve_stream_parity(const CheckContext& ctx) {
       options.check_lower_bound = s.speeds.empty();  // unit speeds only
       std::vector<Violation> violations = check_invariants(
           c.instance, p.placement, s.actual, fast.schedule, options);
+      // List Scheduling greed among admitted tasks (Theorem 4's premise).
+      const auto priority_violations = check_priority_compliance(
+          c.instance, p.placement, fast.schedule, c.priority, s.arrivals);
+      violations.insert(violations.end(), priority_violations.begin(),
+                        priority_violations.end());
       if (!violations.empty()) {
         violations.front().detail += where;
         ctx.fail_violations("serve-stream-parity", violations);
@@ -818,7 +827,7 @@ std::vector<FuzzFailure> run_fuzz_case(const FuzzCase& fuzz_case) {
   check_speculative_disabled(ctx);
   check_speculative_enabled(ctx);
   check_certify_ptas_lb(ctx);
-  check_serve_drain_parity(ctx, online);
+  check_serve_drain_parity(ctx);
   check_adaptive_bound(ctx);
   check_transfer_reference_differential(ctx);
   check_speculative_reference_differential(ctx);

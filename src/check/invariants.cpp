@@ -190,13 +190,14 @@ std::vector<Violation> check_priority_compliance(const Instance& instance,
                                                  const Placement& placement,
                                                  const Schedule& schedule,
                                                  const std::vector<TaskId>& priority,
+                                                 std::span<const Time> arrivals,
                                                  double tolerance) {
   std::vector<Violation> out;
   const std::size_t n = instance.num_tasks();
   std::vector<std::uint32_t> rank;
   if (!build_ranks(n, priority, rank, out)) return out;
-  if (schedule.num_tasks() != n) {
-    add(out, "shape", "schedule does not match the instance size");
+  if (schedule.num_tasks() != n || (!arrivals.empty() && arrivals.size() != n)) {
+    add(out, "shape", "schedule or arrivals do not match the instance size");
     return out;
   }
   for (TaskId j = 0; j < n; ++j) {
@@ -206,6 +207,7 @@ std::vector<Violation> check_priority_compliance(const Instance& instance,
     for (TaskId k = 0; k < n; ++k) {
       if (k == j || rank[k] >= rank[j]) continue;
       if (!placement.allows(k, i)) continue;
+      if (!arrivals.empty() && arrivals[k] > s) continue;  // not yet released
       const Time scale = std::max({std::abs(schedule.start[k]), std::abs(s), Time{1}});
       if (schedule.start[k] > s + tolerance * scale) {
         std::ostringstream os;

@@ -13,8 +13,8 @@
 //     declared per-task extra such as a refetch/fetch penalty, divided by
 //     the machine's speed);
 //   * work is conserved: every task runs exactly once, to completion;
-//   * priority compliance: no eligible higher-priority task is still
-//     waiting when a lower-priority one starts on an idle machine;
+//   * priority compliance: no eligible (released) higher-priority task is
+//     still waiting when a lower-priority one starts on an idle machine;
 //   * the makespan is at least the certified lower bound on OPT from
 //     exact/lower_bounds.hpp (sound for every dispatcher here, since
 //     each task's final run takes at least its actual time).
@@ -23,6 +23,7 @@
 // fuzzer can report every broken invariant of a bad schedule at once.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -80,13 +81,16 @@ struct InvariantOptions {
 /// Priority compliance for the plain semi-clairvoyant dispatcher: when
 /// task j starts on machine i at time s, no strictly-higher-priority task
 /// that machine i could run (replica present) may still be waiting
-/// (i.e. start strictly after s). Sound for dispatch_online and for
-/// failure-free failure-dispatch runs; not applicable once restarts can
-/// put tasks back in the queue.
+/// (i.e. start strictly after s). With per-task `arrivals` (streaming
+/// runs), task k only counts as waiting at s once arrivals[k] <= s: the
+/// List Scheduling greed among admitted tasks that Theorem 4 assumes.
+/// Empty arrivals = every task released at t = 0. Sound for
+/// dispatch_online, serve_stream and failure-free failure-dispatch runs;
+/// not applicable once restarts can put tasks back in the queue.
 [[nodiscard]] std::vector<Violation> check_priority_compliance(
     const Instance& instance, const Placement& placement,
     const Schedule& schedule, const std::vector<TaskId>& priority,
-    double tolerance = 1e-9);
+    std::span<const Time> arrivals = {}, double tolerance = 1e-9);
 
 /// Priority compliance for the locality-preferring transfer dispatcher:
 /// a local start must beat every waiting local task on rank; a remote

@@ -4,29 +4,13 @@
 //
 // A task becomes eligible at its arrival time; whenever a machine is
 // idle it takes the highest-priority *admitted* task whose replica set
-// contains it, or parks until an arrival makes one eligible. Decisions
-// still never look at actual durations -- arrivals only add a second
-// source of "now" alongside machine frees.
-//
-// The implementation keeps dispatch_online's layout and adds the minimum
-// on top: replica-set queues stay priority-sorted CSR slices, admission
-// flips a bit in a hierarchical bitmap over each queue's rank slots
-// (find-first-set replaces the offline head pointer), arrivals come from
-// a sorted cursor rather than the event queue, and a small (ready, id)
-// binary heap holds busy machines. Once the stream is exhausted the
-// surviving bits are compacted into dense per-queue lists and the drain
-// tail runs on plain head pointers at dispatch_online speed; a cohort
-// arriving in one instant skips the bitmaps entirely. All per-run state comes from the
-// SimWorkspace arena -- a serve loop that reuses one workspace performs
-// zero steady-state allocation. Equal-time ordering matches the offline
-// loop: every arrival at time t is admitted before any machine freed at
-// t dispatches, and machines freed at the same instant grab work in
-// machine-id order.
-//
-// Equivalence contract (fuzz-checked, see check/fuzz.cpp and
-// docs/SERVING.md): with every arrival at t = 0 ("drain mode") the
-// schedule and trace are bit-identical to dispatch_online -- same
-// floating-point arithmetic, same tie-breaks, same trace order.
+// contains it, or parks until an arrival makes one eligible. The loop
+// itself is sim/dispatch_kernel.hpp, which dispatch_online runs in drain
+// mode (every task released at t = 0), so with every arrival at t = 0
+// the schedule and trace equal dispatch_online's by construction. Fuzz
+// check 12 holds drain mode to the retained offline oracle, and check 16
+// holds staggered streams to a naive streaming oracle (check/fuzz.cpp,
+// docs/SERVING.md).
 #pragma once
 
 #include <cstddef>

@@ -1,0 +1,511 @@
+#include "sim/dispatch_kernel.hpp"
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
+#include "core/instance.hpp"
+#include "core/placement.hpp"
+#include "core/realization.hpp"
+#include "core/schedule.hpp"
+#include "sim/ready_heap.hpp"
+#include "sim/set_queues.hpp"
+#include "sim/trace.hpp"
+#include "sim/workspace.hpp"
+
+namespace rdp {
+
+namespace {
+
+/// 64^6 slots -- more than any addressable task count.
+constexpr std::uint32_t kMaxLevels = 6;
+
+/// Hierarchical bitmaps over each queue's rank slots (slot s = position
+/// in the queue's priority-sorted CSR slice). Admission sets bit s;
+/// "highest-priority admitted task" is the cached minimum slot, repaired
+/// on pop by a find-first-set walk over ceil(log64) summary levels
+/// instead of a comparison heap's log2 sift. Level 0 has one bit per
+/// slot; bit w of level l+1 is the OR of word w of level l, so the top
+/// level of every queue is a single word.
+struct QueueBitmaps {
+  std::uint64_t* words = nullptr;        ///< all queues' levels, zeroed
+  const std::uint32_t* level_off = nullptr;  ///< [q * kMaxLevels + l] word offset
+  const std::uint8_t* num_levels = nullptr;  ///< per queue
+  std::uint32_t* min_slot = nullptr;  ///< lowest set slot; ~0u = queue empty
+
+  void set(std::uint32_t q, std::uint32_t slot) noexcept {
+    if (slot < min_slot[q]) min_slot[q] = slot;  // ~0u sentinel when empty
+    const std::uint32_t* off = level_off + q * kMaxLevels;
+    const std::uint32_t levels = num_levels[q];
+    std::uint32_t idx = slot;
+    for (std::uint32_t l = 0;;) {
+      std::uint64_t& w = words[off[l] + (idx >> 6)];
+      const std::uint64_t prev = w;
+      w = prev | (std::uint64_t{1} << (idx & 63));
+      // A previously nonempty word means its ancestor bit -- and by
+      // induction every higher one -- is already set, so dense backlogs
+      // make admission a single read-modify-write with no upward probe.
+      if (prev != 0 || ++l == levels) break;
+      idx >>= 6;
+    }
+  }
+
+  /// Clears the minimum slot and repairs the cache with its successor.
+  /// Queue must be non-empty; returns the popped slot. The popped slot is
+  /// the minimum, so within every touched word no bit below it is set --
+  /// the successor is the word's new lowest bit, found without masking.
+  /// Common case (a sibling in the same level-0 word, which dense
+  /// backlogs hit almost always): one read-modify-write and one ctz.
+  std::uint32_t pop_min(std::uint32_t q) noexcept {
+    const std::uint32_t slot = min_slot[q];
+    const std::uint32_t* off = level_off + q * kMaxLevels;
+    const std::uint32_t levels = num_levels[q];
+    std::uint32_t idx = slot;
+    std::uint32_t l = 0;
+    while (true) {
+      std::uint64_t& w = words[off[l] + (idx >> 6)];
+      w &= ~(std::uint64_t{1} << (idx & 63));
+      if (w != 0) {
+        std::uint32_t next =
+            (idx & ~63u) + static_cast<std::uint32_t>(std::countr_zero(w));
+        for (std::uint32_t l2 = l; l2-- > 0;) {
+          next = (next << 6) + static_cast<std::uint32_t>(
+                                   std::countr_zero(words[off[l2] + next]));
+        }
+        min_slot[q] = next;
+        return slot;
+      }
+      if (++l == levels) {
+        min_slot[q] = UINT32_MAX;
+        return slot;
+      }
+      idx >>= 6;
+    }
+  }
+};
+
+[[noreturn]] void reject(const char* who, const char* what) {
+  throw std::invalid_argument(std::string(who) + ": " + what);
+}
+
+}  // namespace
+
+DispatchKernelStats run_dispatch_kernel(
+    const char* who, const Instance& instance, const Placement& placement,
+    const Realization& actual, const std::vector<TaskId>& priority,
+    std::span<const Time> arrivals, std::span<const Time> initial_ready,
+    std::span<const double> speeds, SimWorkspace& ws, Schedule& schedule,
+    DispatchTrace& trace) {
+  const std::size_t n = instance.num_tasks();
+  const MachineId m = instance.num_machines();
+  if (placement.num_tasks() != n) reject(who, "placement size mismatch");
+  if (placement.num_machines() != m) {
+    reject(who, "placement built for a different machine count");
+  }
+  if (actual.size() != n) reject(who, "realization size mismatch");
+  if (priority.size() != n) reject(who, "priority must cover every task");
+  const bool drain = arrivals.empty();
+  // Validation fused with the sortedness probe: generated arrival
+  // streams are already non-decreasing, in which case ascending id IS
+  // the (time, id) admission order and the sort below is skipped.
+  bool arrivals_sorted = true;
+  for (std::size_t j = 0; j < arrivals.size(); ++j) {
+    const Time t = arrivals[j];
+    if (!(t >= 0.0) || !std::isfinite(t)) {
+      reject(who, "arrival times must be finite and non-negative");
+    }
+    arrivals_sorted &= (j == 0 || arrivals[j - 1] <= t);
+  }
+  Time min_initial = 0;
+  if (!initial_ready.empty()) {
+    if (initial_ready.size() != m) reject(who, "initial_ready size mismatch");
+    min_initial = initial_ready[0];
+    for (Time t : initial_ready) {
+      if (!(t >= 0.0) || !std::isfinite(t)) {
+        reject(who, "initial_ready times must be finite and non-negative");
+      }
+      min_initial = std::min(min_initial, t);
+    }
+  }
+  if (!speeds.empty()) {
+    if (speeds.size() != m) reject(who, "speeds size mismatch");
+    for (double s : speeds) {
+      if (!(s > 0.0)) reject(who, "speeds must be positive");
+    }
+  }
+
+  // Equal-time cohort, decided before the build passes: every task is
+  // released at one instant no later than the first machine's ready
+  // time, so the stream is exhausted before anything dispatches. Drain
+  // mode always is one. The cohort run never reads queue_slot_of, the
+  // bitmaps or tail_pos (its tail is the identity over CSR positions),
+  // so none of them is built.
+  const bool cohort = drain || (arrivals_sorted && arrivals[0] == arrivals[n - 1] &&
+                                arrivals[0] <= min_initial);
+
+  ws.begin_run(n, m);
+  MonotonicArena& arena = ws.arena;
+
+  // One queue per distinct replica set, interned by Placement at
+  // construction. queue_durations is a slot-indexed companion filled in
+  // the same pass: the loop reads a front task's duration at its CSR
+  // position, a streaming access per queue, instead of a serialized
+  // random cache miss into actual[] per dispatch. queue_slot_of[j] is
+  // packed (queue << 32 | slot), so admission reads one word per task.
+  const std::span<Time> queue_durations = arena.allocate_span<Time>(n);
+  const std::span<std::uint64_t> queue_slot_of =
+      cohort ? std::span<std::uint64_t>{} : arena.allocate_span<std::uint64_t>(n);
+  SetQueues queues;
+  queues.build(arena, placement, priority, who,
+               [&](std::uint32_t pos, TaskId j, std::uint32_t) {
+                 if (!cohort) {
+                   const std::uint32_t q = placement.set_id(j);
+                   queue_slot_of[j] = (std::uint64_t{q} << 32) | (pos - queues.begin[q]);
+                 }
+                 queue_durations[pos] = actual[j];
+               });
+  const std::uint32_t num_queues = queues.count;
+  const std::span<std::uint32_t> queue_begin = queues.begin;
+  const std::span<TaskId> queue_tasks = queues.tasks;
+  const std::span<std::uint32_t> queue_ranks = queues.ranks;
+  const std::span<std::uint32_t> machine_begin = queues.machine_begin;
+  const std::span<std::uint32_t> machine_queues = queues.machine_queues;
+  // With every machine serving at most one queue (disjoint replica sets:
+  // singleton, group and full replication), rank comparisons are
+  // unnecessary -- a machine's next task is always its queue's front.
+  const std::span<std::uint32_t> machine_queue_of = queues.machine_queue_of;
+  const bool single_queue_machines = queues.single_queue_machines;
+
+  // Frozen tail: once every task is released the admitted set never
+  // changes again and every future pop takes each queue's set bits in
+  // ascending order, so the survivors are compacted into tail_pos (dense
+  // CSR positions) and the rest of the run drains through head pointers.
+  // A cohort keeps tail_pos as the identity instead of materializing it.
+  const std::span<std::uint32_t> tail_head =
+      arena.allocate_span<std::uint32_t>(num_queues);
+  const std::span<std::uint32_t> tail_end =
+      arena.allocate_span<std::uint32_t>(num_queues);
+  std::span<std::uint32_t> tail_pos;
+  bool tail_mode = false;
+
+  // Bitmap geometry: per queue, level word counts shrink by 64x until a
+  // single word covers the whole slice.
+  std::span<std::uint32_t> level_off;
+  std::span<std::uint64_t> words;
+  QueueBitmaps bitmaps;
+  // Admission order: (arrival time, task id); empty = ascending id.
+  std::span<TaskId> order;
+  // Parked machines are out of the pool, idle with no admitted work but
+  // more arrivals possible on their queues; an admission re-inserts one
+  // ready at the arrival time. When every machine serves at most one
+  // queue, a parked machine of q proves q holds no admitted task, and all
+  // arrivals at one instant are admitted in one burst, so a burst of k
+  // tasks into q is taken by the k lowest ids among q's parked machines
+  // and those freeing at that instant. Waking only the lowest parked id
+  // per admission therefore wakes every machine that would take a task,
+  // and the pop order -- (ready, id) is a strict total order -- is
+  // unchanged. Each queue keeps a bitmap over the positions of its sorted
+  // distinct_set(q) (m bits in all); parking sets the machine's bit and
+  // an admission pops the lowest. With overlapping sets a woken machine
+  // may take another queue's task instead, so there every parked machine
+  // of q wakes and all but the takers park again.
+  std::span<std::uint32_t> parked_word_begin;  // per queue, count + 1
+  std::span<std::uint32_t> parked_bit_of;      // per machine
+  std::span<std::uint64_t> parked_words;
+  std::span<std::uint8_t> parked;  // overlapping sets: 1 while parked
+  std::uint32_t parked_count = 0;
+  if (!cohort) {
+    level_off = arena.allocate_span<std::uint32_t>(num_queues * kMaxLevels);
+    const std::span<std::uint8_t> num_levels =
+        arena.allocate_span<std::uint8_t>(num_queues);
+    std::uint32_t total_words = 0;
+    for (std::uint32_t q = 0; q < num_queues; ++q) {
+      std::uint32_t count =
+          std::max<std::uint32_t>(1, (placement.set_population(q) + 63) / 64);
+      std::uint32_t level = 0;
+      while (true) {
+        level_off[q * kMaxLevels + level] = total_words;
+        total_words += count;
+        ++level;
+        if (count == 1) break;
+        count = (count + 63) / 64;
+      }
+      num_levels[q] = static_cast<std::uint8_t>(level);
+    }
+    words = arena.make_span<std::uint64_t>(total_words, 0);
+    bitmaps = QueueBitmaps{words.data(), level_off.data(), num_levels.data(),
+                           arena.make_span<std::uint32_t>(num_queues, UINT32_MAX).data()};
+    tail_pos = arena.allocate_span<std::uint32_t>(n);
+
+    if (!arrivals_sorted) {
+      order = arena.allocate_span<TaskId>(n);
+      for (TaskId j = 0; j < n; ++j) order[j] = j;
+      std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+        if (arrivals[a] != arrivals[b]) return arrivals[a] < arrivals[b];
+        return a < b;
+      });
+    }
+
+    if (single_queue_machines) {
+      parked_word_begin = arena.allocate_span<std::uint32_t>(num_queues + 1);
+      parked_bit_of = arena.allocate_span<std::uint32_t>(m);
+      parked_word_begin[0] = 0;
+      for (std::uint32_t q = 0; q < num_queues; ++q) {
+        const std::vector<MachineId>& set = placement.distinct_set(q);
+        for (std::uint32_t k = 0; k < set.size(); ++k) {
+          parked_bit_of[set[k]] = parked_word_begin[q] * 64 + k;
+        }
+        parked_word_begin[q + 1] =
+            parked_word_begin[q] + static_cast<std::uint32_t>((set.size() + 63) / 64);
+      }
+      parked_words = arena.make_span<std::uint64_t>(parked_word_begin[num_queues], 0);
+    } else {
+      parked = arena.make_span<std::uint8_t>(m, 0);
+    }
+  }
+  DispatchKernelStats stats;
+
+  schedule.assignment.machine_of.resize(n);
+  schedule.start.resize(n);
+  schedule.finish.resize(n);
+  // The chronological trace is written with raw indexed stores into a
+  // pre-sized vector: every task is dispatched exactly once.
+  trace.events.resize(n);
+  DispatchEvent* const trace_out = trace.events.data();
+  std::size_t emitted = 0;
+
+  ReadyHeap pool;
+  pool.init(arena, m, initial_ready);
+
+  // Two sources of "now": the next arrival (cursor into the admission
+  // order) and the next machine to come free (pool top). Ties go to the
+  // arrival -- every task arriving at time t is admitted before any
+  // machine freed at t dispatches. Machines freed or woken at the same
+  // instant leave the pool in id order.
+  //
+  // The loop runs in batches: admit every arrival due by the time the
+  // next machine frees, then dispatch every machine freeing before the
+  // next arrival. A cohort enters the frozen tail at once with every
+  // queue's full slice, so its dispatch phase is one uninterrupted run.
+  const Time kNever = std::numeric_limits<Time>::infinity();
+  std::size_t cursor = 0;
+  TaskId next_task = 0;
+  Time next_when = kNever;
+  std::size_t backlog = 0;
+  std::size_t remaining = n;
+  if (cohort) {
+    for (std::uint32_t q = 0; q < num_queues; ++q) {
+      tail_head[q] = queue_begin[q];
+      tail_end[q] = queue_begin[q + 1];
+    }
+    tail_mode = true;
+    cursor = n;
+    backlog = n;
+    stats.peak_backlog = n;
+  } else {
+    next_task = order.empty() ? TaskId{0} : order[0];
+    next_when = arrivals[next_task];
+  }
+
+  while (remaining > 0) {
+    // --- admission phase -------------------------------------------------
+    // Backlog accounting is batched: within one admission burst backlog
+    // only rises (dispatches happen in the other phase), so the peak
+    // check runs once per burst instead of once per task.
+    Time next_free = pool.empty() ? kNever : pool.top_ready();
+    if (cursor < n && next_when <= next_free) {
+      const std::size_t burst_start = cursor;
+      do {
+        const TaskId j = next_task;
+        const std::uint64_t qs = queue_slot_of[j];
+        const auto q = static_cast<std::uint32_t>(qs >> 32);
+        bitmaps.set(q, static_cast<std::uint32_t>(qs));
+        if (single_queue_machines) {
+          for (std::uint32_t w = parked_word_begin[q]; w < parked_word_begin[q + 1];
+               ++w) {
+            std::uint64_t& bits = parked_words[w];
+            if (bits == 0) continue;
+            const auto k = (w - parked_word_begin[q]) * 64 +
+                           static_cast<std::uint32_t>(std::countr_zero(bits));
+            bits &= bits - 1;
+            pool.push(next_when, placement.distinct_set(q)[k]);
+            ++stats.wakes;
+            // The woken machine is ready now, before any later arrival
+            // in this batch; it dispatches in between.
+            next_free = next_when;
+            break;
+          }
+        } else if (parked_count > 0) {
+          for (MachineId i : placement.distinct_set(q)) {
+            if (parked[i]) {
+              parked[i] = 0;
+              --parked_count;
+              pool.push(next_when, i);
+              ++stats.wakes;
+            }
+          }
+          // A woken machine may now free before later arrivals in this
+          // batch; re-read the horizon so it dispatches in between.
+          next_free = pool.empty() ? kNever : pool.top_ready();
+        }
+        if (++cursor >= n) {
+          next_when = kNever;
+          break;
+        }
+        next_task = order.empty() ? static_cast<TaskId>(cursor) : order[cursor];
+        next_when = arrivals[next_task];
+      } while (next_when <= next_free);
+      backlog += cursor - burst_start;
+      stats.peak_backlog = std::max(stats.peak_backlog, backlog);
+    }
+    if (!tail_mode && cursor >= n) {
+      // Stream exhausted: freeze the admitted set. One O(n/64) word walk
+      // compacts each queue's surviving slots into tail_pos and the
+      // bitmaps retire.
+      for (std::uint32_t q = 0; q < num_queues; ++q) {
+        const std::uint64_t* w = words.data() + level_off[q * kMaxLevels];
+        const std::uint32_t base = queue_begin[q];
+        const std::uint32_t nw = (queue_begin[q + 1] - base + 63) / 64;
+        std::uint32_t write = base;
+        tail_head[q] = base;
+        for (std::uint32_t k = 0; k < nw; ++k) {
+          std::uint64_t bits = w[k];
+          const std::uint32_t word_base = base + k * 64;
+          while (bits != 0) {
+            tail_pos[write++] =
+                word_base + static_cast<std::uint32_t>(std::countr_zero(bits));
+            bits &= bits - 1;
+          }
+        }
+        tail_end[q] = write;
+      }
+      tail_mode = true;
+    }
+    if (pool.empty()) {
+      // Unreachable for a valid placement: machines only stop (neither
+      // busy nor parked) once their queues are drained AND fully arrived.
+      throw std::logic_error(std::string(who) + ": deadlock (all machines stopped)");
+    }
+
+    // --- dispatch phase --------------------------------------------------
+    if (tail_mode) {
+      // Frozen-tail variant: the stream is exhausted (next_when is
+      // infinite, so no time guard), fronts are head pointers into
+      // tail_pos, and machines out of work retire for good. No admission
+      // follows, so the backlog is no longer tracked.
+      while (remaining > 0 && !pool.empty()) {
+        const MachineId i = pool.top();
+        std::uint32_t best_queue = UINT32_MAX;
+        if (single_queue_machines) {
+          const std::uint32_t q = machine_queue_of[i];
+          if (q != UINT32_MAX && tail_head[q] != tail_end[q]) best_queue = q;
+        } else {
+          std::uint32_t best_rank = UINT32_MAX;
+          for (std::uint32_t k = machine_begin[i]; k < machine_begin[i + 1];
+               ++k) {
+            const std::uint32_t q = machine_queues[k];
+            const std::uint32_t h = tail_head[q];
+            if (h == tail_end[q]) continue;
+            const std::uint32_t r = queue_ranks[cohort ? h : tail_pos[h]];
+            if (r < best_rank) {
+              best_rank = r;
+              best_queue = q;
+            }
+          }
+        }
+        if (best_queue == UINT32_MAX) {
+          pool.retire_top();
+          continue;
+        }
+        const std::uint32_t hp = tail_head[best_queue]++;
+        const std::uint32_t pos = cohort ? hp : tail_pos[hp];
+        const TaskId j = queue_tasks[pos];
+        const Time duration = speeds.empty()
+                                  ? queue_durations[pos]
+                                  : queue_durations[pos] / speeds[i];
+        const auto [start, finish] = pool.occupy_top(duration);
+        (void)finish;
+        trace_out[emitted++] = DispatchEvent{start, j, i, duration};
+        --remaining;
+      }
+      continue;
+    }
+    while (remaining > 0 && !pool.empty() && pool.top_ready() < next_when) {
+      const MachineId i = pool.top();
+
+      // The queue whose admitted front this machine runs next. The
+      // cached minimum slot makes each candidate's front an O(1) read
+      // (~0u doubles as the emptiness sentinel).
+      std::uint32_t best_queue = UINT32_MAX;
+      if (single_queue_machines) {
+        const std::uint32_t q = machine_queue_of[i];
+        if (q != UINT32_MAX && bitmaps.min_slot[q] != UINT32_MAX) {
+          best_queue = q;
+        }
+      } else {
+        std::uint32_t best_rank = UINT32_MAX;
+        for (std::uint32_t k = machine_begin[i]; k < machine_begin[i + 1];
+             ++k) {
+          const std::uint32_t q = machine_queues[k];
+          const std::uint32_t slot = bitmaps.min_slot[q];
+          if (slot == UINT32_MAX) continue;
+          const std::uint32_t r = queue_ranks[queue_begin[q] + slot];
+          if (r < best_rank) {
+            best_rank = r;
+            best_queue = q;
+          }
+        }
+      }
+      if (best_queue == UINT32_MAX) {
+        // Nothing admitted but arrivals are still flowing: park, so a
+        // future admission to one of this machine's queues can wake it
+        // (a machine parked on queues that never refill sleeps until the
+        // run ends). A machine in no replica set can never get work, so
+        // it retires for good instead.
+        pool.retire_top();
+        if (machine_begin[i] == machine_begin[i + 1]) continue;
+        ++stats.parks;
+        if (single_queue_machines) {
+          const std::uint32_t b = parked_bit_of[i];
+          parked_words[b / 64] |= std::uint64_t{1} << (b % 64);
+        } else {
+          parked[i] = 1;
+          ++parked_count;
+        }
+        continue;
+      }
+
+      const std::uint32_t pos =
+          queue_begin[best_queue] + bitmaps.pop_min(best_queue);
+      const TaskId j = queue_tasks[pos];
+      const Time duration = speeds.empty() ? queue_durations[pos]
+                                           : queue_durations[pos] / speeds[i];
+      const auto [start, finish] = pool.occupy_top(duration);
+      (void)finish;
+      trace_out[emitted++] = DispatchEvent{start, j, i, duration};
+      --backlog;
+      --remaining;
+    }
+  }
+
+  // Scatter the chronological trace into the task-indexed schedule. Every
+  // task appears exactly once, so no pre-fill is needed; finish = start +
+  // duration reproduces ReadyHeap::occupy_top's arithmetic bit-for-bit.
+  // One pass per output array: each pass's random stores then span one
+  // array's pages instead of three, which measures ~20% faster than a
+  // fused scatter.
+  for (const DispatchEvent& e : trace.events) {
+    schedule.assignment.machine_of[e.task] = e.machine;
+  }
+  for (const DispatchEvent& e : trace.events) schedule.start[e.task] = e.when;
+  for (const DispatchEvent& e : trace.events) {
+    schedule.finish[e.task] = e.when + e.actual;
+  }
+  return stats;
+}
+
+}  // namespace rdp

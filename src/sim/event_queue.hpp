@@ -1,17 +1,16 @@
-// Minimal discrete-event-simulation core: a time-ordered event queue with
-// FIFO tie-breaking, and a Simulator driving std::function events. The
-// online dispatcher uses the specialized MachinePool instead for speed,
-// but examples and tests exercise this general engine directly.
+// A general time-ordered event queue with FIFO tie-breaking. The
+// dispatchers use specialized structures instead (sim/ready_heap.hpp and
+// the SimEvent calendar queue in sim/workspace.hpp); this one is kept for
+// the ext_sim_throughput bench, which measures the calendar queue against
+// the pre-rewrite binary heap through it.
 //
-// Since the hot-path rewrite the queue is a bucketed calendar queue
-// (sim/calendar_queue.hpp) instead of a binary heap, and pop() *moves*
-// the event out -- the old copy-out pop paid a heap allocation per event
-// for any payload with out-of-line state (std::function handlers being
-// the canonical case) and required payloads to be copyable at all.
+// The queue is a bucketed calendar queue (sim/calendar_queue.hpp), and
+// pop() *moves* the event out -- a copy-out pop would pay a heap
+// allocation per event for any payload with out-of-line state and
+// require payloads to be copyable at all.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 
 #include "core/types.hpp"
@@ -53,33 +52,6 @@ class EventQueue {
   };
   CalendarQueue<Event, TimeOf, Before> queue_;
   std::uint64_t next_seq_ = 0;
-};
-
-/// Callback-driven simulator. Events may schedule further events; run()
-/// processes until the queue drains and returns the final clock value.
-class Simulator {
- public:
-  using Handler = std::function<void(Simulator&)>;
-
-  /// Schedules `handler` at absolute time `when` (must be >= now()).
-  void schedule_at(Time when, Handler handler);
-
-  /// Schedules `handler` `delay` time units after now().
-  void schedule_in(Time delay, Handler handler);
-
-  /// Current simulation clock.
-  [[nodiscard]] Time now() const noexcept { return now_; }
-
-  /// Number of events processed so far.
-  [[nodiscard]] std::uint64_t events_processed() const noexcept { return processed_; }
-
-  /// Runs to completion; returns the time of the last processed event.
-  Time run();
-
- private:
-  EventQueue<Handler> queue_;
-  Time now_ = 0;
-  std::uint64_t processed_ = 0;
 };
 
 }  // namespace rdp

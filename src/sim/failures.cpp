@@ -78,8 +78,7 @@ void dispatch_with_failures(const Instance& instance, const Placement& placement
   // Tasks never dispatched are served from the replica-set queues.
   const std::span<std::uint32_t> rank = arena.allocate_span<std::uint32_t>(n);
   SetQueues queues;
-  queues.build(arena, placement, priority,
-               "dispatch_with_failures: bad priority permutation",
+  queues.build(arena, placement, priority, "dispatch_with_failures",
                [&](std::uint32_t, TaskId j, std::uint32_t r) { rank[j] = r; });
 
   obs::MetricsRegistry* const mx = obs::metrics();

@@ -1,17 +1,13 @@
 #include "sim/online_dispatcher.hpp"
 
-#include <cmath>
 #include <cstdint>
-#include <stdexcept>
 
 #include "core/instance.hpp"
-#include "core/realization.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
-#include "sim/ready_heap.hpp"
-#include "sim/set_queues.hpp"
+#include "sim/dispatch_kernel.hpp"
 #include "sim/workspace.hpp"
 
 namespace rdp {
@@ -21,160 +17,23 @@ void dispatch_online(const Instance& instance, const Placement& placement,
                      std::span<const Time> initial_ready,
                      std::span<const double> speeds, SimWorkspace& ws,
                      DispatchResult& out) {
-  const std::size_t n = instance.num_tasks();
-  const MachineId m = instance.num_machines();
-  if (placement.num_tasks() != n) {
-    throw std::invalid_argument("dispatch_online: placement size mismatch");
-  }
-  if (placement.num_machines() != m) {
-    throw std::invalid_argument(
-        "dispatch_online: placement built for a different machine count");
-  }
-  if (actual.size() != n) {
-    throw std::invalid_argument("dispatch_online: realization size mismatch");
-  }
-  if (priority.size() != n) {
-    throw std::invalid_argument("dispatch_online: priority must cover every task");
-  }
-  if (!initial_ready.empty()) {
-    if (initial_ready.size() != m) {
-      throw std::invalid_argument("dispatch_online: initial_ready size mismatch");
-    }
-    for (Time t : initial_ready) {
-      if (!(t >= 0.0) || !std::isfinite(t)) {
-        throw std::invalid_argument(
-            "dispatch_online: initial_ready times must be finite and non-negative");
-      }
-    }
-  }
-  if (!speeds.empty()) {
-    if (speeds.size() != m) {
-      throw std::invalid_argument("dispatch_online: speeds size mismatch");
-    }
-    for (double s : speeds) {
-      if (!(s > 0.0)) {
-        throw std::invalid_argument("dispatch_online: speeds must be positive");
-      }
-    }
-  }
-
-  ws.begin_run(n, m);
-  MonotonicArena& arena = ws.arena;
-
-  // One dispatch queue per distinct replica set (sim/set_queues.hpp). The
-  // bucketing itself was interned by Placement at construction (a
-  // placement is dispatched against many realizations in a sweep), so a
-  // queue id is a plain array read instead of a per-task hash + probe.
-  //
-  // queue_durations is a slot-indexed companion to the queues, filled in
-  // the same pass: the dispatch loop reads the front task's rank and
-  // duration at `queue_head[q]`, a streaming access per queue. Looking up
-  // rank[...] / actual[...] inside the loop instead would be a serialized
-  // random cache miss per event; here the misses overlap across
-  // independent iterations.
-  const std::span<Time> queue_durations = arena.allocate_span<Time>(n);
-  SetQueues queues;
-  queues.build(arena, placement, priority,
-               "dispatch_online: priority is not a permutation",
-               [&](std::uint32_t pos, TaskId j, std::uint32_t) {
-                 queue_durations[pos] = actual[j];
-               });
-  const std::span<std::uint32_t> queue_begin = queues.begin;
-  const std::span<std::uint32_t> queue_head = queues.head;
-  const std::span<TaskId> queue_tasks = queues.tasks;
-  const std::span<std::uint32_t> queue_ranks = queues.ranks;
-  const std::span<std::uint32_t> machine_begin = queues.machine_begin;
-  const std::span<std::uint32_t> machine_queues = queues.machine_queues;
-  const std::span<std::uint32_t> machine_queue_of = queues.machine_queue_of;
-  // With every machine serving at most one queue (disjoint replica sets
-  // -- the group-replication regime), rank comparisons are unnecessary:
-  // a machine's next task is always its queue's front (read through a
-  // direct machine -> queue map).
-  const bool single_queue_machines = queues.single_queue_machines;
-
   // Observability: null sinks reduce every hook below to a dead branch on
   // a cached pointer; nothing here influences dispatch decisions.
   obs::MetricsRegistry* const mx = obs::metrics();
-  obs::Tracer* const tr = obs::tracer();
-  obs::ScopedSpan span(tr, "dispatch_online", "sim");
+  obs::ScopedSpan span(obs::tracer(), "dispatch_online", "sim");
 
-  out.schedule.assignment.machine_of.resize(n);
-  out.schedule.start.resize(n);
-  out.schedule.finish.resize(n);
-  // The chronological trace is written with raw indexed stores into a
-  // pre-sized vector (exactly n events are produced -- every task is
-  // dispatched once), skipping push_back's per-event capacity check.
-  out.trace.events.resize(n);
-  DispatchEvent* const trace_out = out.trace.events.data();
-  std::size_t emitted = 0;
+  // Drain mode of the shared loop: every task released at t = 0.
+  run_dispatch_kernel("dispatch_online", instance, placement, actual, priority, {},
+                      initial_ready, speeds, ws, out.schedule, out.trace);
 
-  ReadyHeap pool;
-  pool.init(arena, m, initial_ready);
-  std::size_t remaining = n;
-  while (remaining > 0) {
-    if (pool.empty()) {
-      // Unreachable for a valid placement: every remaining task has a
-      // non-retired machine serving its queue.
-      throw std::logic_error("dispatch_online: deadlock (all machines retired)");
-    }
-    const MachineId i = pool.top();
-
-    // The queue whose front this machine runs next.
-    std::uint32_t best_queue = UINT32_MAX;
-    if (single_queue_machines) {
-      // Disjoint replica sets: the machine's sole queue, or none.
-      const std::uint32_t q = machine_queue_of[i];
-      if (q != UINT32_MAX && queue_head[q] < queue_begin[q + 1]) best_queue = q;
-    } else {
-      // Highest-priority front task among this machine's queues.
-      std::uint32_t best_rank = UINT32_MAX;
-      for (std::uint32_t k = machine_begin[i]; k < machine_begin[i + 1]; ++k) {
-        const std::uint32_t q = machine_queues[k];
-        if (queue_head[q] >= queue_begin[q + 1]) continue;  // exhausted
-        const std::uint32_t r = queue_ranks[queue_head[q]];
-        if (r < best_rank) {
-          best_rank = r;
-          best_queue = q;
-        }
-      }
-    }
-    if (best_queue == UINT32_MAX) {
-      pool.retire_top();  // no eligible work now or ever
-      continue;
-    }
-
-    const std::uint32_t pos = queue_head[best_queue]++;
-    const TaskId j = queue_tasks[pos];
-    const Time duration =
-        speeds.empty() ? queue_durations[pos] : queue_durations[pos] / speeds[i];
-    const auto [start, finish] = pool.occupy_top(duration);
-    (void)finish;
-    trace_out[emitted++] = DispatchEvent{start, j, i, duration};
-    --remaining;
-  }
-
-  // Scatter the chronological trace into the task-indexed schedule. Every
-  // task appears exactly once (the loop above runs to remaining == 0), so
-  // no pre-fill is needed; finish = start + duration reproduces
-  // ReadyHeap::occupy_top's arithmetic bit-for-bit. One pass per output
-  // array: each pass's random stores then span one array's pages instead
-  // of three, which measures ~20% faster than a fused scatter.
-  for (const DispatchEvent& e : out.trace.events) {
-    out.schedule.assignment.machine_of[e.task] = e.machine;
-  }
-  for (const DispatchEvent& e : out.trace.events) {
-    out.schedule.start[e.task] = e.when;
-  }
-  for (const DispatchEvent& e : out.trace.events) {
-    out.schedule.finish[e.task] = e.when + e.actual;
-  }
-
+  const std::size_t n = instance.num_tasks();
+  const MachineId m = instance.num_machines();
   if (mx) {
     mx->counter("sim.dispatch.calls").add(1);
     mx->counter("sim.dispatch.tasks").add(n);
     // Per-machine busy time is recovered from the finished schedule, so
     // the dispatch loop itself carries no instrumentation.
-    const std::span<Time> busy = arena.make_span<Time>(m, 0.0);
+    const std::span<Time> busy = ws.arena.make_span<Time>(m, 0.0);
     for (TaskId j = 0; j < n; ++j) {
       busy[out.schedule.assignment.machine_of[j]] +=
           out.schedule.finish[j] - out.schedule.start[j];
@@ -188,7 +47,7 @@ void dispatch_online(const Instance& instance, const Placement& placement,
   // order. One-shot dispatch has no arrival process -- every task is
   // eligible at t = 0, so kStart/kFinish are the whole lifecycle.
   if (obs::TimelineRecorder* const tl = obs::timeline(); tl != nullptr) {
-    const auto block = tl->reserve(2 * static_cast<std::size_t>(n));
+    const auto block = tl->reserve(2 * n);
     std::size_t cursor = 0;
     for (const DispatchEvent& e : out.trace.events) {
       if (cursor >= block.count) break;

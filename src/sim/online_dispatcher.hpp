@@ -40,8 +40,9 @@ struct DispatchResult {
 ///                  (Q||Cmax) extension: task j occupies machine i for
 ///                  actual[j] / speeds[i]; empty = identical machines.
 ///
-/// Internally, tasks sharing the same replica set share one FIFO queue
-/// (sorted by priority), so replicate-everywhere and group placements
+/// Runs the shared phase-2 loop (sim/dispatch_kernel.hpp) in drain mode:
+/// every task released at t = 0. Tasks sharing a replica set share one
+/// priority-sorted queue, so replicate-everywhere and group placements
 /// dispatch in O((n + m) log m) regardless of replica counts.
 [[nodiscard]] DispatchResult dispatch_online(const Instance& instance,
                                              const Placement& placement,

@@ -1,7 +1,7 @@
 // Min-heap of machines keyed by (ready time, id), backed by an arena
 // span so a run allocates nothing after init(). Selection order is
-// identical to MachinePool's lazy heap -- earliest ready time, then
-// lowest id.
+// identical to the retained oracle's lazy heap (LegacyMachinePool in
+// check/reference_dispatcher.cpp) -- earliest ready time, then lowest id.
 //
 // The API is top-only (occupy_top / retire_top): every dispatcher
 // operates exclusively on the machine it just selected, so the heap

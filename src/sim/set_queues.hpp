@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 
 #include "core/placement.hpp"
 #include "core/types.hpp"
@@ -36,13 +37,13 @@ struct SetQueues {
 
   /// Carves the queues out of `arena` and fills them in one pass over
   /// `priority`, which doubles as the permutation check (throws
-  /// std::invalid_argument(error); the caller has checked the size).
+  /// std::invalid_argument naming `who`; the caller has checked the size).
   /// Filling in priority order leaves every slice rank-sorted without a
   /// comparison sort. `on_fill(slot, task, rank)` runs as each task is
   /// placed, so callers fill slot-indexed companions in the same pass.
   template <typename OnFill>
   void build(MonotonicArena& arena, const Placement& placement,
-             std::span<const TaskId> priority, const char* error, OnFill&& on_fill) {
+             std::span<const TaskId> priority, const char* who, OnFill&& on_fill) {
     const std::size_t n = priority.size();
     const MachineId m = placement.num_machines();
     count = placement.num_distinct_sets();
@@ -83,7 +84,7 @@ struct SetQueues {
     for (std::uint32_t r = 0; r < n; ++r) {
       const TaskId j = priority[r];
       if (j >= n || ((seen[j / 64] >> (j % 64)) & 1u) != 0) {
-        throw std::invalid_argument(error);
+        throw std::invalid_argument(std::string(who) + ": priority is not a permutation");
       }
       seen[j / 64] |= std::uint64_t{1} << (j % 64);
       const std::uint32_t pos = head[placement.set_id(j)]++;
@@ -95,8 +96,8 @@ struct SetQueues {
   }
 
   void build(MonotonicArena& arena, const Placement& placement,
-             std::span<const TaskId> priority, const char* error) {
-    build(arena, placement, priority, error, [](std::uint32_t, TaskId, std::uint32_t) {});
+             std::span<const TaskId> priority, const char* who) {
+    build(arena, placement, priority, who, [](std::uint32_t, TaskId, std::uint32_t) {});
   }
 
   /// The set whose front is machine i's best-ranked eligible task, or

@@ -53,7 +53,7 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
   // forward and an idle machine's next task is the best front among its
   // sets.
   SetQueues queues;
-  queues.build(arena, placement, priority, "dispatch_speculative: bad priority");
+  queues.build(arena, placement, priority, "dispatch_speculative");
 
   obs::MetricsRegistry* const mx = obs::metrics();
   obs::Tracer* const tr = obs::tracer();

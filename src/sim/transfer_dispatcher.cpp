@@ -46,7 +46,7 @@ TransferDispatchResult dispatch_with_transfers(const Instance& instance,
   // is remote for it, so the globally best-ranked waiting task -- found
   // by a cursor over the priority permutation -- is the remote pick.
   SetQueues queues;
-  queues.build(arena, placement, priority, "dispatch_with_transfers: bad priority");
+  queues.build(arena, placement, priority, "dispatch_with_transfers");
   const std::span<std::uint8_t> scheduled = arena.make_span<std::uint8_t>(n, 0);
   const auto is_scheduled = [&](TaskId j) { return scheduled[j] != 0; };
   std::size_t head = 0;  // first maybe-unscheduled rank in priority order

@@ -44,7 +44,7 @@ struct SimEventTime {
 };
 
 /// "a pops before b". Equal-time frees order by machine id (simultaneously
-/// freed machines grab work in id order, matching MachinePool's
+/// freed machines grab work in id order, matching ReadyHeap's
 /// tie-break); everything else falls back to insertion sequence.
 struct SimEventBefore {
   bool operator()(const SimEvent& a, const SimEvent& b) const noexcept {

@@ -158,6 +158,27 @@ TEST(Invariants, DetectsPriorityInversion) {
       check::check_priority_compliance(inst, p, s, priority), "priority"));
 }
 
+// Release-aware compliance: a higher-rank task only counts as waiting
+// once it has arrived. One machine; task 0 (rank 1) starts at t=1 while
+// task 1 (rank 0) starts at t=2.
+TEST(Invariants, PriorityComplianceCountsOnlyAdmittedTasks) {
+  const Instance inst = Instance::from_estimates({1.0, 1.0}, 1, 1.0);
+  const Placement p = Placement::everywhere(2, 1);
+  Schedule s;
+  s.assignment = Assignment(2);
+  s.assignment.machine_of = {0, 0};
+  s.start = {1.0, 2.0};
+  s.finish = {2.0, 3.0};
+  const std::vector<TaskId> priority = {1, 0};
+  // Task 1 was admitted at t=1, the instant task 0 started: a violation.
+  const std::vector<Time> admitted = {0.0, 1.0};
+  EXPECT_TRUE(has_invariant(
+      check::check_priority_compliance(inst, p, s, priority, admitted), "priority"));
+  // Task 1 only arrives at t=2, after task 0 started: compliant.
+  const std::vector<Time> not_yet = {0.0, 2.0};
+  EXPECT_TRUE(check::check_priority_compliance(inst, p, s, priority, not_yet).empty());
+}
+
 TEST(Invariants, DiffSchedulesIsBitExact) {
   Schedule a;
   a.assignment = Assignment(1);

@@ -34,6 +34,7 @@
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "perturb/stochastic.hpp"
+#include "serve/streaming_dispatcher.hpp"
 #include "sim/failures.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "sim/speculative.hpp"
@@ -597,6 +598,50 @@ TEST(ObsIntegration, DispatchRecordsMetricsAndSpans) {
             inst.num_machines());
   ASSERT_EQ(tracer.size(), 1u);
   EXPECT_EQ(tracer.events()[0].name, "dispatch_online");
+}
+
+// dispatch_online is the drain mode of serve_stream's loop, but each
+// caller publishes only its own telemetry: an offline run records one
+// dispatch_online span (no nested serve_stream span), sim.dispatch.* and
+// nothing under serve.*; a drain-mode stream records the reverse.
+TEST(ObsIntegration, OfflineAndStreamingDispatchKeepSeparateTelemetry) {
+  const Instance inst = test_instance();
+  const Placement p = Placement::everywhere(inst.num_tasks(), inst.num_machines());
+  const Realization r = realize(inst, NoiseModel::kUniform, 5);
+  const auto priority = make_priority(inst, PriorityRule::kLongestEstimateFirst);
+  const auto names_with_prefix = [](const obs::MetricsSnapshot& snap,
+                                    const std::string& prefix) {
+    std::size_t count = 0;
+    for (const auto& [name, value] : snap.counters) count += name.rfind(prefix, 0) == 0;
+    for (const auto& [name, value] : snap.gauges) count += name.rfind(prefix, 0) == 0;
+    for (const auto& [name, value] : snap.histograms) count += name.rfind(prefix, 0) == 0;
+    return count;
+  };
+
+  obs::MetricsRegistry offline_registry;
+  obs::Tracer offline_tracer;
+  {
+    obs::ObservabilityScope scope(&offline_registry, &offline_tracer);
+    (void)dispatch_online(inst, p, r, priority);
+  }
+  const obs::MetricsSnapshot offline = offline_registry.snapshot();
+  EXPECT_EQ(offline.counter_or("sim.dispatch.calls"), 1u);
+  EXPECT_EQ(names_with_prefix(offline, "serve."), 0u);
+  ASSERT_EQ(offline_tracer.size(), 1u);
+  EXPECT_EQ(offline_tracer.events()[0].name, "dispatch_online");
+
+  obs::MetricsRegistry stream_registry;
+  obs::Tracer stream_tracer;
+  {
+    obs::ObservabilityScope scope(&stream_registry, &stream_tracer);
+    const std::vector<Time> arrivals(inst.num_tasks(), 0.0);
+    (void)serve_stream(inst, p, r, priority, arrivals);
+  }
+  const obs::MetricsSnapshot stream = stream_registry.snapshot();
+  EXPECT_EQ(stream.counter_or("serve.stream.calls"), 1u);
+  EXPECT_EQ(names_with_prefix(stream, "sim.dispatch."), 0u);
+  ASSERT_EQ(stream_tracer.size(), 1u);
+  EXPECT_EQ(stream_tracer.events()[0].name, "serve_stream");
 }
 
 TEST(ObsIntegration, ThreadPoolRecordsQueueAndTaskMetrics) {

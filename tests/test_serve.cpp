@@ -13,6 +13,7 @@
 
 #include "algo/dispatch_policies.hpp"
 #include "check/invariants.hpp"
+#include "check/reference_dispatcher.hpp"
 #include "core/instance.hpp"
 #include "core/placement.hpp"
 #include "core/realization.hpp"
@@ -213,9 +214,11 @@ void expect_bit_identical(const StreamingDispatchResult& serve,
 
 TEST(ServeDrainParity, TwoHundredSeedsBitExact) {
   // The acceptance contract: with every arrival at t = 0 the streaming
-  // dispatcher IS dispatch_online -- same machines, same floating-point
-  // start/finish arithmetic, same trace order -- across 200 randomized
-  // (workload, placement, speeds, initial_ready) draws.
+  // dispatcher makes the offline decisions -- same machines, same
+  // floating-point start/finish arithmetic, same trace order -- across 200
+  // randomized (workload, placement, speeds, initial_ready) draws. Drain
+  // mode is the loop dispatch_online runs, so the comparison is against
+  // the independent pre-rewrite oracle.
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     WorkloadParams wp;
     wp.num_tasks = 40 + (seed % 7) * 25;
@@ -255,7 +258,7 @@ TEST(ServeDrainParity, TwoHundredSeedsBitExact) {
     const StreamingDispatchResult drained =
         serve_stream(instance, placement, actual, priority, zeros,
                      initial_ready, speeds);
-    const DispatchResult offline = dispatch_online(
+    const DispatchResult offline = check::reference_dispatch_online(
         instance, placement, actual, priority, initial_ready, speeds);
     expect_bit_identical(drained, offline, n);
     EXPECT_EQ(drained.peak_backlog, n) << "seed " << seed;

@@ -1,8 +1,10 @@
-// Tests for the DES core (EventQueue/Simulator), MachinePool, and the
-// online semi-clairvoyant dispatcher.
+// Tests for the event queue, the machine ready heap, the shared dispatch
+// kernel and the online semi-clairvoyant dispatcher.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,10 +15,13 @@
 #include "core/placement.hpp"
 #include "core/realization.hpp"
 #include "core/validate.hpp"
+#include "sim/arena.hpp"
+#include "sim/dispatch_kernel.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/machine_pool.hpp"
 #include "sim/online_dispatcher.hpp"
+#include "sim/ready_heap.hpp"
 #include "sim/trace.hpp"
+#include "sim/workspace.hpp"
 
 namespace rdp {
 namespace {
@@ -33,104 +38,154 @@ TEST(EventQueue, OrdersByTimeThenFifo) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(Simulator, RunsEventsInOrderAndAdvancesClock) {
-  Simulator sim;
-  std::string log;
-  sim.schedule_at(5.0, [&](Simulator& s) {
-    log += "b";
-    EXPECT_DOUBLE_EQ(s.now(), 5.0);
-  });
-  sim.schedule_at(1.0, [&](Simulator& s) {
-    log += "a";
-    s.schedule_in(1.5, [&](Simulator&) { log += "c"; });
-  });
-  const Time end = sim.run();
-  EXPECT_EQ(log, "acb");
-  EXPECT_DOUBLE_EQ(end, 5.0);
-  EXPECT_EQ(sim.events_processed(), 3u);
+TEST(ReadyHeap, TopPrefersEarliestThenLowestId) {
+  MonotonicArena arena;
+  ReadyHeap heap;
+  const std::vector<Time> ready{3.0, 1.0, 1.0};
+  heap.init(arena, 3, ready);
+  EXPECT_EQ(heap.top(), MachineId{1});
+  EXPECT_DOUBLE_EQ(heap.top_ready(), 1.0);
+  heap.occupy_top(5.0);  // machine 1 busy until 6
+  EXPECT_EQ(heap.top(), MachineId{2});
+  heap.occupy_top(1.0);  // machine 2 busy until 2; machine 0 (3.0) is later
+  EXPECT_EQ(heap.top(), MachineId{2});
+  EXPECT_DOUBLE_EQ(heap.top_ready(), 2.0);
 }
 
-TEST(Simulator, RejectsSchedulingInThePast) {
-  Simulator sim;
-  sim.schedule_at(2.0, [](Simulator& s) {
-    EXPECT_THROW(s.schedule_at(1.0, [](Simulator&) {}), std::invalid_argument);
-  });
-  sim.run();
-}
-
-TEST(MachinePool, NextIdlePrefersEarliestThenLowestId) {
-  MachinePool pool(std::vector<Time>{3.0, 1.0, 1.0});
-  EXPECT_EQ(pool.next_idle(), MachineId{1});
-  pool.occupy(1, 5.0);  // busy until 6
-  EXPECT_EQ(pool.next_idle(), MachineId{2});
-}
-
-TEST(MachinePool, OccupyReturnsInterval) {
-  MachinePool pool(2);
-  const auto [s, f] = pool.occupy(0, 2.5);
+TEST(ReadyHeap, OccupyTopReturnsInterval) {
+  MonotonicArena arena;
+  ReadyHeap heap;
+  heap.init(arena, 1, {});
+  const auto [s, f] = heap.occupy_top(2.5);
   EXPECT_DOUBLE_EQ(s, 0.0);
   EXPECT_DOUBLE_EQ(f, 2.5);
-  const auto [s2, f2] = pool.occupy(0, 1.0);
+  const auto [s2, f2] = heap.occupy_top(1.0);
   EXPECT_DOUBLE_EQ(s2, 2.5);
   EXPECT_DOUBLE_EQ(f2, 3.5);
+  EXPECT_DOUBLE_EQ(heap.top_ready(), 3.5);
 }
 
-TEST(MachinePool, RetiredMachinesAreSkipped) {
-  MachinePool pool(2);
-  pool.retire(0);
-  EXPECT_EQ(pool.next_idle(), MachineId{1});
-  pool.retire(1);
-  EXPECT_FALSE(pool.next_idle().has_value());
-  EXPECT_THROW(pool.occupy(0, 1.0), std::invalid_argument);
+TEST(ReadyHeap, RetiredMachinesAreSkipped) {
+  MonotonicArena arena;
+  ReadyHeap heap;
+  heap.init(arena, 2, {});
+  heap.retire_top();  // machine 0
+  ASSERT_FALSE(heap.empty());
+  EXPECT_EQ(heap.top(), MachineId{1});
+  heap.retire_top();
+  EXPECT_TRUE(heap.empty());
 }
 
-// Satellite regression: the lazy heap used to push one entry per occupy()
-// and never evict stale ones, so a long streaming run grew the heap
-// without bound. Compaction now rebuilds once stale entries outnumber
-// live ones, pinning the heap to O(active machines).
-TEST(MachinePool, LazyHeapStaysBoundedUnderChurn) {
-  constexpr MachineId kMachines = 8;
-  MachinePool pool(kMachines);
-  for (int step = 0; step < 10000; ++step) {
-    const auto i = pool.next_idle();
-    ASSERT_TRUE(i.has_value());
-    pool.occupy(*i, 1.0 + static_cast<double>(step % 3));
-    // Live entries <= m, and compaction triggers before stale entries
-    // outnumber live ones, so the heap can never exceed 2m + 1.
-    EXPECT_LE(pool.heap_size(), 2u * kMachines + 1) << "at step " << step;
-  }
-  // Retirement churn must respect the same bound.
-  for (MachineId i = 0; i < kMachines; ++i) {
-    pool.retire(i);
-    EXPECT_LE(pool.heap_size(), 2u * kMachines + 1);
-    EXPECT_EQ(pool.next_idle().has_value(), i + 1 < kMachines);
-  }
+// push() is how the streaming dispatcher wakes a parked machine; a woken
+// machine competes on (ready, id) like any other.
+TEST(ReadyHeap, PushReinsertsARetiredMachine) {
+  MonotonicArena arena;
+  ReadyHeap heap;
+  heap.init(arena, 3, {});
+  heap.retire_top();      // machine 0 parks
+  heap.occupy_top(2.0);   // machine 1 busy until 2
+  heap.occupy_top(2.0);   // machine 2 busy until 2
+  heap.push(2.0, 0);      // machine 0 woken at 2: wins the tie on id
+  EXPECT_EQ(heap.top(), MachineId{0});
+  heap.occupy_top(1.0);
+  EXPECT_EQ(heap.top(), MachineId{1});
+  heap.retire_top();
+  heap.push(0.5, 1);      // an earlier ready time beats every id
+  EXPECT_EQ(heap.top(), MachineId{1});
+  EXPECT_DOUBLE_EQ(heap.top_ready(), 0.5);
 }
 
-TEST(MachinePool, SelectionOrderMatchesLinearScanOracle) {
-  // Enough churn to cross many compactions; every pick is checked against
-  // a naive min-(ready, id) scan over the same state.
-  MachinePool pool(4);
-  std::vector<Time> ready(4, 0.0);
-  for (int step = 0; step < 2000; ++step) {
-    MachineId expected = 0;
-    for (MachineId i = 1; i < 4; ++i) {
-      if (ready[i] < ready[expected]) expected = i;
+TEST(ReadyHeap, SelectionOrderMatchesLinearScanOracle) {
+  // Occupy, park and wake churn; every top is checked against a naive
+  // min-(ready, id) scan over the machines currently in the heap.
+  constexpr MachineId kMachines = 5;
+  MonotonicArena arena;
+  ReadyHeap heap;
+  std::vector<Time> ready{2.0, 0.0, 1.0, 0.0, 2.0};
+  std::vector<bool> in_heap(kMachines, true);
+  heap.init(arena, kMachines, ready);
+  std::vector<MachineId> parked;
+  for (int step = 0; step < 3000; ++step) {
+    std::optional<MachineId> expected;
+    for (MachineId i = 0; i < kMachines; ++i) {
+      if (in_heap[i] && (!expected || ready[i] < ready[*expected])) expected = i;
     }
-    const auto got = pool.next_idle();
-    ASSERT_TRUE(got.has_value());
-    ASSERT_EQ(*got, expected) << "divergence at step " << step;
-    const Time d = static_cast<double>(1 + (step * 7) % 5);
-    pool.occupy(expected, d);
-    ready[expected] += d;
+    ASSERT_EQ(heap.empty(), !expected.has_value()) << "at step " << step;
+    if (expected) {
+      ASSERT_EQ(heap.top(), *expected) << "divergence at step " << step;
+      ASSERT_DOUBLE_EQ(heap.top_ready(), ready[*expected]);
+    }
+    if (expected && step % 7 != 3) {
+      const Time d = static_cast<double>(1 + (step * 7) % 5);
+      heap.occupy_top(d);
+      ready[*expected] += d;
+    } else if (expected && step % 2 == 1) {
+      heap.retire_top();
+      in_heap[*expected] = false;
+      parked.push_back(*expected);
+    } else if (!parked.empty()) {
+      const MachineId woken = parked.back();
+      parked.pop_back();
+      ready[woken] = static_cast<double>(step % 11);
+      heap.push(ready[woken], woken);
+      in_heap[woken] = true;
+    }
   }
 }
 
-TEST(MachinePool, NegativeInputsRejected) {
-  EXPECT_THROW(MachinePool(std::vector<Time>{-1.0}), std::invalid_argument);
-  MachinePool pool(1);
-  EXPECT_THROW(pool.occupy(0, -1.0), std::invalid_argument);
-  EXPECT_THROW(pool.occupy(9, 1.0), std::out_of_range);
+TEST(DispatchKernel, DrainModeMatchesEveryTaskReleasedAtZero) {
+  const Instance inst = Instance::from_estimates(
+      {9.0, 7.0, 5.0, 5.0, 4.0, 3.0, 3.0, 2.0, 1.0, 1.0, 1.0, 0.5}, 4, 2.0);
+  const Placement p =
+      Placement::in_groups({0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1}, 2, 4);
+  const Realization r{{18.0, 3.5, 10.0, 2.5, 8.0, 1.5, 6.0, 1.0, 2.0, 0.5, 0.5, 1.0}};
+  const auto priority = make_priority(inst, PriorityRule::kLongestEstimateFirst);
+  const std::vector<Time> initial{0.0, 1.5, 0.0, 4.0};
+  const std::vector<double> speeds{1.0, 2.0, 1.0, 0.5};
+  const std::vector<Time> zeros(inst.num_tasks(), 0.0);
+
+  SimWorkspace ws;
+  Schedule drain_schedule;
+  DispatchTrace drain_trace;
+  const DispatchKernelStats drain =
+      run_dispatch_kernel("test", inst, p, r, priority, {}, initial, speeds, ws,
+                          drain_schedule, drain_trace);
+  Schedule zero_schedule;
+  DispatchTrace zero_trace;
+  const DispatchKernelStats zero =
+      run_dispatch_kernel("test", inst, p, r, priority, zeros, initial, speeds, ws,
+                          zero_schedule, zero_trace);
+
+  EXPECT_EQ(drain_schedule.assignment.machine_of, zero_schedule.assignment.machine_of);
+  EXPECT_EQ(drain_schedule.start, zero_schedule.start);
+  EXPECT_EQ(drain_schedule.finish, zero_schedule.finish);
+  ASSERT_EQ(drain_trace.size(), inst.num_tasks());
+  ASSERT_EQ(zero_trace.size(), drain_trace.size());
+  for (std::size_t k = 0; k < drain_trace.size(); ++k) {
+    EXPECT_EQ(drain_trace.events[k].task, zero_trace.events[k].task) << k;
+    EXPECT_EQ(drain_trace.events[k].machine, zero_trace.events[k].machine) << k;
+    EXPECT_EQ(drain_trace.events[k].when, zero_trace.events[k].when) << k;
+  }
+  EXPECT_EQ(drain.peak_backlog, inst.num_tasks());
+  EXPECT_EQ(zero.peak_backlog, inst.num_tasks());
+  EXPECT_EQ(drain.parks, zero.parks);
+  EXPECT_EQ(drain.wakes, 0u);
+}
+
+TEST(DispatchKernel, ErrorsNameTheCaller) {
+  const Instance inst = Instance::from_estimates({1.0, 2.0}, 2, 1.0);
+  const Placement p = Placement::everywhere(2, 2);
+  const Realization r = exact_realization(inst);
+  SimWorkspace ws;
+  Schedule schedule;
+  DispatchTrace trace;
+  try {
+    (void)run_dispatch_kernel("some_caller", inst, p, r, {0, 0}, {}, {}, {}, ws,
+                              schedule, trace);
+    FAIL() << "a repeated task in the priority was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("some_caller: ", 0), 0u) << e.what();
+  }
 }
 
 Instance five_tasks(MachineId m, double alpha = 1.5) {

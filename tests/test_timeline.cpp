@@ -1,9 +1,10 @@
-// Tests for the task-lifecycle flight recorder (obs/timeline.hpp), the
-// sliding-window telemetry primitives (obs/window.hpp), and the windowed
-// SLO engine (serve/slo.hpp). The windowed-quantile suite checks the
-// headline property against an exact order-statistic oracle: after the
-// ring rotates past a load change, the window summary reflects only the
-// new regime -- a cumulative histogram cannot forget.
+// Tests for the task-lifecycle flight recorder (obs/timeline.hpp) and
+// what an offline dispatch records into it, the sliding-window telemetry
+// primitives (obs/window.hpp), and the windowed SLO engine
+// (serve/slo.hpp). The windowed-quantile suite checks the headline
+// property against an exact order-statistic oracle: after the ring
+// rotates past a load change, the window summary reflects only the new
+// regime -- a cumulative histogram cannot forget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,12 +18,16 @@
 #include <thread>
 #include <vector>
 
+#include "core/instance.hpp"
+#include "core/placement.hpp"
+#include "core/realization.hpp"
 #include "core/schedule.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
 #include "obs/window.hpp"
 #include "serve/slo.hpp"
+#include "sim/online_dispatcher.hpp"
 
 namespace rdp {
 namespace {
@@ -173,6 +178,36 @@ TEST(Timeline, ScopeInstallsAndRestores) {
     EXPECT_EQ(obs::timeline(), &recorder);
   }
   EXPECT_EQ(obs::timeline(), nullptr);
+}
+
+// An offline run has no arrival process: dispatch_online records exactly
+// 2n events -- n kStart, then n kFinish, each in dispatch order -- and no
+// kArrive, although it runs the streaming loop in drain mode.
+TEST(Timeline, OfflineDispatchRecordsStartsAndFinishesOnly) {
+  const Instance inst = Instance::from_estimates({5.0, 4.0, 3.0, 2.0, 1.0, 1.0}, 3, 1.5);
+  const Placement p = Placement::everywhere(inst.num_tasks(), 3);
+  const Realization r = exact_realization(inst);
+  const std::vector<TaskId> priority = {0, 1, 2, 3, 4, 5};
+  TimelineRecorder recorder(64);
+  DispatchResult run;
+  {
+    obs::TimelineScope scope(&recorder);
+    run = dispatch_online(inst, p, r, priority);
+  }
+  const std::size_t n = inst.num_tasks();
+  ASSERT_EQ(recorder.size(), 2 * n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const DispatchEvent& e = run.trace.events[k];
+    const TimelineEvent start = recorder.event(k);
+    EXPECT_EQ(start.kind, TimelineEventKind::kStart);
+    EXPECT_EQ(start.task, e.task);
+    EXPECT_EQ(start.machine, e.machine);
+    EXPECT_EQ(start.when, e.when);
+    const TimelineEvent finish = recorder.event(n + k);
+    EXPECT_EQ(finish.kind, TimelineEventKind::kFinish);
+    EXPECT_EQ(finish.task, e.task);
+    EXPECT_EQ(finish.when, e.when + e.actual);
+  }
 }
 
 // --- WindowedHistogram -----------------------------------------------------
