@@ -1,16 +1,15 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <stdexcept>
-#include <vector>
 
 #include "io/json.hpp"
 
 namespace rdp::obs {
 
-Histogram::Histogram()
-    : buckets_(new std::atomic<std::uint64_t>[kNumBuckets]()) {}
+Histogram::Histogram() : buckets_(new std::uint64_t[kNumBuckets]()) {}
 
 std::size_t Histogram::bucket_index(double x) noexcept {
   if (!(x > 0.0)) return kNonPositive;  // also catches NaN
@@ -35,54 +34,61 @@ double Histogram::bucket_midpoint(std::size_t index) noexcept {
   return std::ldexp(0.5 + (sub + 0.5) / (2.0 * kSubBuckets), exp);
 }
 
+namespace {
+
+/// Neumaier step: folds `x` into the compensated pair (sum, compensation).
+void neumaier_add(double& sum, double& compensation, double x) noexcept {
+  const double t = sum + x;
+  if (std::abs(sum) >= std::abs(x)) {
+    compensation += (sum - t) + x;
+  } else {
+    compensation += (x - t) + sum;
+  }
+  sum = t;
+}
+
+}  // namespace
+
 void Histogram::observe(double x) noexcept {
-  buckets_[bucket_index(x)].fetch_add(1, std::memory_order_relaxed);
+  const std::size_t bucket = bucket_index(x);
   std::lock_guard lock(mutex_);
+  ++buckets_[bucket];
+  lo_ = std::min(lo_, bucket);
+  hi_ = std::max(hi_, bucket);
   welford_.add(x);
   // Neumaier-compensated sum: exact to ~1 ulp of the true sum regardless
   // of count (mean * count drifts once counts get large).
-  const double t = sum_ + x;
-  if (std::abs(sum_) >= std::abs(x)) {
-    sum_compensation_ += (sum_ - t) + x;
-  } else {
-    sum_compensation_ += (x - t) + sum_;
-  }
-  sum_ = t;
+  neumaier_add(sum_, sum_compensation_, x);
 }
 
-namespace {
-
-/// Nearest-rank quantile over a bucket-count snapshot. `targets` must be
-/// ascending; writes one estimate per target.
-void quantiles_from_buckets(
-    const std::vector<std::uint64_t>& counts, double min, double max,
-    const double* targets, double* out, std::size_t num_targets,
-    double (*midpoint)(std::size_t), std::size_t first_regular,
-    std::size_t overflow) {
+void Histogram::quantiles_locked(const double* targets, double* out,
+                                 std::size_t num_targets) const noexcept {
   std::uint64_t total = 0;
-  for (const std::uint64_t c : counts) total += c;
+  for (std::size_t b = lo_; b <= hi_; ++b) total += buckets_[b];
   if (total == 0) {
     for (std::size_t i = 0; i < num_targets; ++i) out[i] = 0.0;
     return;
   }
+  const double min = welford_.min();
+  const double max = welford_.max();
   std::uint64_t cumulative = 0;
-  std::size_t bucket = 0;
+  std::size_t bucket = lo_;
   for (std::size_t i = 0; i < num_targets; ++i) {
     auto rank = static_cast<std::uint64_t>(
         std::ceil(targets[i] * static_cast<double>(total)));
     if (rank < 1) rank = 1;
     if (rank > total) rank = total;
-    while (bucket < counts.size() && cumulative + counts[bucket] < rank) {
-      cumulative += counts[bucket];
+    while (bucket < hi_ && cumulative + buckets_[bucket] < rank) {
+      cumulative += buckets_[bucket];
       ++bucket;
     }
     double estimate;
-    if (bucket < first_regular) {
+    if (bucket < kFirstRegular) {
       estimate = min;  // non-positive / underflow: no log-linear midpoint
-    } else if (bucket >= overflow) {
+    } else if (bucket >= kOverflow) {
       estimate = max;
     } else {
-      estimate = midpoint(bucket);
+      estimate = bucket_midpoint(bucket);
     }
     if (estimate < min) estimate = min;
     if (estimate > max) estimate = max;
@@ -90,11 +96,10 @@ void quantiles_from_buckets(
   }
 }
 
-}  // namespace
-
 Histogram::Summary Histogram::summary() const noexcept {
   Summary s;
-  std::vector<std::uint64_t> counts(kNumBuckets);
+  const double targets[] = {0.50, 0.90, 0.99};
+  double estimates[3] = {0.0, 0.0, 0.0};
   {
     std::lock_guard lock(mutex_);
     s.count = welford_.count();
@@ -103,14 +108,8 @@ Histogram::Summary Histogram::summary() const noexcept {
     s.min = welford_.count() ? welford_.min() : 0.0;
     s.max = welford_.count() ? welford_.max() : 0.0;
     s.sum = sum_ + sum_compensation_;
-    for (std::size_t i = 0; i < kNumBuckets; ++i) {
-      counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    }
+    quantiles_locked(targets, estimates, 3);
   }
-  const double targets[] = {0.50, 0.90, 0.99};
-  double estimates[3] = {0.0, 0.0, 0.0};
-  quantiles_from_buckets(counts, s.min, s.max, targets, estimates, 3,
-                         &Histogram::bucket_midpoint, kFirstRegular, kOverflow);
   s.p50 = estimates[0];
   s.p90 = estimates[1];
   s.p99 = estimates[2];
@@ -119,42 +118,18 @@ Histogram::Summary Histogram::summary() const noexcept {
 
 void Histogram::merge(const Histogram& other) noexcept {
   if (this == &other) return;
-  // Snapshot the source under its lock, then fold under ours. Taking the
-  // two locks in sequence (never nested) cannot deadlock even if two
-  // threads merge in opposite directions concurrently -- though doing so
-  // would interleave partial states, hence the header's contract.
-  std::vector<std::uint64_t> counts(kNumBuckets);
-  Welford moments;
-  double sum = 0.0;
-  double compensation = 0.0;
-  {
-    std::lock_guard lock(other.mutex_);
-    moments = other.welford_;
-    sum = other.sum_;
-    compensation = other.sum_compensation_;
-    for (std::size_t i = 0; i < kNumBuckets; ++i) {
-      counts[i] = other.buckets_[i].load(std::memory_order_relaxed);
-    }
+  std::scoped_lock lock(mutex_, other.mutex_);
+  for (std::size_t b = other.lo_; b <= other.hi_; ++b) {
+    buckets_[b] += other.buckets_[b];
   }
-  std::lock_guard lock(mutex_);
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    if (counts[i] != 0) {
-      buckets_[i].fetch_add(counts[i], std::memory_order_relaxed);
-    }
-  }
-  welford_.merge(moments);
+  lo_ = std::min(lo_, other.lo_);
+  hi_ = std::max(hi_, other.hi_);
+  welford_.merge(other.welford_);
   // Two compensated sums combine into one by running Neumaier over the
   // other side's (sum, compensation) pair as if they were two samples:
   // the result keeps the error of both streams' totals to ~1 ulp.
-  for (const double x : {sum, compensation}) {
-    const double t = sum_ + x;
-    if (std::abs(sum_) >= std::abs(x)) {
-      sum_compensation_ += (sum_ - t) + x;
-    } else {
-      sum_compensation_ += (x - t) + sum_;
-    }
-    sum_ = t;
-  }
+  neumaier_add(sum_, sum_compensation_, other.sum_);
+  neumaier_add(sum_, sum_compensation_, other.sum_compensation_);
 }
 
 void Histogram::reset() noexcept {
@@ -162,28 +137,17 @@ void Histogram::reset() noexcept {
   welford_ = Welford{};
   sum_ = 0.0;
   sum_compensation_ = 0.0;
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
+  for (std::size_t b = lo_; b <= hi_; ++b) buckets_[b] = 0;
+  lo_ = kNumBuckets;
+  hi_ = 0;
 }
 
 double Histogram::quantile(double q) const noexcept {
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
-  std::vector<std::uint64_t> counts(kNumBuckets);
-  double min = 0.0;
-  double max = 0.0;
-  {
-    std::lock_guard lock(mutex_);
-    min = welford_.count() ? welford_.min() : 0.0;
-    max = welford_.count() ? welford_.max() : 0.0;
-    for (std::size_t i = 0; i < kNumBuckets; ++i) {
-      counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    }
-  }
   double estimate = 0.0;
-  quantiles_from_buckets(counts, min, max, &q, &estimate, 1,
-                         &Histogram::bucket_midpoint, kFirstRegular, kOverflow);
+  std::lock_guard lock(mutex_);
+  quantiles_locked(&q, &estimate, 1);
   return estimate;
 }
 

@@ -65,8 +65,10 @@ class Gauge {
 /// midpoint is within 1/(2*kSubBuckets) < 1% of every value it absorbs
 /// -- that is the documented relative-error bound on p50/p90/p99.
 ///
-/// Thread-safe: the moment accumulators take a short mutex; the bucket
-/// counters are lock-free relaxed atomics.
+/// Thread-safe: one short mutex guards the moments, the bucket counters
+/// and the live range [lo_, hi_] of non-empty buckets. reset(), merge(),
+/// summary() and quantile() touch only that range, so a histogram that
+/// holds a few octaves costs a few hundred buckets per call, not 4099.
 class Histogram {
  public:
   /// Linear subdivisions per power of two. 64 gives a worst-case
@@ -107,7 +109,8 @@ class Histogram {
   /// the merged sum() stays exactly compensated. The result summarizes
   /// the union of both sample streams -- the rollup primitive behind
   /// WindowedHistogram (obs/window.hpp) and sweep aggregation. Both
-  /// histograms' locks are taken (this first), so never merge two
+  /// histograms' locks are held together (std::scoped_lock), so `other`
+  /// is folded as one consistent snapshot; still, never merge two
   /// histograms into each other concurrently.
   void merge(const Histogram& other) noexcept;
 
@@ -129,11 +132,18 @@ class Histogram {
   [[nodiscard]] static std::size_t bucket_index(double x) noexcept;
   [[nodiscard]] static double bucket_midpoint(std::size_t index) noexcept;
 
+  /// Nearest-rank estimates for ascending `targets` over the live range.
+  /// Caller holds mutex_.
+  void quantiles_locked(const double* targets, double* out,
+                        std::size_t num_targets) const noexcept;
+
   mutable std::mutex mutex_;
   Welford welford_;
   double sum_ = 0.0;              // Neumaier-compensated running sum
   double sum_compensation_ = 0.0;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
+  std::unique_ptr<std::uint64_t[]> buckets_;
+  std::size_t lo_ = kNumBuckets;  // live range [lo_, hi_]; empty: lo_ > hi_
+  std::size_t hi_ = 0;
 };
 
 /// A point-in-time copy of every metric in a registry, detached from the

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
@@ -299,6 +301,154 @@ TEST(HistogramMerge, ResetForgetsSamplesButStaysUsable) {
   EXPECT_EQ(s.count, 1u);
   EXPECT_DOUBLE_EQ(s.min, 5.0);
   EXPECT_DOUBLE_EQ(s.max, 5.0);
+}
+
+// --- Live bucket range (reset/merge/summary touch only non-empty buckets) --
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_same_summary(const obs::Histogram::Summary& a,
+                         const obs::Histogram::Summary& b) {
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(bits(a.mean), bits(b.mean));
+  EXPECT_EQ(bits(a.stddev), bits(b.stddev));
+  EXPECT_EQ(bits(a.min), bits(b.min));
+  EXPECT_EQ(bits(a.max), bits(b.max));
+  EXPECT_EQ(bits(a.sum), bits(b.sum));
+  EXPECT_EQ(bits(a.p50), bits(b.p50));
+  EXPECT_EQ(bits(a.p90), bits(b.p90));
+  EXPECT_EQ(bits(a.p99), bits(b.p99));
+}
+
+// Quantiles depend only on bucket counts and the observed extremes, so a
+// merge must reproduce the union's estimate exactly at every q.
+void expect_same_quantiles(const obs::Histogram& a, const obs::Histogram& b) {
+  for (int i = 0; i <= 200; ++i) {
+    const double q = static_cast<double>(i) / 200.0;
+    EXPECT_EQ(bits(a.quantile(q)), bits(b.quantile(q))) << "q=" << q;
+  }
+}
+
+TEST(HistogramLiveRange, ResetThenObserveInDisjointOctave) {
+  obs::Histogram h;
+  obs::Histogram fresh;
+  for (int i = 0; i < 500; ++i) h.observe(1000.0 + static_cast<double>(i));
+  h.reset();
+  for (int i = 0; i < 300; ++i) {
+    const double v = 0.001 * (1.0 + static_cast<double>(i) / 300.0);
+    h.observe(v);
+    fresh.observe(v);
+  }
+  expect_same_summary(h.summary(), fresh.summary());
+  expect_same_quantiles(h, fresh);
+  EXPECT_LT(h.quantile(1.0), 0.0021);
+  // Growing the range back over the old octave finds every bucket there
+  // empty: nothing from before the reset resurfaces.
+  for (int i = 0; i < 40; ++i) {
+    const double v = 0.001 * std::pow(1.5, i);
+    h.observe(v);
+    fresh.observe(v);
+  }
+  expect_same_summary(h.summary(), fresh.summary());
+  expect_same_quantiles(h, fresh);
+}
+
+TEST(HistogramLiveRange, MergeOfDisjointAndOverlappingRangesEqualsUnion) {
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> low(1.0, 2.0);
+  std::uniform_real_distribution<double> high(100.0, 200.0);
+  std::uniform_real_distribution<double> wide(1.0, 50.0);
+  std::uniform_real_distribution<double> wider(10.0, 500.0);
+  using Dist = std::uniform_real_distribution<double>;
+  for (const auto& [da, db] : {std::pair<Dist*, Dist*>{&low, &high},
+                               std::pair<Dist*, Dist*>{&high, &low},
+                               std::pair<Dist*, Dist*>{&wide, &wider}}) {
+    obs::Histogram a;
+    obs::Histogram b;
+    obs::Histogram both;
+    for (int i = 0; i < 700; ++i) {
+      const double v = (*da)(rng);
+      a.observe(v);
+      both.observe(v);
+    }
+    for (int i = 0; i < 400; ++i) {
+      const double v = (*db)(rng);
+      b.observe(v);
+      both.observe(v);
+    }
+    a.merge(b);
+    EXPECT_EQ(a.summary().count, both.summary().count);
+    EXPECT_EQ(bits(a.summary().min), bits(both.summary().min));
+    EXPECT_EQ(bits(a.summary().max), bits(both.summary().max));
+    expect_same_quantiles(a, both);
+  }
+}
+
+TEST(HistogramLiveRange, EdgeBucketsNonPositiveUnderflowAndOverflow) {
+  // The range edges: bucket 0 (x <= 0), bucket 1 (underflow below
+  // 2^(kMinExp-1)) and the overflow bucket at the top.
+  obs::Histogram h;
+  obs::Histogram top;
+  for (const double v : {-3.0, 0.0, -0.0}) h.observe(v);
+  for (const double v : {1e-14, 2e-14}) h.observe(v);
+  for (const double v : {1e7, 5e8}) top.observe(v);
+  // No log-linear midpoint at the edges: the bottom two buckets report
+  // the observed min, the overflow bucket the observed max.
+  EXPECT_EQ(h.quantile(0.0), -3.0);
+  EXPECT_EQ(h.quantile(1.0), -3.0);
+  EXPECT_EQ(top.quantile(0.0), 5e8);
+  EXPECT_EQ(top.quantile(1.0), 5e8);
+  obs::Histogram both;
+  for (const double v : {-3.0, 0.0, -0.0, 1e-14, 2e-14, 1e7, 5e8}) both.observe(v);
+  h.merge(top);
+  expect_same_quantiles(h, both);
+  EXPECT_EQ(h.summary().count, 7u);
+  EXPECT_EQ(h.quantile(0.0), -3.0);
+  EXPECT_EQ(h.quantile(1.0), 5e8);
+  // Clearing both edges leaves a histogram that tracks a mid-range value.
+  h.reset();
+  h.observe(3.0);
+  EXPECT_EQ(h.quantile(0.0), 3.0);
+  EXPECT_EQ(h.quantile(1.0), 3.0);
+}
+
+TEST(HistogramLiveRange, SummaryAfterResetIsEmpty) {
+  obs::Histogram h;
+  for (const double v : {-1.0, 1e-20, 4.0, 1e12}) h.observe(v);
+  h.reset();
+  expect_same_summary(h.summary(), obs::Histogram{}.summary());
+  EXPECT_EQ(bits(h.quantile(0.5)), bits(0.0));
+  obs::Histogram target;
+  target.merge(h);  // an emptied histogram merges as the identity
+  expect_same_summary(target.summary(), obs::Histogram{}.summary());
+}
+
+TEST(HistogramLiveRange, ConcurrentObserveKeepsCountsAndQuantilesExact) {
+  // Bucket counts are order-independent, so however the threads
+  // interleave, count and every quantile match a serial histogram fed
+  // the same multiset.
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  obs::Histogram shared;
+  obs::Histogram serial;
+  const auto value = [](int t, int i) {
+    return std::ldexp(1.0 + static_cast<double>(i % 97) / 97.0, t * 3 - 4 + i % 5);
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&shared, &value, t] {
+      for (int i = 0; i < kPerThread; ++i) shared.observe(value(t, i));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) serial.observe(value(t, i));
+  }
+  const obs::Histogram::Summary s = shared.summary();
+  EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(bits(s.min), bits(serial.summary().min));
+  EXPECT_EQ(bits(s.max), bits(serial.summary().max));
+  expect_same_quantiles(shared, serial);
 }
 
 TEST(Metrics, ReferencesAreStableAcrossLookups) {

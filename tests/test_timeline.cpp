@@ -8,14 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/instance.hpp"
@@ -507,6 +511,330 @@ TEST(SloEvaluate, UnsortedArrivalsMatchTheSortedRelabelling) {
   EXPECT_GT(a.violating_windows, 0u);
   EXPECT_EQ(a.violating_windows, b.violating_windows);
   EXPECT_EQ(a.sustained_violation, b.sustained_violation);
+}
+
+TEST(SloEvaluate, TaskFinishingAtHorizonIsAlwaysCounted) {
+  // 626.9999999999999 / 0.3 rounds to 2089.9999999999995, so
+  // floor(horizon / width) + 1 = 2090 windows, and the last one's
+  // t1 = 2089 * 0.3 + 0.3 is exactly the horizon. The final task arrives,
+  // starts and finishes at the horizon; the half-open [t0, t1) sweep
+  // would drop it unless the window count grows past the boundary.
+  const double horizon = 626.9999999999999;
+  const double width = 0.3;
+  ASSERT_EQ(std::floor(horizon / width), 2089.0);
+  ASSERT_EQ(2089.0 * width + width, horizon);
+  const std::size_t n = 10;
+  Schedule schedule;
+  schedule.assignment.machine_of.assign(n, 0);
+  schedule.start.resize(n);
+  schedule.finish.resize(n);
+  std::vector<Time> arrivals(n);
+  for (std::size_t j = 0; j + 1 < n; ++j) {
+    arrivals[j] = schedule.start[j] = 60.0 * static_cast<double>(j);
+    schedule.finish[j] = schedule.start[j] + 1.0;
+  }
+  arrivals[n - 1] = schedule.start[n - 1] = schedule.finish[n - 1] = horizon;
+  ASSERT_EQ(schedule.makespan(), horizon);
+  SloSpec spec;
+  spec.p99 = 10.0;
+  spec.window_seconds = width;
+  const SloReport report = evaluate_slo(schedule, arrivals, spec);
+  ASSERT_FALSE(report.windows.empty());
+  EXPECT_GT(report.windows.back().t1, horizon);
+  std::uint64_t started = 0;
+  for (const SloWindow& w : report.windows) started += w.queue_wait.count;
+  EXPECT_EQ(started, n);
+  EXPECT_EQ(report.windows.back().queue_wait.count, 1u);
+  EXPECT_GE(report.windows.back().response.count, 1u);
+  EXPECT_DOUBLE_EQ(report.windows.back().backlog_watermark, 1.0);
+}
+
+// --- SLO oracle: the two-sort evaluation the bucket order replaced ----------
+
+// evaluate_slo as it was written before the bucketed task order: both
+// orders come from std::sort with an indirect (time, id) comparator.
+// Gauge publishing is left out; everything in the report is kept.
+SloReport reference_evaluate_slo(const Schedule& schedule,
+                                 std::span<const Time> arrivals,
+                                 const SloSpec& spec) {
+  const std::size_t n = schedule.num_tasks();
+  SloReport report;
+  if (n == 0) return report;
+  const double horizon = schedule.makespan();
+  const double width = spec.window_seconds;
+  const std::size_t sustain = std::max<std::size_t>(spec.sustain, 1);
+  auto num_windows = static_cast<std::size_t>(std::floor(horizon / width)) + 1;
+  while (static_cast<double>(num_windows - 1) * width + width <= horizon) {
+    ++num_windows;
+  }
+  std::vector<TaskId> by_finish(n), by_start(n);
+  for (TaskId j = 0; j < n; ++j) by_finish[j] = by_start[j] = j;
+  const auto by = [](const std::vector<Time>& t) {
+    return [&t](TaskId a, TaskId b) { return t[a] != t[b] ? t[a] < t[b] : a < b; };
+  };
+  std::sort(by_finish.begin(), by_finish.end(), by(schedule.finish));
+  std::sort(by_start.begin(), by_start.end(), by(schedule.start));
+  std::vector<Time> arrive_sorted(arrivals.begin(), arrivals.end());
+  std::sort(arrive_sorted.begin(), arrive_sorted.end());
+
+  obs::WindowedHistogram response_window(width, std::max<std::size_t>(sustain - 1, 1));
+  obs::Histogram interval_wait;
+  std::size_t fin_cur = 0, start_cur = 0, arr_cur = 0;
+  std::int64_t backlog_now = 0;
+  std::size_t consecutive = 0;
+  for (std::size_t w = 0; w < num_windows; ++w) {
+    SloWindow win;
+    win.t0 = static_cast<double>(w) * width;
+    win.t1 = win.t0 + width;
+    interval_wait.reset();
+    double watermark = static_cast<double>(backlog_now);
+    while (fin_cur < n && schedule.finish[by_finish[fin_cur]] < win.t1) {
+      const TaskId j = by_finish[fin_cur++];
+      response_window.observe(schedule.finish[j], schedule.finish[j] - arrivals[j]);
+    }
+    while (arr_cur < n || start_cur < n) {
+      const double ta = arr_cur < n ? arrive_sorted[arr_cur] : kNoSloTarget;
+      const double ts =
+          start_cur < n ? schedule.start[by_start[start_cur]] : kNoSloTarget;
+      if (ta >= win.t1 && ts >= win.t1) break;
+      if (ta <= ts) {
+        ++arr_cur;
+        ++backlog_now;
+        watermark = std::max(watermark, static_cast<double>(backlog_now));
+      } else {
+        const TaskId j = by_start[start_cur++];
+        interval_wait.observe(schedule.start[j] - arrivals[j]);
+        --backlog_now;
+      }
+    }
+    win.response = response_window.window_summary(win.t0 + 0.5 * width);
+    win.queue_wait = interval_wait.summary();
+    win.backlog_watermark = watermark;
+    const bool quantile_bad =
+        win.response.count > 0 &&
+        ((spec.p50 != kNoSloTarget && win.response.p50 > spec.p50) ||
+         (spec.p90 != kNoSloTarget && win.response.p90 > spec.p90) ||
+         (spec.p99 != kNoSloTarget && win.response.p99 > spec.p99));
+    const bool backlog_bad =
+        spec.backlog != kNoSloTarget && win.backlog_watermark > spec.backlog;
+    win.violated = quantile_bad || backlog_bad;
+    if (win.violated) {
+      ++report.violating_windows;
+      report.max_consecutive_violations =
+          std::max(report.max_consecutive_violations, ++consecutive);
+    } else {
+      consecutive = 0;
+    }
+    report.windows.push_back(win);
+  }
+  report.burn_rate = static_cast<double>(report.violating_windows) /
+                     static_cast<double>(report.windows.size());
+  report.sustained_violation = report.max_consecutive_violations >= sustain;
+  return report;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_bitwise_equal(const obs::Histogram::Summary& a,
+                          const obs::Histogram::Summary& b, const std::string& where) {
+  EXPECT_EQ(a.count, b.count) << where;
+  for (const auto field : {&obs::Histogram::Summary::mean, &obs::Histogram::Summary::stddev,
+                           &obs::Histogram::Summary::min, &obs::Histogram::Summary::max,
+                           &obs::Histogram::Summary::sum, &obs::Histogram::Summary::p50,
+                           &obs::Histogram::Summary::p90, &obs::Histogram::Summary::p99}) {
+    EXPECT_EQ(bits(a.*field), bits(b.*field)) << where;
+  }
+}
+
+void expect_reports_bitwise_equal(const SloReport& got, const SloReport& want,
+                                  const std::string& where) {
+  ASSERT_EQ(got.windows.size(), want.windows.size()) << where;
+  for (std::size_t w = 0; w < want.windows.size(); ++w) {
+    const SloWindow& a = got.windows[w];
+    const SloWindow& b = want.windows[w];
+    const std::string at = where + " window " + std::to_string(w);
+    EXPECT_EQ(bits(a.t0), bits(b.t0)) << at;
+    EXPECT_EQ(bits(a.t1), bits(b.t1)) << at;
+    expect_bitwise_equal(a.response, b.response, at + " response");
+    expect_bitwise_equal(a.queue_wait, b.queue_wait, at + " queue_wait");
+    EXPECT_EQ(bits(a.backlog_watermark), bits(b.backlog_watermark)) << at;
+    EXPECT_EQ(a.violated, b.violated) << at;
+  }
+  EXPECT_EQ(got.violating_windows, want.violating_windows) << where;
+  EXPECT_EQ(got.max_consecutive_violations, want.max_consecutive_violations) << where;
+  EXPECT_EQ(bits(got.burn_rate), bits(want.burn_rate)) << where;
+  EXPECT_EQ(got.sustained_violation, want.sustained_violation) << where;
+}
+
+// A randomized schedule: arrival, wait and service per task, drawn so
+// that zero waits and zero services occur. evaluate_slo reads only the
+// times, so every task sits on machine 0. `grain` > 0 rounds every time
+// onto a grid (heavy ties); `shuffle_arrivals` permutes the task ids so
+// the arrivals come unsorted.
+Schedule random_slo_schedule(std::mt19937_64& rng, std::size_t n, double grain,
+                             bool shuffle_arrivals, std::vector<Time>* arrivals) {
+  std::exponential_distribution<double> gap(1.0);
+  std::exponential_distribution<double> service(0.4);
+  std::bernoulli_distribution instant(0.2);
+  const auto snap = [grain](double t) {
+    return grain > 0.0 ? std::round(t / grain) * grain : t;
+  };
+  Schedule s;
+  s.assignment.machine_of.assign(n, 0);
+  s.start.resize(n);
+  s.finish.resize(n);
+  arrivals->resize(n);
+  double t = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    t += gap(rng);
+    (*arrivals)[j] = snap(t);
+    s.start[j] = instant(rng) ? (*arrivals)[j] : snap((*arrivals)[j] + service(rng));
+    s.finish[j] = instant(rng) ? s.start[j] : snap(s.start[j] + service(rng));
+  }
+  if (shuffle_arrivals) {
+    std::vector<std::size_t> perm(n);
+    for (std::size_t j = 0; j < n; ++j) perm[j] = j;
+    std::shuffle(perm.begin(), perm.end(), rng);
+    Schedule shuffled = s;
+    std::vector<Time> moved(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      moved[j] = (*arrivals)[perm[j]];
+      shuffled.start[j] = s.start[perm[j]];
+      shuffled.finish[j] = s.finish[perm[j]];
+    }
+    *arrivals = std::move(moved);
+    return shuffled;
+  }
+  return s;
+}
+
+TEST(SloEvaluate, MatchesTwoSortReferenceBitwise) {
+  std::mt19937_64 rng(20261017);
+  const double widths[] = {0.3, 7.3, 1.0 / 3.0, 1.0, 0.25, 2.5};
+  const double grains[] = {0.0, 0.0, 0.5, 0.25, 1.0 / 3.0};
+  for (int trial = 0; trial < 120; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(rng() % 400);
+    std::vector<Time> arrivals;
+    const Schedule schedule =
+        random_slo_schedule(rng, n, grains[trial % 5], trial % 3 == 0, &arrivals);
+    SloSpec spec;
+    spec.p99 = 3.0;
+    spec.p50 = 1.5;
+    spec.backlog = 4.0;
+    spec.window_seconds = widths[trial % 6];
+    spec.sustain = 1 + static_cast<std::size_t>(trial % 4);
+    expect_reports_bitwise_equal(evaluate_slo(schedule, arrivals, spec),
+                                 reference_evaluate_slo(schedule, arrivals, spec),
+                                 "trial " + std::to_string(trial));
+  }
+}
+
+TEST(SloEvaluate, MatchesTwoSortReferenceOnDegenerateTimes) {
+  SloSpec spec;
+  spec.p99 = 0.5;
+  spec.backlog = 2.0;
+  spec.window_seconds = 0.3;
+  const std::size_t n = 64;
+  Schedule schedule;
+  schedule.assignment.machine_of.assign(n, 0);
+  std::vector<Time> arrivals(n);
+  // Everything at t = 0, with -0.0 mixed in: one bucket, ties on id only.
+  schedule.start.assign(n, 0.0);
+  schedule.finish.assign(n, 0.0);
+  for (std::size_t j = 0; j < n; j += 3) {
+    arrivals[j] = -0.0;
+    schedule.start[j] = -0.0;
+    schedule.finish[j] = j % 2 ? -0.0 : 0.0;
+  }
+  expect_reports_bitwise_equal(evaluate_slo(schedule, arrivals, spec),
+                               reference_evaluate_slo(schedule, arrivals, spec),
+                               "all zero");
+  // All-equal positive times, arrivals descending (the unsorted-trace path).
+  for (std::size_t j = 0; j < n; ++j) {
+    arrivals[j] = static_cast<double>(n - j) * 0.01;
+    schedule.start[j] = 5.0;
+    schedule.finish[j] = 5.0;
+  }
+  expect_reports_bitwise_equal(evaluate_slo(schedule, arrivals, spec),
+                               reference_evaluate_slo(schedule, arrivals, spec),
+                               "all equal");
+  // Horizon on a window boundary that floor(horizon / width) misses, with
+  // several tasks tied at the makespan.
+  for (std::size_t j = 0; j < n; ++j) {
+    arrivals[j] = 9.0 * static_cast<double>(j);
+    schedule.start[j] = arrivals[j] + 0.5;
+    schedule.finish[j] = j + 4 >= n ? 626.9999999999999 : schedule.start[j] + 1.0;
+    if (j + 4 >= n) schedule.start[j] = 626.9999999999999;
+  }
+  expect_reports_bitwise_equal(evaluate_slo(schedule, arrivals, spec),
+                               reference_evaluate_slo(schedule, arrivals, spec),
+                               "horizon on boundary");
+  for (const auto& [width, horizon] :
+       {std::pair{7.3, 28243.699999999997}, std::pair{1.0 / 3.0, 83.66666666666666}}) {
+    spec.window_seconds = width;
+    for (std::size_t j = 0; j < n; ++j) {
+      arrivals[j] = horizon * static_cast<double>(j) / static_cast<double>(n);
+      schedule.start[j] = arrivals[j];
+      schedule.finish[j] = j + 1 == n ? horizon : arrivals[j] + width;
+    }
+    const SloReport got = evaluate_slo(schedule, arrivals, spec);
+    expect_reports_bitwise_equal(got, reference_evaluate_slo(schedule, arrivals, spec),
+                                 "width " + std::to_string(width));
+    std::uint64_t started = 0;
+    for (const SloWindow& w : got.windows) started += w.queue_wait.count;
+    EXPECT_EQ(started, n);
+  }
+}
+
+// --- order_by_time ---------------------------------------------------------
+
+std::vector<TaskId> stable_time_order(const std::vector<Time>& times) {
+  std::vector<TaskId> ids(times.size());
+  for (TaskId j = 0; j < ids.size(); ++j) ids[j] = j;
+  std::stable_sort(ids.begin(), ids.end(),
+                   [&](TaskId a, TaskId b) { return times[a] < times[b]; });
+  return ids;
+}
+
+TEST(SloOrder, MatchesStableSortOfTimeThenId) {
+  std::mt19937_64 rng(99);
+  std::vector<std::pair<Time, TaskId>> scratch;
+  std::uniform_real_distribution<double> uniform(0.0, 1000.0);
+  std::exponential_distribution<double> skewed(0.01);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = static_cast<std::size_t>(rng() % 3000);
+    std::vector<Time> times(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      switch (trial % 6) {
+        case 0: times[j] = uniform(rng); break;
+        case 1: times[j] = std::floor(uniform(rng) / 50.0);  break;  // heavy ties
+        case 2: times[j] = skewed(rng); break;                       // long tail
+        case 3: times[j] = rng() % 2 ? 0.0 : -0.0; break;            // signed zeros
+        case 4: times[j] = uniform(rng) - 500.0; break;              // negatives
+        default:  // a few clustered values and one far outlier
+          times[j] = j == n / 2 ? 1e300 : 1.0 + static_cast<double>(rng() % 4) * 1e-300;
+      }
+    }
+    EXPECT_EQ(order_by_time(times, scratch), stable_time_order(times))
+        << "trial " << trial << " n=" << n;
+  }
+}
+
+TEST(SloOrder, SubnormalInfiniteAndNanTimesStayWellDefined) {
+  std::vector<std::pair<Time, TaskId>> scratch;
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Time> ordered = {3.0 * tiny, tiny, 0.0, -tiny, 2.0 * tiny, tiny};
+  EXPECT_EQ(order_by_time(ordered, scratch), stable_time_order(ordered));
+  const std::vector<Time> with_inf = {5.0, inf, 1.0, -inf, 5.0, inf};
+  EXPECT_EQ(order_by_time(with_inf, scratch), stable_time_order(with_inf));
+  // NaN has no place in a (t, id) order; the result must still be a
+  // permutation of the ids, produced without an out-of-range bucket.
+  const std::vector<Time> with_nan = {2.0, std::nan(""), 1.0, std::nan(""), 0.5};
+  std::vector<TaskId> ids = order_by_time(with_nan, scratch);
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<TaskId>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(order_by_time({}, scratch).empty());
 }
 
 TEST(SloEvaluate, PublishesWindowGaugesWhenRegistryInstalled) {
