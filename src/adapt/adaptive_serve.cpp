@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/instance.hpp"
+#include "core/order.hpp"
 #include "core/realization.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
@@ -51,11 +52,7 @@ AdaptiveServeResult serve_adaptive(const Instance& instance,
 
   // Admission order: by release time, ties by task id (the order the
   // streaming dispatcher itself admits equal-time arrivals).
-  std::vector<TaskId> order(n);
-  std::iota(order.begin(), order.end(), TaskId{0});
-  std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-    return arrivals[a] < arrivals[b];
-  });
+  const std::vector<TaskId> order = order_by_time(arrivals, SortDirection::kAscending);
 
   const TaskClassifier classifier(instance, estimator->num_classes());
   const std::size_t num_classes = estimator->num_classes();

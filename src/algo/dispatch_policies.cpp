@@ -1,10 +1,12 @@
 #include "algo/dispatch_policies.hpp"
 
-#include <algorithm>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "algo/lpt.hpp"
 #include "core/instance.hpp"
+#include "core/order.hpp"
 #include "core/realization.hpp"
 
 namespace rdp {
@@ -19,24 +21,16 @@ std::string to_string(PriorityRule rule) {
 }
 
 std::vector<TaskId> make_priority(const Instance& instance, PriorityRule rule) {
-  const auto identity = [n = instance.num_tasks()] {
-    std::vector<TaskId> order(n);
-    for (TaskId j = 0; j < n; ++j) order[j] = j;
-    return order;
-  };
   switch (rule) {
-    case PriorityRule::kInputOrder:
-      return identity();
-    case PriorityRule::kLongestEstimateFirst:
-      return lpt_order(instance.estimates());
-    case PriorityRule::kShortestEstimateFirst: {
-      const auto estimates = instance.estimates();
-      std::vector<TaskId> order = identity();
-      std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-        return estimates[a] < estimates[b];
-      });
+    case PriorityRule::kInputOrder: {
+      std::vector<TaskId> order(instance.num_tasks());
+      std::iota(order.begin(), order.end(), TaskId{0});
       return order;
     }
+    case PriorityRule::kLongestEstimateFirst:
+      return lpt_order(instance.estimates());
+    case PriorityRule::kShortestEstimateFirst:
+      return order_by_time(instance.estimates(), SortDirection::kAscending);
   }
   throw std::invalid_argument("make_priority: unknown PriorityRule");
 }

@@ -1,16 +1,11 @@
 #include "algo/lpt.hpp"
 
-#include <algorithm>
+#include "core/order.hpp"
 
 namespace rdp {
 
 std::vector<TaskId> lpt_order(std::span<const Time> weights) {
-  std::vector<TaskId> order(weights.size());
-  for (TaskId j = 0; j < weights.size(); ++j) order[j] = j;
-  std::stable_sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-    return weights[a] > weights[b];
-  });
-  return order;
+  return order_by_time(weights, SortDirection::kDescending);
 }
 
 GreedyScheduleResult lpt_schedule(std::span<const Time> weights,

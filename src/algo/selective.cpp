@@ -48,7 +48,7 @@ Placement CriticalTasksPlacement::place(const Instance& instance) const {
   // pinned loads anticipate that critical tasks will flow online: we
   // schedule everything with LPT but only keep the assignment for the
   // pinned tasks.
-  const GreedyScheduleResult lpt = lpt_schedule(estimates, m);
+  const GreedyScheduleResult lpt = list_schedule(estimates, m, by_size);
 
   std::vector<std::vector<MachineId>> sets(n);
   const std::vector<MachineId> everywhere = all_machines(m);
@@ -77,7 +77,8 @@ Placement MemoryBudgetPlacement::place(const Instance& instance) const {
   const std::size_t n = instance.num_tasks();
   const MachineId m = instance.num_machines();
   const auto estimates = instance.estimates();
-  const GreedyScheduleResult lpt = lpt_schedule(estimates, m);
+  const std::vector<TaskId> by_size = lpt_order(estimates);
+  const GreedyScheduleResult lpt = list_schedule(estimates, m, by_size);
 
   std::vector<std::vector<MachineId>> sets(n);
   for (TaskId j = 0; j < n; ++j) sets[j] = {lpt.assignment[j]};
@@ -86,7 +87,7 @@ Placement MemoryBudgetPlacement::place(const Instance& instance) const {
   // the ones whose misprediction costs the most.
   double remaining = budget_;
   const std::vector<MachineId> everywhere = all_machines(m);
-  for (TaskId j : lpt_order(estimates)) {
+  for (TaskId j : by_size) {
     const double widen_cost = instance.size(j) * static_cast<double>(m - 1);
     if (widen_cost <= 0.0) {
       sets[j] = everywhere;  // free to replicate

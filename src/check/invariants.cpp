@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "core/instance.hpp"
+#include "core/order.hpp"
 #include "core/placement.hpp"
 #include "core/realization.hpp"
 #include "core/schedule.hpp"
@@ -147,16 +148,11 @@ std::vector<Violation> check_invariants(const Instance& instance,
     return out;  // overlap / bound checks would read garbage
   }
 
-  // -- No overlap on any machine --------------------------------------
-  const auto per_machine = schedule.assignment.tasks_per_machine(m);
+  // -- No overlap on any machine: tasks in (start, id) order ----------
+  const auto per_machine = schedule.assignment.tasks_per_machine(
+      m, order_by_time(schedule.start, SortDirection::kAscending));
   for (MachineId i = 0; i < m; ++i) {
-    std::vector<TaskId> tasks = per_machine[i];
-    std::sort(tasks.begin(), tasks.end(), [&](TaskId a, TaskId b) {
-      if (schedule.start[a] != schedule.start[b]) {
-        return schedule.start[a] < schedule.start[b];
-      }
-      return a < b;
-    });
+    const std::vector<TaskId>& tasks = per_machine[i];
     for (std::size_t k = 1; k < tasks.size(); ++k) {
       const TaskId prev = tasks[k - 1];
       const TaskId cur = tasks[k];

@@ -5,9 +5,9 @@
 // explicitly, which SLP-vectorizes and pipelines even when it does not.
 //
 // Bit-exactness notes:
-//  * max_scan is safe to reorder: IEEE max of non-NaN values is
-//    associative and commutative, so the lane split returns the exact
-//    bits of the sequential loop.
+//  * max_scan (like a min scan) is safe to reorder: IEEE max of non-NaN
+//    values is associative and commutative, so the lane split returns
+//    the exact bits of the sequential loop.
 //  * sum_scan IS a reassociation -- its result may differ from the
 //    sequential sum in the last ulp. Callers that feed goldens use it
 //    deliberately and own the (regenerated) expectations.
@@ -21,37 +21,33 @@
 
 namespace rdp {
 
+/// Reduces `values` with `op` from `init` in four independent lanes,
+/// combined pairwise: op(op(l0, l1), op(l2, l3)).
+template <typename Op>
+[[nodiscard]] Time lane_scan(std::span<const Time> values, Time init, Op op) noexcept {
+  const std::size_t n = values.size();
+  const Time* const v = values.data();
+  Time l0 = init, l1 = init, l2 = init, l3 = init;
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    l0 = op(l0, v[k]);
+    l1 = op(l1, v[k + 1]);
+    l2 = op(l2, v[k + 2]);
+    l3 = op(l3, v[k + 3]);
+  }
+  for (; k < n; ++k) l0 = op(l0, v[k]);
+  return op(op(l0, l1), op(l2, l3));
+}
+
 /// Maximum over `values`, 0 when empty (loads and finish times are
 /// non-negative, so 0 is the identity the callers want).
 [[nodiscard]] inline Time max_scan(std::span<const Time> values) noexcept {
-  const std::size_t n = values.size();
-  const Time* const v = values.data();
-  Time m0 = 0, m1 = 0, m2 = 0, m3 = 0;
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    m0 = std::max(m0, v[k]);
-    m1 = std::max(m1, v[k + 1]);
-    m2 = std::max(m2, v[k + 2]);
-    m3 = std::max(m3, v[k + 3]);
-  }
-  for (; k < n; ++k) m0 = std::max(m0, v[k]);
-  return std::max(std::max(m0, m1), std::max(m2, m3));
+  return lane_scan(values, 0, [](Time a, Time b) { return std::max(a, b); });
 }
 
 /// Sum of `values` with four independent accumulators (pairwise combine).
 [[nodiscard]] inline Time sum_scan(std::span<const Time> values) noexcept {
-  const std::size_t n = values.size();
-  const Time* const v = values.data();
-  Time s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    s0 += v[k];
-    s1 += v[k + 1];
-    s2 += v[k + 2];
-    s3 += v[k + 3];
-  }
-  for (; k < n; ++k) s0 += v[k];
-  return (s0 + s1) + (s2 + s3);
+  return lane_scan(values, 0, [](Time a, Time b) { return a + b; });
 }
 
 }  // namespace rdp

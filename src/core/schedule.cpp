@@ -14,9 +14,10 @@ bool Assignment::complete() const noexcept {
 }
 
 std::vector<std::vector<TaskId>> Assignment::tasks_per_machine(
-    MachineId num_machines) const {
+    MachineId num_machines, std::span<const TaskId> order) const {
   std::vector<std::vector<TaskId>> out(num_machines);
-  for (TaskId j = 0; j < machine_of.size(); ++j) {
+  for (TaskId k = 0; k < machine_of.size(); ++k) {
+    const TaskId j = order.empty() ? k : order[k];
     const MachineId i = machine_of[j];
     if (i == kNoMachine) continue;
     if (i >= num_machines) {

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/types.hpp"
@@ -26,9 +27,9 @@ struct Assignment {
   [[nodiscard]] MachineId operator[](TaskId j) const { return machine_of.at(j); }
   [[nodiscard]] bool complete() const noexcept;
 
-  /// Task ids grouped by machine (the sets E_i of the paper).
+  /// Task ids grouped by machine (the sets E_i), each in `order` (empty = by id).
   [[nodiscard]] std::vector<std::vector<TaskId>> tasks_per_machine(
-      MachineId num_machines) const;
+      MachineId num_machines, std::span<const TaskId> order = {}) const;
 };
 
 /// A fully timed schedule. Invariants (checked by core/validate.hpp):

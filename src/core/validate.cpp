@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/instance.hpp"
+#include "core/order.hpp"
 #include "core/placement.hpp"
 #include "core/realization.hpp"
 #include "core/schedule.hpp"
@@ -95,14 +96,11 @@ std::string check_schedule(const Instance& instance, const Realization& realizat
       return os.str();
     }
   }
-  // Per-machine overlap / idle check.
-  const auto per_machine =
-      schedule.assignment.tasks_per_machine(instance.num_machines());
+  // Per-machine overlap / idle check, tasks in (start, id) order.
+  const auto per_machine = schedule.assignment.tasks_per_machine(
+      instance.num_machines(), order_by_time(schedule.start, SortDirection::kAscending));
   for (MachineId i = 0; i < instance.num_machines(); ++i) {
-    std::vector<TaskId> tasks = per_machine[i];
-    std::sort(tasks.begin(), tasks.end(), [&](TaskId a, TaskId b) {
-      return schedule.start[a] < schedule.start[b];
-    });
+    const std::vector<TaskId>& tasks = per_machine[i];
     Time cursor = 0;
     for (TaskId j : tasks) {
       if (schedule.start[j] < cursor - kTimeTolerance) {

@@ -141,8 +141,8 @@ BnbResult branch_and_bound_cmax(std::span<const Time> p, MachineId m,
   st.avg_bound = st.suffix_sum[0] / static_cast<double>(m);
   st.root_lb = makespan_lower_bound(sorted, m);
 
-  // LPT incumbent (indices in sorted space are just 0..n-1 in order).
-  const GreedyScheduleResult lpt = lpt_schedule(sorted, m);
+  // LPT incumbent: `sorted` is in LPT order already (indices 0..n-1).
+  const GreedyScheduleResult lpt = list_schedule(sorted, m);
   st.incumbent = lpt.makespan;
   for (std::size_t r = 0; r < sorted.size(); ++r) {
     st.best[r] = lpt.assignment.machine_of[r];

@@ -3,15 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <list>
 #include <map>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
+#include "core/order.hpp"
 #include "exact/certify_scale.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
@@ -38,19 +40,11 @@ struct Canonical {
 
 Canonical canonicalize(std::span<const Time> p) {
   Canonical c;
-  c.order.resize(p.size());
-  std::iota(c.order.begin(), c.order.end(), TaskId{0});
-  std::sort(c.order.begin(), c.order.end(), [&](TaskId a, TaskId b) {
-    return p[a] != p[b] ? p[a] > p[b] : a < b;
-  });
-  if (p.empty()) {
-    c.trivial = true;
-    return c;
-  }
-  c.scale = p[c.order.front()];
+  c.order = order_by_time(p, SortDirection::kDescending);
+  c.scale = p.empty() ? 0.0 : p[c.order.front()];
   if (!(c.scale > 0)) {
-    // All-zero (degenerate) or negative (domain violation) inputs bypass
-    // the cache and keep certified_cmax's own behaviour.
+    // Empty, all-zero (degenerate) or negative (domain violation) inputs
+    // bypass the cache and keep certified_cmax's own behaviour.
     c.trivial = true;
     return c;
   }
@@ -189,6 +183,11 @@ std::vector<CertifiedCmax> CertifyEngine::certify_batch(
     if (batch[i].m == 0) {
       throw std::invalid_argument("certify_batch: m must be >= 1");
     }
+    for (std::size_t j = 0; j < batch[i].p.size(); ++j) {
+      if (std::isfinite(batch[i].p[j])) continue;
+      throw std::invalid_argument("certify_batch: request " + std::to_string(i) +
+                                  " has a non-finite time at index " + std::to_string(j));
+    }
     canons[i] = canonicalize(batch[i].p);
     if (canons[i].trivial) {
       results[i] = certified_cmax(batch[i].p, batch[i].m, options.node_budget);
@@ -245,7 +244,6 @@ std::vector<CertifiedCmax> CertifyEngine::certify_batch(
       HsCertifyOptions hs;
       hs.precision_k = options.ptas_precision;
       hs.dp_state_budget = options.ptas_state_budget;
-      hs.assume_sorted = true;  // canonical values are sorted non-increasing
       slot.result = hs_certified_cmax(slot.key.values, slot.key.m, hs);
       ptas_solves.fetch_add(1, std::memory_order_relaxed);
       return;

@@ -97,7 +97,7 @@ class CertifyEngine {
   /// Certifies a batch: canonicalizes, dedups against the cache and
   /// within the batch, solves the unique remainder (in parallel when
   /// `options.pool` is set), and returns one result per request, in
-  /// request order. Throws std::invalid_argument on a request with m == 0.
+  /// request order. Throws std::invalid_argument on m == 0 or a NaN/inf time.
   [[nodiscard]] std::vector<CertifiedCmax> certify_batch(
       std::span<const CertifyRequest> batch, const CertifyOptions& options = {});
 

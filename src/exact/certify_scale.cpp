@@ -6,12 +6,12 @@
 #include <functional>
 #include <limits>
 #include <map>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "algo/lpt.hpp"
+#include "core/order.hpp"
 #include "core/scan.hpp"
 #include "exact/dual_approx.hpp"
 #include "exact/first_fit_tree.hpp"
@@ -303,20 +303,12 @@ CertifiedCmax hs_certified_cmax(std::span<const Time> p, MachineId m,
   }
 
   // Sorted non-increasing view; `order` maps sorted position -> original
-  // index (empty = identity). assume_sorted is verified, not trusted: a
-  // violation silently falls back to sorting so the bounds stay sound.
+  // index (empty = identity, for input already in LPT order).
   std::vector<Time> sorted_storage;
   std::vector<TaskId> order;
   std::span<const Time> sorted = p;
-  const bool presorted =
-      options.assume_sorted &&
-      std::is_sorted(p.begin(), p.end(), std::greater<Time>());
-  if (!presorted) {
-    order.resize(p.size());
-    std::iota(order.begin(), order.end(), TaskId{0});
-    std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-      return p[a] != p[b] ? p[a] > p[b] : a < b;
-    });
+  if (!std::is_sorted(p.begin(), p.end(), std::greater<Time>())) {
+    order = order_by_time(p, SortDirection::kDescending);
     sorted_storage.resize(p.size());
     for (std::size_t r = 0; r < p.size(); ++r) sorted_storage[r] = p[order[r]];
     sorted = sorted_storage;

@@ -44,9 +44,6 @@ struct HsCertifyOptions {
   std::size_t dp_state_budget = 200'000;
   /// Cap on enumerated bin configurations before the DP gives up.
   std::size_t config_budget = 50'000;
-  /// Set when `p` is already sorted non-increasing (e.g. CertifyEngine's
-  /// canonical values); skips the O(n log n) internal sort.
-  bool assume_sorted = false;
 };
 
 struct HsCertifyStats {

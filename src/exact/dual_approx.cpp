@@ -46,13 +46,12 @@ MultifitResult multifit_cmax(std::span<const Time> p, MachineId m,
 
   Time lo = makespan_lower_bound(p, m);
   result.certified_lower = lo;
-  const GreedyScheduleResult lpt = lpt_schedule(p, m);
+  // Sorted once: LPT and every bisection iteration reuse the order (and
+  // the first-fit tree), so an iteration costs O(n log m), allocation-free.
+  const std::vector<TaskId> order = lpt_order(p);
+  const GreedyScheduleResult lpt = list_schedule(p, m, order);
   Time hi = lpt.makespan;
   result.assignment = lpt.assignment;
-
-  // Sorted once here; every bisection iteration reuses the order and the
-  // first-fit tree, so an iteration costs O(n log m) with no allocation.
-  const std::vector<TaskId> order = lpt_order(p);
   FirstFitTree bins;
   Assignment candidate(p.size());
   Time highest_failed_cap = 0;

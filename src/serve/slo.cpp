@@ -4,7 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/scan.hpp"
+#include "core/order.hpp"
 #include "core/schedule.hpp"
 #include "obs/hooks.hpp"
 #include "obs/window.hpp"
@@ -82,65 +82,6 @@ SloSpec parse_slo_spec(const std::string& text) {
   return spec;
 }
 
-std::vector<TaskId> order_by_time(std::span<const Time> times,
-                                  std::vector<std::pair<Time, TaskId>>& scratch) {
-  // Bucket b = floor(t * n / max_t) is monotone in t, so concatenating
-  // the buckets, each stably sorted on t, yields the global (t, id)
-  // order. The output doubles as the bucket-count array until the ids
-  // are written back.
-  const std::size_t n = times.size();
-  std::vector<TaskId> out(n, TaskId{0});
-  if (n == 0) return out;
-  const Time max_t = max_scan(times);
-  const double scale =
-      max_t > 0.0 && std::isfinite(max_t) ? static_cast<double>(n) / max_t : 0.0;
-  const auto last = static_cast<double>(n - 1);
-  const auto bucket_of = [&](Time t) -> std::size_t {
-    // Clamp before the cast: a negative, NaN or >= n product would make
-    // the size_t conversion undefined.
-    const double x = t * scale;
-    if (!(x > 0.0)) return 0;
-    return x >= last ? n - 1 : static_cast<std::size_t>(x);
-  };
-  for (const Time t : times) ++out[bucket_of(t)];
-  TaskId offset = 0;
-  for (TaskId& slot : out) {
-    const TaskId count = slot;
-    slot = offset;
-    offset += count;
-  }
-  scratch.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    scratch[out[bucket_of(times[j])]++] = {times[j], static_cast<TaskId>(j)};
-  }
-  // out[b] is now the end of bucket b. Buckets are mostly 0-2 pairs:
-  // insertion sort (stable) for those, std::stable_sort for the rest.
-  const auto by_time = [](const std::pair<Time, TaskId>& a,
-                          const std::pair<Time, TaskId>& b) {
-    return a.first < b.first;
-  };
-  std::size_t begin = 0;
-  for (std::size_t b = 0; b < n; ++b) {
-    const std::size_t end = out[b];
-    if (end - begin > 32) {
-      std::stable_sort(scratch.begin() + static_cast<std::ptrdiff_t>(begin),
-                       scratch.begin() + static_cast<std::ptrdiff_t>(end), by_time);
-    } else {
-      for (std::size_t i = begin + 1; i < end; ++i) {
-        const std::pair<Time, TaskId> item = scratch[i];
-        std::size_t k = i;
-        for (; k > begin && by_time(item, scratch[k - 1]); --k) {
-          scratch[k] = scratch[k - 1];
-        }
-        scratch[k] = item;
-      }
-    }
-    begin = end;
-  }
-  for (std::size_t i = 0; i < n; ++i) out[i] = scratch[i].second;
-  return out;
-}
-
 SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
                        const SloSpec& spec) {
   const std::size_t n = schedule.num_tasks();
@@ -177,8 +118,8 @@ SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
   std::vector<TaskId> by_finish, by_start;
   {
     std::vector<std::pair<Time, TaskId>> scratch;
-    by_finish = order_by_time(schedule.finish, scratch);
-    by_start = order_by_time(schedule.start, scratch);
+    by_finish = order_by_time(schedule.finish, SortDirection::kAscending, &scratch);
+    by_start = order_by_time(schedule.start, SortDirection::kAscending, &scratch);
   }
   // Generated streams arrive non-decreasing already; only an unsorted
   // trace pays for a sorted copy.

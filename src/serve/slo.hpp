@@ -15,7 +15,6 @@
 #include <limits>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -74,16 +73,6 @@ struct SloReport {
   /// max_consecutive_violations >= spec.sustain: the page-worthy verdict.
   bool sustained_violation = false;
 };
-
-/// Ids 0..n-1 of `times` in ascending (times[id], id) order -- exactly
-/// what std::stable_sort of the ids on their time gives -- from one
-/// counting pass over ~n time buckets and a stable sort inside each
-/// bucket: O(n) for times spread over [0, max]. Degenerate inputs (all
-/// equal, negative, non-finite) collapse into few buckets and cost one
-/// stable sort. `scratch` is resized to n pairs; the caller decides
-/// when to free it.
-[[nodiscard]] std::vector<TaskId> order_by_time(
-    std::span<const Time> times, std::vector<std::pair<Time, TaskId>>& scratch);
 
 /// Evaluates `spec` over a completed streaming run. The response series
 /// is judged through a sliding window of `spec.sustain - 1` intervals

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "core/instance.hpp"
+#include "core/order.hpp"
 #include "core/placement.hpp"
 #include "core/realization.hpp"
 #include "core/schedule.hpp"
@@ -198,7 +199,7 @@ DispatchKernelStats run_dispatch_kernel(
   std::span<std::uint64_t> words;
   QueueBitmaps bitmaps;
   // Admission order: (arrival time, task id); empty = ascending id.
-  std::span<TaskId> order;
+  std::vector<TaskId> order;
   // Parked machines are out of the pool, idle with no admitted work but
   // more arrivals possible on their queues; an admission re-inserts one
   // ready at the arrival time. When every machine serves at most one
@@ -241,14 +242,7 @@ DispatchKernelStats run_dispatch_kernel(
                            arena.make_span<std::uint32_t>(num_queues, UINT32_MAX).data()};
     tail_pos = arena.allocate_span<std::uint32_t>(n);
 
-    if (!arrivals_sorted) {
-      order = arena.allocate_span<TaskId>(n);
-      for (TaskId j = 0; j < n; ++j) order[j] = j;
-      std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
-        if (arrivals[a] != arrivals[b]) return arrivals[a] < arrivals[b];
-        return a < b;
-      });
-    }
+    if (!arrivals_sorted) order = order_by_time(arrivals, SortDirection::kAscending);
 
     if (single_queue_machines) {
       parked_word_begin = arena.allocate_span<std::uint32_t>(num_queues + 1);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/instance.hpp"
+#include "core/order.hpp"
 #include "core/schedule.hpp"
 
 namespace rdp {
@@ -17,12 +18,10 @@ std::string render_gantt(const Instance& instance, const Schedule& schedule,
   if (horizon <= 0 || width <= 8) return "(empty schedule)\n";
   const double scale = static_cast<double>(width) / horizon;
 
-  const auto per_machine = schedule.assignment.tasks_per_machine(instance.num_machines());
+  const auto per_machine = schedule.assignment.tasks_per_machine(
+      instance.num_machines(), order_by_time(schedule.start, SortDirection::kAscending));
   for (MachineId i = 0; i < instance.num_machines(); ++i) {
-    std::vector<TaskId> tasks = per_machine[i];
-    std::sort(tasks.begin(), tasks.end(), [&](TaskId a, TaskId b) {
-      return schedule.start[a] < schedule.start[b];
-    });
+    const std::vector<TaskId>& tasks = per_machine[i];
     std::string row(static_cast<std::size_t>(width), '.');
     for (TaskId j : tasks) {
       auto from = static_cast<std::size_t>(std::floor(schedule.start[j] * scale));

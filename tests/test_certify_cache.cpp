@@ -4,13 +4,20 @@
 // counter accounting, LRU eviction, and concurrent access to one engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "exact/brute_force.hpp"
 #include "exact/certify.hpp"
+#include "exact/certify_scale.hpp"
 #include "parallel/thread_pool.hpp"
 #include "rng/distributions.hpp"
 #include "rng/rng.hpp"
@@ -227,6 +234,104 @@ TEST(CertifyCache, ZeroMachinesThrows) {
   CertifyEngine engine;
   const std::vector<Time> p = {1.0, 2.0};
   EXPECT_THROW((void)engine.certify(p, 0), std::invalid_argument);
+}
+
+TEST(CertifyCache, NonFiniteTimesThrowOnEveryRoute) {
+  // p[j] = 1 + (7j mod 11) with one bad entry: n = 5 and 40 route to
+  // branch-and-bound, n = 600 past ptas_threshold to Hochbaum-Shmoys, and
+  // m = 2 to the partition path. Each used to return a "proven" bracket
+  // (or an unrelated error) instead of rejecting the input.
+  const auto times = [](std::size_t n, Time bad) {
+    std::vector<Time> p(n);
+    for (std::size_t j = 0; j < n; ++j) p[j] = 1.0 + static_cast<double>(7 * j % 11);
+    p[n / 2] = bad;
+    return p;
+  };
+  const Time inf = std::numeric_limits<Time>::infinity();
+  CertifyEngine engine;
+  for (const Time bad : {std::nan(""), inf, -inf}) {
+    for (const auto& [n, m] : {std::pair<std::size_t, MachineId>{5, 3}, {40, 3},
+                               {600, 3}, {40, 2}}) {
+      const std::vector<Time> p = times(n, bad);
+      const std::vector<Time> good = times(n, 1.0);
+      const std::vector<CertifyRequest> batch = {{good, m}, {p, m}};
+      try {
+        (void)engine.certify_batch(batch);
+        ADD_FAILURE() << "n=" << n << " m=" << m << " bad=" << bad << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("request 1"), std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find("index " + std::to_string(n / 2)),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  EXPECT_EQ(engine.cache_stats().size, 0u);
+  // Negative entries are not rejected here: they keep the direct-solve
+  // path and whatever certified_cmax makes of them.
+  const std::vector<Time> negative = {-1.0, -2.0, -0.5};
+  EXPECT_NO_THROW((void)engine.certify(negative, 3));
+}
+
+// The engine before its canonical form went through order_by_time: ids
+// sorted by `p[a] != p[b] ? p[a] > p[b] : a < b`, the canonical values
+// solved cold (B&B, or HS past the threshold), then mapped back.
+CertifiedCmax comparator_reference_certify(std::span<const Time> p, MachineId m,
+                                           const CertifyOptions& options) {
+  std::vector<TaskId> order(p.size());
+  std::iota(order.begin(), order.end(), TaskId{0});
+  std::sort(order.begin(), order.end(), [&](TaskId a, TaskId b) {
+    return p[a] != p[b] ? p[a] > p[b] : a < b;
+  });
+  const Time scale = p[order.front()];
+  std::vector<Time> values(p.size());
+  for (std::size_t r = 0; r < p.size(); ++r) values[r] = p[order[r]] / scale;
+  CertifiedCmax canon;
+  if (options.ptas_threshold > 0 && p.size() > options.ptas_threshold) {
+    HsCertifyOptions hs;
+    hs.precision_k = options.ptas_precision;
+    hs.dp_state_budget = options.ptas_state_budget;
+    canon = hs_certified_cmax(values, m, hs);
+  } else {
+    canon = certified_cmax(values, m, options.node_budget);
+  }
+  CertifiedCmax out;
+  out.exact = canon.exact;
+  out.backend = canon.backend;
+  out.assignment = Assignment(p.size());
+  for (std::size_t r = 0; r < p.size(); ++r) {
+    out.assignment.machine_of[order[r]] = canon.assignment.machine_of[r];
+  }
+  out.upper = recomputed_makespan(out, p, m);
+  out.lower = canon.exact ? out.upper : std::min(canon.lower * scale, out.upper);
+  return out;
+}
+
+TEST(CertifyCache, MatchesComparatorCanonicalFormBitwise) {
+  Xoshiro256 rng(31);
+  CertifyOptions options;
+  options.node_budget = 20'000;
+  options.ptas_threshold = 32;
+  for (int trial = 0; trial < 60; ++trial) {
+    const bool hs = trial % 2 == 1;
+    const std::size_t n = hs ? 33 + rng.next_below(300) : 4 + rng.next_below(20);
+    const MachineId m = static_cast<MachineId>(2 + rng.next_below(4));
+    std::vector<Time> p(n);
+    for (Time& t : p) {
+      // Heavy ties (integers), signed zeros among positives, or uniform.
+      switch (trial % 3) {
+        case 0: t = static_cast<double>(1 + rng.next_below(6)); break;
+        case 1: t = rng.next_below(4) == 0 ? -0.0 : sample_uniform(rng, 0.5, 10.0); break;
+        default: t = sample_uniform(rng, 0.5, 10.0);
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial) + " n=" + std::to_string(n));
+    CertifyEngine engine(0);
+    const CertifiedCmax got = engine.certify(p, m, options);
+    const CertifiedCmax want = comparator_reference_certify(p, m, options);
+    expect_bitwise_equal(got, want);
+    EXPECT_EQ(got.backend, want.backend);
+  }
 }
 
 TEST(CertifyCache, WarmStartDisabledStillCorrect) {

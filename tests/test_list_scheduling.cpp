@@ -2,10 +2,20 @@
 // verified against the exact optimum on randomized instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "algo/dispatch_policies.hpp"
 #include "algo/list_scheduling.hpp"
 #include "algo/lpt.hpp"
+#include "core/instance.hpp"
 #include "exact/branch_and_bound.hpp"
 #include "rng/distributions.hpp"
 #include "rng/rng.hpp"
@@ -72,6 +82,55 @@ TEST(Lpt, OrderIsNonIncreasingAndStable) {
   const std::vector<Time> w = {1.0, 3.0, 2.0, 3.0};
   const std::vector<TaskId> order = lpt_order(w);
   EXPECT_EQ(order, (std::vector<TaskId>{1, 3, 2, 0}));
+}
+
+// The comparator sorts lpt_order and make_priority's SPT rule used to
+// run, kept as references: ids stably sorted on their weight, ties by id.
+std::vector<TaskId> comparator_order(std::span<const Time> w, bool descending) {
+  std::vector<TaskId> ids(w.size());
+  std::iota(ids.begin(), ids.end(), TaskId{0});
+  std::stable_sort(ids.begin(), ids.end(), [&](TaskId a, TaskId b) {
+    return descending ? w[a] > w[b] : w[a] < w[b];
+  });
+  return ids;
+}
+
+TEST(Lpt, OrdersAndScheduleMatchComparatorReference) {
+  Xoshiro256 rng(2024);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{33},
+                              std::size_t{1000}, std::size_t{50000}}) {
+    for (int shape = 0; shape < 6; ++shape) {
+      std::vector<Time> w(n);
+      for (Time& t : w) {
+        switch (shape) {
+          case 0: t = sample_uniform(rng, 1.0, 10.0); break;
+          case 1: t = static_cast<double>(1 + rng.next_below(8)); break;  // ties
+          case 2: t = std::min(1e4, sample_pareto(rng, 1.0, 1.1)); break;
+          case 3: t = tiny * static_cast<double>(1 + rng.next_below(4)); break;
+          case 4: t = rng.next_below(100) == 0 ? 1e300 : sample_uniform(rng, 1.0, 2.0);
+            break;
+          default:  // signed zeros and negatives: lpt_order only
+            t = rng.next_below(3) == 0 ? -0.0 : sample_uniform(rng, -5.0, 5.0);
+        }
+      }
+      SCOPED_TRACE("shape " + std::to_string(shape) + " n=" + std::to_string(n));
+      const std::vector<TaskId> lpt = comparator_order(w, true);
+      ASSERT_EQ(lpt_order(w), lpt);
+      if (shape == 5) continue;
+      const GreedyScheduleResult got = lpt_schedule(w, 7);
+      const GreedyScheduleResult want = list_schedule(w, 7, lpt);
+      EXPECT_EQ(got.assignment.machine_of, want.assignment.machine_of);
+      for (MachineId i = 0; i < 7; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.loads[i]),
+                  std::bit_cast<std::uint64_t>(want.loads[i]));
+      }
+      const Instance inst = Instance::from_estimates(w, 7, 1.5);
+      EXPECT_EQ(make_priority(inst, PriorityRule::kLongestEstimateFirst), lpt);
+      EXPECT_EQ(make_priority(inst, PriorityRule::kShortestEstimateFirst),
+                comparator_order(w, false));
+    }
+  }
 }
 
 TEST(Lpt, ClassicExample) {

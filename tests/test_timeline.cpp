@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/instance.hpp"
+#include "core/order.hpp"
 #include "core/placement.hpp"
 #include "core/realization.hpp"
 #include "core/schedule.hpp"
@@ -788,11 +789,23 @@ TEST(SloEvaluate, MatchesTwoSortReferenceOnDegenerateTimes) {
 
 // --- order_by_time ---------------------------------------------------------
 
-std::vector<TaskId> stable_time_order(const std::vector<Time>& times) {
+constexpr SortDirection kDirections[] = {SortDirection::kAscending,
+                                         SortDirection::kDescending};
+
+const char* direction_name(SortDirection direction) {
+  return direction == SortDirection::kAscending ? "ascending" : "descending";
+}
+
+// The comparator sort order_by_time replaces: ids stably sorted with `<`
+// (resp. `>`) on their time, so ties keep ascending id.
+std::vector<TaskId> stable_time_order(const std::vector<Time>& times,
+                                      SortDirection direction) {
   std::vector<TaskId> ids(times.size());
   for (TaskId j = 0; j < ids.size(); ++j) ids[j] = j;
-  std::stable_sort(ids.begin(), ids.end(),
-                   [&](TaskId a, TaskId b) { return times[a] < times[b]; });
+  std::stable_sort(ids.begin(), ids.end(), [&](TaskId a, TaskId b) {
+    return direction == SortDirection::kAscending ? times[a] < times[b]
+                                                  : times[a] > times[b];
+  });
   return ids;
 }
 
@@ -815,8 +828,42 @@ TEST(SloOrder, MatchesStableSortOfTimeThenId) {
           times[j] = j == n / 2 ? 1e300 : 1.0 + static_cast<double>(rng() % 4) * 1e-300;
       }
     }
-    EXPECT_EQ(order_by_time(times, scratch), stable_time_order(times))
-        << "trial " << trial << " n=" << n;
+    for (const SortDirection direction : kDirections) {
+      EXPECT_EQ(order_by_time(times, direction, &scratch),
+                stable_time_order(times, direction))
+          << direction_name(direction) << " trial " << trial << " n=" << n;
+    }
+  }
+}
+
+TEST(SloOrder, MatchesStableSortAcrossBucketSizesAndShapes) {
+  // Sizes straddle the 32-pair insertion-sort threshold (one bucket of
+  // 32 or 33 equal times) and reach 1e5, where integer-valued times
+  // fill buckets of thousands and Pareto(1.1) times pile into the first
+  // few. A subnormal range makes n / range overflow: one bucket.
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<std::pair<Time, TaskId>> scratch;
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (const std::size_t n : {std::size_t{31}, std::size_t{32}, std::size_t{33},
+                              std::size_t{1000}, std::size_t{100000}}) {
+    for (int shape = 0; shape < 5; ++shape) {
+      std::vector<Time> times(n);
+      for (Time& t : times) {
+        switch (shape) {
+          case 0: t = 4.5; break;                                      // all equal
+          case 1: t = std::floor(20.0 * unit(rng)); break;             // integers
+          case 2: t = std::min(1e4, std::pow(1.0 - unit(rng), -1.0 / 1.1)); break;
+          case 3: t = tiny * static_cast<double>(rng() % 5); break;    // subnormal
+          default: t = 1e-300 * static_cast<double>(rng() % 1000);     // tiny range
+        }
+      }
+      for (const SortDirection direction : kDirections) {
+        EXPECT_EQ(order_by_time(times, direction, &scratch),
+                  stable_time_order(times, direction))
+            << direction_name(direction) << " shape " << shape << " n=" << n;
+      }
+    }
   }
 }
 
@@ -825,16 +872,21 @@ TEST(SloOrder, SubnormalInfiniteAndNanTimesStayWellDefined) {
   const double tiny = std::numeric_limits<double>::denorm_min();
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<Time> ordered = {3.0 * tiny, tiny, 0.0, -tiny, 2.0 * tiny, tiny};
-  EXPECT_EQ(order_by_time(ordered, scratch), stable_time_order(ordered));
   const std::vector<Time> with_inf = {5.0, inf, 1.0, -inf, 5.0, inf};
-  EXPECT_EQ(order_by_time(with_inf, scratch), stable_time_order(with_inf));
   // NaN has no place in a (t, id) order; the result must still be a
   // permutation of the ids, produced without an out-of-range bucket.
   const std::vector<Time> with_nan = {2.0, std::nan(""), 1.0, std::nan(""), 0.5};
-  std::vector<TaskId> ids = order_by_time(with_nan, scratch);
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, (std::vector<TaskId>{0, 1, 2, 3, 4}));
-  EXPECT_TRUE(order_by_time({}, scratch).empty());
+  for (const SortDirection direction : kDirections) {
+    SCOPED_TRACE(direction_name(direction));
+    EXPECT_EQ(order_by_time(ordered, direction, &scratch),
+              stable_time_order(ordered, direction));
+    EXPECT_EQ(order_by_time(with_inf, direction, &scratch),
+              stable_time_order(with_inf, direction));
+    std::vector<TaskId> ids = order_by_time(with_nan, direction, &scratch);
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, (std::vector<TaskId>{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(order_by_time({}, direction, &scratch).empty());
+  }
 }
 
 TEST(SloEvaluate, PublishesWindowGaugesWhenRegistryInstalled) {
