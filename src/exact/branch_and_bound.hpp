@@ -1,5 +1,6 @@
 // Exact P||Cmax via depth-first branch-and-bound: LPT incumbent, analytic
-// lower bounds, dominance pruning, and machine-symmetry breaking. Solves
+// lower bounds, and one dominance rule -- equally loaded machines are
+// interchangeable, so a task branches onto only one of them. Solves
 // instances of a few dozen tasks in well under a second; a node budget
 // caps the worst case and downgrades the result to certified bounds.
 #pragma once
@@ -30,9 +31,15 @@ struct BnbWarmStart {
   const Assignment* assignment = nullptr;  ///< nullptr = no warm start
 };
 
+/// Throws std::invalid_argument, prefixed by `who`, naming the first index
+/// of `p` that holds NaN or +-inf. The exact solvers call it on entry: a
+/// non-finite time has no optimum to certify.
+void require_finite_times(std::span<const Time> p, const char* who);
+
 /// Solves (or bounds) min-makespan scheduling of `p` on `m` machines.
 /// `node_budget` caps the search; on exhaustion `proven` is false and
-/// [lower_bound, best] brackets the optimum.
+/// [lower_bound, best] brackets the optimum. Throws std::invalid_argument
+/// when m == 0 or a time is not finite.
 [[nodiscard]] BnbResult branch_and_bound_cmax(std::span<const Time> p, MachineId m,
                                               std::uint64_t node_budget = 20'000'000,
                                               const BnbWarmStart& warm = {});

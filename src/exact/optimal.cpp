@@ -14,6 +14,7 @@ namespace rdp {
 
 CertifiedCmax certified_cmax(std::span<const Time> p, MachineId m,
                              std::uint64_t node_budget, const BnbWarmStart& warm) {
+  require_finite_times(p, "certified_cmax");
   CertifiedCmax result;
   result.assignment = Assignment(p.size());
   if (p.empty()) {

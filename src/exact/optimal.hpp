@@ -43,7 +43,8 @@ struct CertifiedCmax {
 /// Computes a certified optimum bracket. `node_budget` bounds the
 /// branch-and-bound effort (0 disables B&B entirely and returns the
 /// heuristic bracket). `warm` optionally seeds the branch-and-bound
-/// incumbent (see BnbWarmStart); it can only tighten the result.
+/// incumbent (see BnbWarmStart); it can only tighten the result. Throws
+/// std::invalid_argument naming the first non-finite time in `p`.
 [[nodiscard]] CertifiedCmax certified_cmax(std::span<const Time> p, MachineId m,
                                            std::uint64_t node_budget = 5'000'000,
                                            const BnbWarmStart& warm = {});

@@ -3,8 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "algo/list_scheduling.hpp"
 #include "algo/lpt.hpp"
 #include "exact/branch_and_bound.hpp"
 #include "exact/brute_force.hpp"
@@ -197,6 +206,282 @@ TEST(BranchAndBound, DuplicateHeavyInstancesPruneSymmetry) {
   ASSERT_TRUE(r.proven);
   EXPECT_NEAR(r.best, bf.optimal, 1e-9);
   EXPECT_LE(r.nodes, 20'000u);
+}
+
+// ---------------------------------------------------- tree-parity oracle --
+//
+// The sort-per-node search that branch_and_bound_cmax replaced: at every
+// node it sorts all m machines by (load, index) and scans for the two
+// smallest loads. The production kernel keeps each depth's order
+// incrementally instead; the contract is that it visits the same tree, so
+// every BnbResult field matches this oracle bit for bit -- including on
+// budget exhaustion, negative or signed-zero times and any warm start.
+
+namespace oracle {
+
+constexpr double kEps = 1e-12;
+
+struct SearchState {
+  std::span<const Time> p;
+  MachineId m;
+  std::uint64_t node_budget;
+  std::uint64_t nodes = 0;
+  bool budget_exhausted = false;
+  Time incumbent = std::numeric_limits<Time>::infinity();
+  Time root_lb = 0;
+  Time avg_bound = 0;
+  std::vector<Time> loads;
+  std::vector<MachineId> current;
+  std::vector<MachineId> best;
+  std::vector<std::vector<MachineId>> machine_order;
+};
+
+void dfs(SearchState& st, TaskId j, Time max_load) {
+  if (st.budget_exhausted) return;
+  if (++st.nodes > st.node_budget) {
+    st.budget_exhausted = true;
+    return;
+  }
+  if (j == st.p.size()) {
+    if (max_load < st.incumbent - kEps) {
+      st.incumbent = max_load;
+      st.best = st.current;
+    }
+    return;
+  }
+  Time min1 = std::numeric_limits<Time>::infinity();
+  Time min2 = std::numeric_limits<Time>::infinity();
+  for (const Time l : st.loads) {
+    if (l < min1) {
+      min2 = min1;
+      min1 = l;
+    } else if (l < min2) {
+      min2 = l;
+    }
+  }
+  const Time pj = st.p[j];
+  Time lb = std::max(max_load, st.avg_bound);
+  if (j + 1 < st.p.size() && st.m >= 2) {
+    const Time same_bin = min1 + pj + st.p[j + 1];
+    const Time diff_bins = std::max(min1 + pj, min2 + st.p[j + 1]);
+    lb = std::max(lb, std::min(same_bin, diff_bins));
+  } else {
+    lb = std::max(lb, min1 + pj);
+  }
+  if (lb >= st.incumbent - kEps) return;
+
+  std::vector<MachineId>& order = st.machine_order[j];
+  order.resize(st.m);
+  std::iota(order.begin(), order.end(), MachineId{0});
+  std::sort(order.begin(), order.end(), [&](MachineId a, MachineId b) {
+    return st.loads[a] != st.loads[b] ? st.loads[a] < st.loads[b] : a < b;
+  });
+  bool have_prev = false;
+  Time prev_load = 0;
+  for (const MachineId i : order) {
+    const Time load = st.loads[i];
+    if (have_prev && load == prev_load) continue;
+    have_prev = true;
+    prev_load = load;
+    if (load + pj >= st.incumbent - kEps) break;
+    st.loads[i] = load + pj;
+    st.current[j] = i;
+    dfs(st, j + 1, std::max(max_load, load + pj));
+    st.loads[i] = load;
+    if (st.budget_exhausted) return;
+    if (st.incumbent <= st.root_lb + kEps) return;
+  }
+}
+
+BnbResult branch_and_bound_cmax(std::span<const Time> p, MachineId m,
+                                std::uint64_t node_budget, const BnbWarmStart& warm) {
+  BnbResult result;
+  result.assignment = Assignment(p.size());
+  if (p.empty()) {
+    result.proven = true;
+    return result;
+  }
+  const std::vector<TaskId> order = lpt_order(p);
+  std::vector<Time> sorted(p.size());
+  for (std::size_t r = 0; r < order.size(); ++r) sorted[r] = p[order[r]];
+
+  SearchState st;
+  st.p = sorted;
+  st.m = m;
+  st.node_budget = node_budget;
+  st.loads.assign(m, 0);
+  st.current.assign(p.size(), 0);
+  st.best.assign(p.size(), 0);
+  st.machine_order.resize(p.size());
+  std::vector<Time> suffix_sum(p.size() + 1, 0);
+  for (std::size_t j = p.size(); j-- > 0;) suffix_sum[j] = suffix_sum[j + 1] + sorted[j];
+  st.avg_bound = suffix_sum[0] / static_cast<double>(m);
+  st.root_lb = makespan_lower_bound(sorted, m);
+
+  const GreedyScheduleResult lpt = list_schedule(sorted, m);
+  st.incumbent = lpt.makespan;
+  for (std::size_t r = 0; r < sorted.size(); ++r) st.best[r] = lpt.assignment.machine_of[r];
+
+  if (warm.assignment != nullptr && warm.assignment->machine_of.size() == p.size()) {
+    std::vector<Time> warm_loads(m, 0);
+    bool valid = true;
+    for (std::size_t j = 0; j < p.size(); ++j) {
+      const MachineId i = warm.assignment->machine_of[j];
+      if (i >= m) {
+        valid = false;
+        break;
+      }
+      warm_loads[i] += p[j];
+    }
+    if (valid) {
+      const Time warm_cmax = *std::max_element(warm_loads.begin(), warm_loads.end());
+      if (warm_cmax < st.incumbent - kEps) {
+        st.incumbent = warm_cmax;
+        for (std::size_t r = 0; r < order.size(); ++r) {
+          st.best[r] = warm.assignment->machine_of[order[r]];
+        }
+      }
+    }
+  }
+
+  if (st.incumbent > st.root_lb + kEps) dfs(st, 0, 0);
+
+  result.best = st.incumbent;
+  result.nodes = st.nodes;
+  result.proven = !st.budget_exhausted;
+  result.lower_bound = result.proven ? st.incumbent : st.root_lb;
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    result.assignment.machine_of[order[r]] = st.best[r];
+  }
+  return result;
+}
+
+}  // namespace oracle
+
+// Processing-time families for the parity sweep.
+enum class Family { kUniform, kDuplicateHeavy, kInteger, kSignedZeros, kNegative };
+
+std::vector<Time> parity_instance(Family family, std::size_t n, Xoshiro256& rng) {
+  std::vector<Time> p(n);
+  for (Time& v : p) {
+    switch (family) {
+      case Family::kUniform:
+        v = sample_uniform(rng, 0.5, 10.0);
+        break;
+      case Family::kDuplicateHeavy:
+        v = std::array<Time, 3>{2.5, 3.0, 7.25}[rng.next_below(3)];
+        break;
+      case Family::kInteger:
+        v = static_cast<Time>(1 + rng.next_below(40));
+        break;
+      case Family::kSignedZeros: {
+        const std::uint64_t pick = rng.next_below(4);
+        v = pick == 0 ? 0.0 : pick == 1 ? -0.0 : static_cast<Time>(rng.next_below(9));
+        break;
+      }
+      case Family::kNegative:
+        v = sample_uniform(rng, -4.0, 10.0);
+        break;
+    }
+  }
+  return p;
+}
+
+void expect_bitwise_equal(const BnbResult& got, const BnbResult& want,
+                          const std::string& where) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.best), std::bit_cast<std::uint64_t>(want.best))
+      << where << " best " << got.best << " vs " << want.best;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.lower_bound),
+            std::bit_cast<std::uint64_t>(want.lower_bound))
+      << where << " lower_bound " << got.lower_bound << " vs " << want.lower_bound;
+  EXPECT_EQ(got.proven, want.proven) << where;
+  EXPECT_EQ(got.nodes, want.nodes) << where;
+  EXPECT_EQ(got.assignment.machine_of, want.assignment.machine_of) << where;
+}
+
+TEST(BranchAndBound, MatchesSortPerNodeReferenceBitwise) {
+  constexpr std::array<MachineId, 6> kMachines = {1, 2, 3, 8, 13, 70};
+  constexpr std::array<std::uint64_t, 5> kBudgets = {1, 2, 100, 10'000, 400'000};
+  constexpr std::array<Family, 5> kFamilies = {Family::kUniform, Family::kDuplicateHeavy,
+                                               Family::kInteger, Family::kSignedZeros,
+                                               Family::kNegative};
+  Xoshiro256 rng(2024);
+  std::uint64_t cases = 0;
+  std::uint64_t exhausted = 0;
+  std::uint64_t k = 0;
+  for (std::size_t n = 0; n <= 26; ++n) {
+    for (const MachineId m : kMachines) {
+      for (const Family family : kFamilies) {
+        const std::vector<Time> p = parity_instance(family, n, rng);
+        const std::string where = "n=" + std::to_string(n) + " m=" + std::to_string(m) +
+                                  " family=" + std::to_string(static_cast<int>(family));
+        for (const std::uint64_t budget : kBudgets) {
+          const BnbResult want = oracle::branch_and_bound_cmax(p, m, budget, {});
+          const BnbResult got = branch_and_bound_cmax(p, m, budget);
+          expect_bitwise_equal(got, want, where + " budget=" + std::to_string(budget));
+          ++cases;
+          exhausted += want.proven ? 0 : 1;
+        }
+        // Warm starts: valid (random), invalid machine, wrong size, poor
+        // (everything on machine 0) and optimal (the cold search's best,
+        // proven wherever 10^4 nodes suffice).
+        Assignment random_valid(n);
+        for (MachineId& i : random_valid.machine_of) {
+          i = static_cast<MachineId>(rng.next_below(m));
+        }
+        Assignment invalid = random_valid;
+        if (n > 0) invalid.machine_of[n / 2] = m;
+        Assignment wrong_size(n + 1);
+        std::fill(wrong_size.machine_of.begin(), wrong_size.machine_of.end(), 0);
+        Assignment poor(n);
+        std::fill(poor.machine_of.begin(), poor.machine_of.end(), 0);
+        const BnbResult optimal = oracle::branch_and_bound_cmax(p, m, 10'000, {});
+        const std::array<const Assignment*, 5> seeds = {
+            &random_valid, &invalid, &wrong_size, &poor, &optimal.assignment};
+        for (const Assignment* seed : seeds) {
+          const std::uint64_t budget = kBudgets[k++ % 4];
+          BnbWarmStart warm;
+          warm.assignment = seed;
+          const BnbResult want = oracle::branch_and_bound_cmax(p, m, budget, warm);
+          const BnbResult got = branch_and_bound_cmax(p, m, budget, warm);
+          expect_bitwise_equal(got, want, where + " warm budget=" + std::to_string(budget));
+          ++cases;
+          exhausted += want.proven ? 0 : 1;
+        }
+      }
+    }
+  }
+  // The sweep must exercise both outcomes, not just trivially proven roots.
+  EXPECT_GT(exhausted, cases / 10) << cases << " cases";
+  EXPECT_LT(exhausted, cases) << cases << " cases";
+}
+
+TEST(CertifiedCmax, RejectsNonFiniteTimesOnEveryRoute) {
+  const auto expect_index_error = [](const std::function<void()>& call,
+                                     const std::string& what) {
+    try {
+      call();
+      ADD_FAILURE() << "expected std::invalid_argument mentioning '" << what << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+    }
+  };
+  const Time nan = std::numeric_limits<Time>::quiet_NaN();
+  const Time inf = std::numeric_limits<Time>::infinity();
+  for (const Time bad : {nan, inf, -inf}) {
+    const std::vector<Time> p = {3.0, bad, 2.0, 1.0};
+    // B&B route (m = 3), the m = 2 partition route, and an instance
+    // MULTIFIT closes by itself (five unit tasks on five machines).
+    expect_index_error([&] { (void)branch_and_bound_cmax(p, 3); },
+                       "branch_and_bound_cmax: non-finite time at index 1");
+    expect_index_error([&] { (void)certified_cmax(p, 3); },
+                       "certified_cmax: non-finite time at index 1");
+    expect_index_error([&] { (void)certified_cmax(p, 2); },
+                       "certified_cmax: non-finite time at index 1");
+    const std::vector<Time> units = {1.0, 1.0, 1.0, 1.0, bad};
+    expect_index_error([&] { (void)certified_cmax(units, 5); },
+                       "certified_cmax: non-finite time at index 4");
+  }
 }
 
 TEST(Multifit, FfdFeasibilityBasics) {

@@ -12,6 +12,8 @@
 
 #include "io/json.hpp"
 #include "io/table.hpp"
+#include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
 #include "repro/artifact.hpp"
 #include "repro/manifest.hpp"
 #include "repro/pipeline.hpp"
@@ -355,6 +357,31 @@ TEST(ReproPipeline, GoldenAcrossThreadCounts) {
     ASSERT_TRUE(tree8.count(rel)) << rel;
     EXPECT_EQ(content, tree8.at(rel)) << rel << " differs across thread counts";
   }
+}
+
+TEST(ReproPipeline, SearchCountersMatchAcrossThreadCounts) {
+  // exp.certify.bnb_nodes / .bnb_budget_exhausted count the search, not
+  // the wall clock, so --jobs must not move them: the engine's warm-start
+  // seeds are fixed before the fan-out, making every solve's tree the same.
+  const auto search_counts = [](std::size_t jobs) {
+    TempDir dir("counters" + std::to_string(jobs));
+    ReproOptions options = smoke_options(dir.path(), jobs);
+    options.filter = "thm2-lpt-no-choice";
+    options.node_budget = 5'000;  // small enough that some searches stop
+    obs::MetricsRegistry registry;
+    {
+      const obs::ObservabilityScope scope(&registry, nullptr);
+      run_repro(options);
+    }
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    return std::make_pair(snap.counter_or("exp.certify.bnb_nodes"),
+                          snap.counter_or("exp.certify.bnb_budget_exhausted"));
+  };
+  const auto serial = search_counts(1);
+  const auto parallel = search_counts(2);
+  EXPECT_GT(serial.first, 0u);
+  EXPECT_GT(serial.second, 0u);
+  EXPECT_EQ(serial, parallel);
 }
 
 TEST(ReproPipeline, SecondRunSkipsViaInputHash) {
