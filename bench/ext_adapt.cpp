@@ -3,7 +3,7 @@
 // beat committing to any one fixed LS-Group degree when the declared
 // alpha is a lie? Two sections, both deterministic in --seed:
 //
-//   adaptive_sweep -- a drifting-alpha scenario sweep (realized band
+//   sweep -- a drifting-alpha scenario sweep (realized band
 //     widens geometrically from --alpha-from to --alpha-to while the
 //     instance keeps declaring --alpha-from). The adaptive strategy
 //     places each scenario with its running estimator, then digests that
@@ -11,15 +11,18 @@
 //     strategy of the paper family places once and rides the drift
 //     blind. Score = mean certified competitive ratio (makespan over
 //     the certified B&B lower bound, which is <= OPT). The acceptance
-//     criterion is adaptive_beats_lsgroup = 1: the adaptive mean ratio
-//     undercuts every fixed LS-Group degree.
+//     criterion is sweep.adaptive_beats_lsgroup = 1: the adaptive mean
+//     ratio undercuts every fixed LS-Group degree.
 //
-//   adaptive_fuzz -- the check_adaptive_bound cross-check from
+//   fuzz -- the check_adaptive_bound cross-check from
 //     check/fuzz.cpp replayed standalone over --fuzz-seeds drifting-
 //     alpha cases: the adaptive placement's realized makespan must stay
 //     under its mixed-degree theorem bound evaluated at the *realized*
-//     alpha. bound_violations is gated exact at 0; max_bound_fraction
-//     reports how much of the bound the worst case actually used.
+//     alpha. fuzz.bound_violations is gated exact at 0;
+//     fuzz.max_bound_fraction reports how much of the bound the worst
+//     case actually used.
+//
+// --out writes the perf-gate record (perf::BenchRecord).
 //
 // Usage: ext_adapt [--trials=60] [--n=60] [--m=8] [--alpha-from=1.1]
 //        [--alpha-to=3.0] [--fuzz-seeds=300] [--budget=300000] [--seed=1]
@@ -28,7 +31,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -47,6 +49,7 @@
 #include "exp/scenario.hpp"
 #include "io/json.hpp"
 #include "io/table.hpp"
+#include "perf/bench_record.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "workload/generators.hpp"
 
@@ -205,44 +208,39 @@ int main(int argc, char** argv) {
   }
 
   if (!out_path.empty()) {
-    JsonObject sweep;
-    sweep["trials"] = JsonValue(static_cast<unsigned long long>(trials));
-    sweep["alpha_from"] = JsonValue(alpha_from);
-    sweep["alpha_to"] = JsonValue(alpha_to);
-    sweep["bound_slack"] = JsonValue(bound_slack);
-    sweep["adaptive_mean_ratio"] = JsonValue(adaptive_mean);
-    sweep["adaptive_final_alpha_hat"] = JsonValue(final_alpha_hat);
-    sweep["best_lsgroup_mean_ratio"] = JsonValue(best_lsgroup);
-    sweep["best_lsgroup_name"] = JsonValue(best_lsgroup_name);
-    sweep["adaptive_beats_lsgroup"] =
-        JsonValue(static_cast<unsigned long long>(beats_lsgroup ? 1 : 0));
-    JsonObject per_strategy;
+    perf::BenchRecord record;
+    record.name = "adapt";
+    record.set_params(JsonObject{{"tasks", n}, {"machines", m}, {"seed", seed},
+                                 {"budget", budget}, {"trials", trials},
+                                 {"alpha_from", alpha_from}, {"alpha_to", alpha_to},
+                                 {"fuzz_seeds", fuzz_seeds}});
+    // Both sections are deterministic in the seed (dispatch and
+    // certification are pure FP), so the ratios gate "exact" with
+    // dump/parse slack; the bound-violation counter is the acceptance
+    // criterion and gates hard at its recorded value (0). Wall-clock
+    // sections are timing-class.
+    using perf::Direction, perf::Noise;
+    record.add("sweep.adaptive_mean_ratio", adaptive_mean, Direction::kLower,
+               Noise::kExact, /*abs_slack=*/1e-9);
+    record.add("sweep.best_lsgroup_mean_ratio", best_lsgroup, Direction::kLower,
+               Noise::kExact, /*abs_slack=*/1e-9);
+    record.add("sweep.adaptive_final_alpha_hat", final_alpha_hat, Direction::kNone,
+               Noise::kExact, /*abs_slack=*/1e-9);
+    // The headline: 1 iff the adaptive mean ratio undercuts every fixed
+    // LS-Group degree on the drifting sweep.
+    record.add("sweep.adaptive_beats_lsgroup", beats_lsgroup ? 1.0 : 0.0,
+               Direction::kHigher, Noise::kExact);
     for (const auto& [name, ratio] : fixed_ratios) {
-      per_strategy[name] = JsonValue(ratio);
+      record.add("sweep.fixed." + name, ratio, Direction::kNone, Noise::kExact,
+                 /*abs_slack=*/1e-9);
     }
-    sweep["fixed_mean_ratios"] = JsonValue(std::move(per_strategy));
-
-    JsonObject fuzz;
-    fuzz["seeds"] = JsonValue(static_cast<unsigned long long>(fuzz_seeds));
-    fuzz["bound_violations"] =
-        JsonValue(static_cast<unsigned long long>(violations));
-    fuzz["max_bound_fraction"] = JsonValue(max_bound_fraction);
-
-    JsonObject obj;
-    obj["tasks"] = JsonValue(static_cast<unsigned long long>(n));
-    obj["machines"] = JsonValue(static_cast<unsigned long long>(m));
-    obj["seed"] = JsonValue(static_cast<unsigned long long>(seed));
-    obj["budget"] = JsonValue(static_cast<unsigned long long>(budget));
-    obj["adaptive_sweep"] = JsonValue(std::move(sweep));
-    obj["adaptive_fuzz"] = JsonValue(std::move(fuzz));
-    obj["sweep_seconds"] = JsonValue(sweep_seconds);
-    obj["fuzz_seconds"] = JsonValue(fuzz_seconds);
-    std::ofstream out(out_path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot open " << out_path << "\n";
-      return EXIT_FAILURE;
-    }
-    out << JsonValue(std::move(obj)).dump(2) << "\n";
+    record.add("fuzz.bound_violations", static_cast<double>(violations),
+               Direction::kLower, Noise::kExact);
+    record.add("fuzz.max_bound_fraction", max_bound_fraction, Direction::kLower,
+               Noise::kExact, /*abs_slack=*/1e-9);
+    record.add("sweep_seconds", sweep_seconds, Direction::kLower, Noise::kTiming);
+    record.add("fuzz_seconds", fuzz_seconds, Direction::kLower, Noise::kTiming);
+    record.save(out_path);
   }
   return EXIT_SUCCESS;
 }

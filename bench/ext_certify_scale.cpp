@@ -15,10 +15,11 @@
 //   determinism -- one PTAS-routed batch through the engine at 1, 2 and 8
 //                  threads, compared bit-for-bit.
 //
-// Timing metrics gate as "timing" (warn-only on shared runners);
-// iteration counts, violation counters and bit-mismatch counters gate as
-// "exact" and are enforced even under `perf gate --warn-only
-// --enforce-exact` (see docs/PERFORMANCE.md).
+// The perf-gate record (perf::BenchRecord) goes to --out. Timing metrics
+// gate as "timing" (warn-only on shared runners); iteration counts,
+// violation counters and bit-mismatch counters gate as "exact" and are
+// enforced even under `perf gate --warn-only --enforce-exact` (see
+// docs/PERFORMANCE.md).
 //
 // Usage: ext_certify_scale [--sizes=100000,1000000] [--m=64] [--k=4]
 //        [--fuzz-seeds=200] [--multifit-n=200000] [--batch=16]
@@ -28,7 +29,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -42,6 +42,7 @@
 #include "io/json.hpp"
 #include "io/table.hpp"
 #include "parallel/thread_pool.hpp"
+#include "perf/bench_record.hpp"
 #include "rng/distributions.hpp"
 #include "rng/rng.hpp"
 
@@ -100,11 +101,14 @@ int main(int argc, char** argv) {
   }
   std::cout << "} m=" << m << " k=" << k << " (guarantee " << bound << ") ===\n";
 
+  using perf::Direction, perf::Noise;
+  perf::BenchRecord record;
+  record.name = "certify_scale";
+
   // ---- scale: single-threaded engine certify per instance size ----------
-  JsonArray scale_rows;
   bool any_violation = false;
-  TextTable scale_table(
-      {"n", "engine s", "lower", "upper", "guarantee", "iters", "backend"});
+  TextTable scale_table({"n", "engine s", "lower", "upper", "guarantee",
+                         "iters", "proofs", "dp", "backend"});
   for (std::size_t idx = 0; idx < sizes.size(); ++idx) {
     const std::size_t n = sizes[idx];
     const std::vector<Time> p = uniform_tasks(n, kSeed + idx);
@@ -134,22 +138,21 @@ int main(int argc, char** argv) {
     scale_table.add_row({std::to_string(n), fmt(engine_seconds, 4),
                          fmt(result.lower, 2), fmt(result.upper, 2),
                          fmt(guarantee, 6), std::to_string(stats.iterations),
+                         std::to_string(stats.infeasible_proofs),
+                         std::to_string(stats.dp_decisions),
                          to_string(result.backend)});
 
-    JsonObject row;
-    row["n"] = JsonValue(static_cast<double>(n));
-    row["engine_seconds"] = JsonValue(engine_seconds);
-    row["lower"] = JsonValue(result.lower);
-    row["upper"] = JsonValue(result.upper);
-    row["guarantee"] = JsonValue(guarantee);
-    row["bound"] = JsonValue(bound);
-    row["iterations"] = JsonValue(static_cast<double>(stats.iterations));
-    row["infeasible_proofs"] =
-        JsonValue(static_cast<double>(stats.infeasible_proofs));
-    row["dp_decisions"] = JsonValue(static_cast<double>(stats.dp_decisions));
-    row["backend"] = JsonValue(std::string(to_string(result.backend)));
-    row["violation"] = JsonValue(violation ? 1.0 : 0.0);
-    scale_rows.push_back(JsonValue(std::move(row)));
+    const std::string suffix = "_n" + std::to_string(n);
+    record.add("scale.engine_seconds" + suffix, engine_seconds, Direction::kLower,
+               Noise::kTiming);
+    record.add("scale.iterations" + suffix, static_cast<double>(stats.iterations),
+               Direction::kLower, Noise::kExact);
+    // The realized guarantee depends only on the deterministic bisection
+    // bracket; a hair of absolute slack covers dump/parse rounding.
+    record.add("scale.guarantee" + suffix, guarantee, Direction::kLower,
+               Noise::kExact, /*abs_slack=*/1e-9);
+    record.add("scale.violations" + suffix, violation ? 1.0 : 0.0,
+               Direction::kLower, Noise::kExact);
   }
   std::cout << scale_table.render();
 
@@ -232,42 +235,21 @@ int main(int argc, char** argv) {
             << " batch across {1,2,8} threads, " << bit_mismatches
             << " bit mismatches\n";
 
-  // ---- machine-readable summary -----------------------------------------
-  JsonObject root;
-  JsonObject params;
-  JsonArray size_array;
-  for (const std::size_t n : sizes) {
-    size_array.push_back(JsonValue(static_cast<double>(n)));
-  }
-  params["sizes"] = JsonValue(std::move(size_array));
-  params["m"] = JsonValue(static_cast<double>(m));
-  params["k"] = JsonValue(static_cast<double>(k));
-  params["fuzz_seeds"] = JsonValue(static_cast<double>(fuzz_seeds));
-  params["multifit_n"] = JsonValue(static_cast<double>(multifit_n));
-  params["batch"] = JsonValue(static_cast<double>(batch_count));
-  params["batch_n"] = JsonValue(static_cast<double>(batch_n));
-  root["params"] = JsonValue(std::move(params));
-  root["scale"] = JsonValue(std::move(scale_rows));
-
-  JsonObject multifit_obj;
-  multifit_obj["n"] = JsonValue(static_cast<double>(multifit_n));
-  multifit_obj["seconds"] = JsonValue(multifit_seconds);
-  multifit_obj["iterations"] = JsonValue(static_cast<double>(mf.iterations));
-  root["multifit"] = JsonValue(std::move(multifit_obj));
-
-  JsonObject soundness;
-  soundness["seeds"] = JsonValue(static_cast<double>(fuzz_seeds));
-  soundness["exact_cases"] = JsonValue(static_cast<double>(exact_cases));
-  soundness["violations"] = JsonValue(static_cast<double>(soundness_violations));
-  root["soundness"] = JsonValue(std::move(soundness));
-
-  JsonObject determinism;
-  determinism["batch"] = JsonValue(static_cast<double>(batch_count));
-  determinism["bit_mismatches"] = JsonValue(static_cast<double>(bit_mismatches));
-  root["determinism"] = JsonValue(std::move(determinism));
-
-  std::ofstream file(out_path);
-  file << JsonValue(std::move(root)).dump(2) << "\n";
+  // ---- gate record --------------------------------------------------------
+  record.set_params(JsonObject{{"sizes", JsonArray(sizes.begin(), sizes.end())},
+                               {"m", m}, {"k", k}, {"fuzz_seeds", fuzz_seeds},
+                               {"multifit_n", multifit_n}, {"batch", batch_count},
+                               {"batch_n", batch_n}});
+  record.add("multifit.seconds", multifit_seconds, Direction::kLower, Noise::kTiming);
+  record.add("multifit.iterations", static_cast<double>(mf.iterations),
+             Direction::kLower, Noise::kExact);
+  record.add("soundness.violations", static_cast<double>(soundness_violations),
+             Direction::kLower, Noise::kExact);
+  record.add("soundness.exact_cases", static_cast<double>(exact_cases),
+             Direction::kNone, Noise::kExact);
+  record.add("determinism.bit_mismatches", static_cast<double>(bit_mismatches),
+             Direction::kLower, Noise::kExact);
+  record.save(out_path);
   std::cout << "JSON written to " << out_path << "\n";
 
   if (any_violation || soundness_violations != 0 || bit_mismatches != 0) {

@@ -14,7 +14,8 @@
 // verifies engine-seq and engine-par return bit-identical per-trial
 // ratios, reports the max abs deviation from the legacy series (nonzero
 // only in the last ulps: canonical solves renormalize by the largest
-// task), and writes a machine-readable summary.
+// task), prints the per-cell ratio series, and writes the perf-gate
+// record (perf::BenchRecord) to --out.
 //
 // Usage: ext_certify_speedup [--n=22] [--m=8] [--trials=40]
 //        [--alphas=1.25,1.5,2.0] [--threads=8] [--budget=300000]
@@ -23,7 +24,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -39,6 +39,7 @@
 #include "io/json.hpp"
 #include "io/table.hpp"
 #include "parallel/thread_pool.hpp"
+#include "perf/bench_record.hpp"
 #include "perturb/stochastic.hpp"
 #include "workload/generators.hpp"
 
@@ -200,40 +201,7 @@ int main(int argc, char** argv) {
   table.add_row({"max |engine - legacy|", fmt(max_abs_diff_vs_legacy, 12)});
   std::cout << table.render();
 
-  // ---- machine-readable summary ------------------------------------------
-  JsonObject root;
-  JsonObject params;
-  params["n"] = JsonValue(static_cast<double>(n));
-  params["m"] = JsonValue(static_cast<double>(m));
-  params["trials"] = JsonValue(static_cast<double>(trials));
-  params["threads"] = JsonValue(static_cast<double>(pool.num_threads()));
-  params["budget"] = JsonValue(static_cast<double>(budget));
-  JsonArray alpha_array;
-  for (const double alpha : alphas) alpha_array.push_back(JsonValue(alpha));
-  params["alphas"] = JsonValue(std::move(alpha_array));
-  root["params"] = JsonValue(std::move(params));
-
-  JsonObject timing;
-  timing["legacy_seconds"] = JsonValue(legacy_seconds);
-  timing["engine_seq_seconds"] = JsonValue(engine_seq_seconds);
-  timing["engine_par_seconds"] = JsonValue(engine_par_seconds);
-  timing["speedup_seq"] = JsonValue(speedup_seq);
-  timing["speedup_par"] = JsonValue(speedup_par);
-  root["timing"] = JsonValue(std::move(timing));
-
-  JsonObject cache;
-  cache["hits"] = JsonValue(static_cast<double>(par_stats.hits));
-  cache["misses"] = JsonValue(static_cast<double>(par_stats.misses));
-  cache["hit_rate"] = JsonValue(par_stats.hit_rate());
-  cache["evictions"] = JsonValue(static_cast<double>(par_stats.evictions));
-  root["cache"] = JsonValue(std::move(cache));
-
-  JsonObject checks;
-  checks["seq_par_bit_mismatches"] = JsonValue(static_cast<double>(bit_mismatches));
-  checks["max_abs_diff_vs_legacy"] = JsonValue(max_abs_diff_vs_legacy);
-  root["checks"] = JsonValue(std::move(checks));
-
-  JsonArray series;
+  TextTable series({"alpha", "strategy", "noise", "mean ratio", "worst ratio"});
   for (std::size_t c = 0; c < cells.size(); ++c) {
     double mean = 0, worst = 0;
     for (const double r : engine_seq[c]) {
@@ -241,18 +209,34 @@ int main(int argc, char** argv) {
       worst = std::max(worst, r);
     }
     mean /= static_cast<double>(trials);
-    JsonObject row;
-    row["alpha"] = JsonValue(cells[c].alpha);
-    row["strategy"] = JsonValue(strategies[cells[c].strategy].name());
-    row["noise"] = JsonValue(to_string(cells[c].noise));
-    row["mean_ratio"] = JsonValue(mean);
-    row["worst_ratio"] = JsonValue(worst);
-    series.push_back(JsonValue(std::move(row)));
+    series.add_row({fmt(cells[c].alpha, 2), strategies[cells[c].strategy].name(),
+                    to_string(cells[c].noise), fmt(mean, 4), fmt(worst, 4)});
   }
-  root["series"] = JsonValue(std::move(series));
+  std::cout << series.render();
 
-  std::ofstream file(out_path);
-  file << JsonValue(std::move(root)).dump(2) << "\n";
+  // ---- gate record --------------------------------------------------------
+  perf::BenchRecord record;
+  record.name = "certify";
+  record.set_params(JsonObject{{"n", n}, {"m", m}, {"trials", trials},
+                               {"threads", pool.num_threads()}, {"budget", budget},
+                               {"alphas", JsonArray(alphas.begin(), alphas.end())}});
+  using perf::Direction, perf::Noise;
+  record.add("timing.legacy_seconds", legacy_seconds, Direction::kLower, Noise::kTiming);
+  record.add("timing.engine_seq_seconds", engine_seq_seconds, Direction::kLower,
+             Noise::kTiming);
+  record.add("timing.engine_par_seconds", engine_par_seconds, Direction::kLower,
+             Noise::kTiming);
+  record.add("timing.speedup_seq", speedup_seq, Direction::kHigher, Noise::kTiming);
+  record.add("timing.speedup_par", speedup_par, Direction::kHigher, Noise::kTiming);
+  record.add("cache.hit_rate", par_stats.hit_rate(), Direction::kHigher, Noise::kExact);
+  record.add("checks.seq_par_bit_mismatches", static_cast<double>(bit_mismatches),
+             Direction::kLower, Noise::kExact);
+  // Numerical agreement with the legacy path: a few ulps of 1.0 is the
+  // expected magnitude, so grant absolute slack well above that but far
+  // below anything indicating a real numerics change.
+  record.add("checks.max_abs_diff_vs_legacy", max_abs_diff_vs_legacy,
+             Direction::kLower, Noise::kExact, /*abs_slack=*/1e-12);
+  record.save(out_path);
   std::cout << "JSON written to " << out_path << "\n";
 
   if (bit_mismatches != 0) {

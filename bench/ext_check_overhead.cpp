@@ -18,7 +18,6 @@
 // Usage: ext_check_overhead [--cases=400] [--reps=50] [--max-n=24]
 //        [--max-m=6] [--seed=1] [--out=BENCH_check_overhead.json]
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -29,6 +28,7 @@
 #include "cli/args.hpp"
 #include "io/json.hpp"
 #include "io/table.hpp"
+#include "perf/bench_record.hpp"
 #include "sim/online_dispatcher.hpp"
 
 namespace {
@@ -128,21 +128,23 @@ int main(int argc, char** argv) {
             << "x   (sink " << sink << ")\n";
 
   if (!out_path.empty()) {
-    JsonObject obj;
-    obj["cases"] = JsonValue(static_cast<unsigned long long>(cases));
-    obj["reps"] = JsonValue(static_cast<unsigned long long>(reps));
-    obj["baseline_seconds"] = JsonValue(baseline_s);
-    obj["guarded_off_seconds"] = JsonValue(off_s);
-    obj["guarded_on_seconds"] = JsonValue(on_s);
-    obj["off_overhead_ns_per_dispatch"] = JsonValue(off_overhead_ns);
-    obj["on_overhead_ns_per_dispatch"] = JsonValue(on_overhead_ns);
-    obj["multiplier"] = JsonValue(multiplier);
-    std::ofstream out(out_path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot open " << out_path << "\n";
-      return EXIT_FAILURE;
-    }
-    out << JsonValue(std::move(obj)).dump(2) << "\n";
+    perf::BenchRecord record;
+    record.name = "check_overhead";
+    record.set_params(JsonObject{{"cases", cases}, {"reps", reps}});
+    using perf::Direction, perf::Noise;
+    record.add("baseline_seconds", baseline_s, Direction::kLower, Noise::kTiming);
+    record.add("guarded_off_seconds", off_s, Direction::kLower, Noise::kTiming);
+    record.add("guarded_on_seconds", on_s, Direction::kLower, Noise::kTiming);
+    // Per-dispatch overheads are differences of noisy timings and can be a
+    // handful of (even negative) nanoseconds: grant absolute slack so the
+    // gate only fires on order-of-magnitude blowups, not scheduler jitter.
+    record.add("off_overhead_ns_per_dispatch", off_overhead_ns, Direction::kLower,
+               Noise::kTiming, /*abs_slack=*/50.0);
+    record.add("on_overhead_ns_per_dispatch", on_overhead_ns, Direction::kLower,
+               Noise::kTiming, /*abs_slack=*/500.0);
+    record.add("multiplier", multiplier, Direction::kLower, Noise::kTiming,
+               /*abs_slack=*/0.05);
+    record.save(out_path);
   }
   return EXIT_SUCCESS;
 }

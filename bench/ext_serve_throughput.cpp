@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -42,6 +41,7 @@
 #include "core/realization.hpp"
 #include "io/json.hpp"
 #include "io/table.hpp"
+#include "perf/bench_record.hpp"
 #include "perturb/stochastic.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/streaming_dispatcher.hpp"
@@ -181,33 +181,30 @@ int main(int argc, char** argv) {
             << "  peak backlog: " << served.peak_backlog << "\n";
 
   if (!out_path.empty()) {
-    JsonObject obj;
-    obj["tasks"] = JsonValue(static_cast<unsigned long long>(n));
-    obj["machines"] = JsonValue(static_cast<unsigned long long>(m));
-    obj["groups"] = JsonValue(static_cast<unsigned long long>(groups));
-    obj["reps"] = JsonValue(static_cast<unsigned long long>(reps));
-    obj["rate"] = JsonValue(rate);
-    obj["offline_seconds"] = JsonValue(offline_seconds);
-    obj["drain_seconds"] = JsonValue(drain_seconds);
-    obj["serve_seconds"] = JsonValue(serve_seconds);
-    obj["offline_events_per_sec"] = JsonValue(offline_eps);
-    obj["drain_events_per_sec"] = JsonValue(drain_eps);
-    obj["serve_events_per_sec"] = JsonValue(serve_eps);
-    obj["serve_vs_offline_ratio"] = JsonValue(serve_ratio);
-    obj["drain_vs_offline_ratio"] = JsonValue(drain_ratio);
-    obj["drain_parity_mismatches"] =
-        JsonValue(static_cast<unsigned long long>(parity));
-    obj["peak_backlog"] =
-        JsonValue(static_cast<unsigned long long>(served.peak_backlog));
-    obj["response_p50"] = JsonValue(stats.response.p50);
-    obj["response_p90"] = JsonValue(stats.response.p90);
-    obj["response_p99"] = JsonValue(stats.response.p99);
-    std::ofstream out(out_path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot open " << out_path << "\n";
-      return EXIT_FAILURE;
-    }
-    out << JsonValue(std::move(obj)).dump(2) << "\n";
+    perf::BenchRecord record;
+    record.name = "serve_throughput";
+    record.set_params(JsonObject{{"tasks", n}, {"machines", m}, {"groups", groups},
+                                 {"reps", reps}, {"rate", rate}});
+    // The ratios and raw rates are timing-class; the drain parity counter
+    // is deterministic (the bench hard-fails on a nonzero value, so it
+    // gates "exact" like sim_throughput's parity metrics).
+    using perf::Direction, perf::Noise;
+    record.add("offline_seconds", offline_seconds, Direction::kLower, Noise::kTiming);
+    record.add("drain_seconds", drain_seconds, Direction::kLower, Noise::kTiming);
+    record.add("serve_seconds", serve_seconds, Direction::kLower, Noise::kTiming);
+    record.add("offline_events_per_sec", offline_eps, Direction::kHigher, Noise::kTiming);
+    record.add("drain_events_per_sec", drain_eps, Direction::kHigher, Noise::kTiming);
+    record.add("serve_events_per_sec", serve_eps, Direction::kHigher, Noise::kTiming);
+    record.add("serve_vs_offline_ratio", serve_ratio, Direction::kHigher, Noise::kTiming);
+    record.add("drain_vs_offline_ratio", drain_ratio, Direction::kHigher, Noise::kTiming);
+    record.add("drain_parity_mismatches", static_cast<double>(parity),
+               Direction::kLower, Noise::kExact);
+    record.add("peak_backlog", static_cast<double>(served.peak_backlog),
+               Direction::kNone, Noise::kExact);
+    record.add("response_p50", stats.response.p50, Direction::kNone, Noise::kExact);
+    record.add("response_p90", stats.response.p90, Direction::kNone, Noise::kExact);
+    record.add("response_p99", stats.response.p99, Direction::kNone, Noise::kExact);
+    record.save(out_path);
   }
   return EXIT_SUCCESS;
 }

@@ -31,7 +31,6 @@
 #include <limits>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -43,6 +42,7 @@
 #include "core/realization.hpp"
 #include "io/json.hpp"
 #include "io/table.hpp"
+#include "perf/bench_record.hpp"
 #include "perturb/stochastic.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/online_dispatcher.hpp"
@@ -230,40 +230,41 @@ int main(int argc, char** argv) {
             << table.render();
 
   if (!out_path.empty()) {
-    JsonObject obj;
-    obj["tasks"] = JsonValue(static_cast<unsigned long long>(n));
-    obj["machines"] = JsonValue(static_cast<unsigned long long>(m));
-    obj["groups"] = JsonValue(static_cast<unsigned long long>(groups));
-    obj["reps"] = JsonValue(static_cast<unsigned long long>(reps));
-    obj["hold_size"] = JsonValue(static_cast<unsigned long long>(hold_size));
-    obj["hold_ops"] = JsonValue(static_cast<unsigned long long>(hold_ops));
+    perf::BenchRecord record;
+    record.name = "sim_throughput";
+    record.set_params(JsonObject{{"tasks", n}, {"machines", m}, {"groups", groups},
+                                 {"reps", reps}, {"hold_size", hold_size},
+                                 {"hold_ops", hold_ops}});
+    using perf::Direction, perf::Noise;
+    const auto timing = [&](const char* name, double value, Direction direction) {
+      record.add(name, value, direction, Noise::kTiming);
+    };
     // Headline metrics: the full-replication instance.
-    obj["reference_dispatch_seconds"] = JsonValue(headline.ref_seconds);
-    obj["soa_dispatch_seconds"] = JsonValue(headline.soa_seconds);
-    obj["reference_events_per_sec"] = JsonValue(ref_eps);
-    obj["soa_events_per_sec"] = JsonValue(soa_eps);
-    obj["dispatch_speedup"] = JsonValue(dispatch_speedup);
+    timing("reference_dispatch_seconds", headline.ref_seconds, Direction::kLower);
+    timing("soa_dispatch_seconds", headline.soa_seconds, Direction::kLower);
+    timing("reference_events_per_sec", ref_eps, Direction::kHigher);
+    timing("soa_events_per_sec", soa_eps, Direction::kHigher);
+    timing("dispatch_speedup", dispatch_speedup, Direction::kHigher);
     // The other two canonical placements, same workload.
-    obj["group_reference_seconds"] = JsonValue(cases[1].ref_seconds);
-    obj["group_soa_seconds"] = JsonValue(cases[1].soa_seconds);
-    obj["group_dispatch_speedup"] =
-        JsonValue(cases[1].ref_seconds / cases[1].soa_seconds);
-    obj["singleton_reference_seconds"] = JsonValue(cases[2].ref_seconds);
-    obj["singleton_soa_seconds"] = JsonValue(cases[2].soa_seconds);
-    obj["singleton_dispatch_speedup"] =
-        JsonValue(cases[2].ref_seconds / cases[2].soa_seconds);
-    obj["queue_legacy_seconds"] = JsonValue(legacy_seconds);
-    obj["queue_calendar_seconds"] = JsonValue(calendar_seconds);
-    obj["queue_speedup"] = JsonValue(queue_speedup);
-    obj["parity_mismatches"] =
-        JsonValue(static_cast<unsigned long long>(mismatches));
-    obj["parity_max_abs_diff"] = JsonValue(max_abs_diff);
-    std::ofstream out(out_path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "cannot open " << out_path << "\n";
-      return EXIT_FAILURE;
-    }
-    out << JsonValue(std::move(obj)).dump(2) << "\n";
+    timing("group_reference_seconds", cases[1].ref_seconds, Direction::kLower);
+    timing("group_soa_seconds", cases[1].soa_seconds, Direction::kLower);
+    timing("group_dispatch_speedup", cases[1].ref_seconds / cases[1].soa_seconds,
+           Direction::kHigher);
+    timing("singleton_reference_seconds", cases[2].ref_seconds, Direction::kLower);
+    timing("singleton_soa_seconds", cases[2].soa_seconds, Direction::kLower);
+    timing("singleton_dispatch_speedup",
+           cases[2].ref_seconds / cases[2].soa_seconds, Direction::kHigher);
+    timing("queue_legacy_seconds", legacy_seconds, Direction::kLower);
+    timing("queue_calendar_seconds", calendar_seconds, Direction::kLower);
+    timing("queue_speedup", queue_speedup, Direction::kHigher);
+    // The bench exits non-zero on any divergence, so these are always zero
+    // in a recorded file; gating them "exact" means a future run that
+    // somehow emits a nonzero value trips the gate even if someone relaxes
+    // the binary's hard failure.
+    record.add("parity_mismatches", static_cast<double>(mismatches),
+               Direction::kLower, Noise::kExact);
+    record.add("parity_max_abs_diff", max_abs_diff, Direction::kLower, Noise::kExact);
+    record.save(out_path);
   }
   return EXIT_SUCCESS;
 }

@@ -1,5 +1,6 @@
 #include "cli/args.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace rdp {
@@ -37,23 +38,36 @@ std::string Args::get(const std::string& key, const std::string& fallback) const
 double Args::get(const std::string& key, double fallback) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
+  double value = 0;
+  std::size_t consumed = 0;
   try {
-    return std::stod(it->second);
+    value = std::stod(it->second, &consumed);
   } catch (const std::exception&) {
-    throw std::invalid_argument("Args: flag --" + key + " expects a number, got '" +
-                                it->second + "'");
+    consumed = 0;
   }
+  if (consumed == 0 || consumed != it->second.size() || !std::isfinite(value)) {
+    throw std::invalid_argument("Args: flag --" + key +
+                                " expects a finite number, got '" + it->second +
+                                "'");
+  }
+  return value;
 }
 
 std::int64_t Args::get(const std::string& key, std::int64_t fallback) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) return fallback;
+  long long value = 0;
+  std::size_t consumed = 0;
   try {
-    return std::stoll(it->second);
+    value = std::stoll(it->second, &consumed);
   } catch (const std::exception&) {
+    consumed = 0;
+  }
+  if (consumed == 0 || consumed != it->second.size()) {
     throw std::invalid_argument("Args: flag --" + key + " expects an integer, got '" +
                                 it->second + "'");
   }
+  return value;
 }
 
 bool Args::get(const std::string& key, bool fallback) const {

@@ -18,7 +18,8 @@ class Args {
   [[nodiscard]] bool has(const std::string& key) const;
 
   /// Typed getters with defaults; throw std::invalid_argument when the
-  /// value cannot be parsed.
+  /// value cannot be parsed. Numbers must use the whole value ("3e3" is
+  /// not an integer, "0.2x" not a number), and doubles must be finite.
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
   [[nodiscard]] double get(const std::string& key, double fallback) const;

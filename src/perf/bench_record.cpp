@@ -38,173 +38,12 @@ double median_abs_deviation(const std::vector<double>& xs) {
 /// Recomputes `value` (best repeat in direction) and `mad` from repeats.
 void finalize_metric(BenchMetric& m) {
   if (m.repeats.empty()) m.repeats.push_back(m.value);
-  if (m.direction == "higher") {
+  if (m.direction == Direction::kHigher) {
     m.value = *std::max_element(m.repeats.begin(), m.repeats.end());
   } else {
     m.value = *std::min_element(m.repeats.begin(), m.repeats.end());
   }
   m.mad = median_abs_deviation(m.repeats);
-}
-
-void add_metric(BenchRecord& record, std::string name, double value,
-                std::string direction, std::string noise, double abs_slack = 0) {
-  BenchMetric m;
-  m.name = name;
-  m.value = value;
-  m.direction = std::move(direction);
-  m.noise = std::move(noise);
-  m.abs_slack = abs_slack;
-  m.repeats.push_back(value);
-  record.metrics.emplace(std::move(name), std::move(m));
-}
-
-/// ext_certify_speedup shape: {params, timing, cache, checks, series}.
-BenchRecord normalize_certify(const JsonValue& doc, const std::string& source) {
-  BenchRecord record;
-  record.name = "certify";
-  record.source = source;
-  if (const JsonValue* params = doc.find("params")) {
-    record.params_json = params->dump(-1);
-    record.params_hash = fnv1a_hex(record.params_json);
-  }
-  const JsonValue* timing = doc.find("timing");
-  for (const char* key : {"engine_seq_seconds", "engine_par_seconds",
-                          "legacy_seconds"}) {
-    add_metric(record, std::string("timing.") + key, timing->get_number(key),
-               "lower", "timing");
-  }
-  for (const char* key : {"speedup_seq", "speedup_par"}) {
-    add_metric(record, std::string("timing.") + key, timing->get_number(key),
-               "higher", "timing");
-  }
-  if (const JsonValue* cache = doc.find("cache")) {
-    add_metric(record, "cache.hit_rate", cache->get_number("hit_rate"),
-               "higher", "exact");
-  }
-  if (const JsonValue* checks = doc.find("checks")) {
-    add_metric(record, "checks.seq_par_bit_mismatches",
-               checks->get_number("seq_par_bit_mismatches"), "lower", "exact");
-    // Numerical agreement with the legacy path: a few ulps of 1.0 is the
-    // expected magnitude, so grant absolute slack well above that but far
-    // below anything indicating a real numerics change.
-    add_metric(record, "checks.max_abs_diff_vs_legacy",
-               checks->get_number("max_abs_diff_vs_legacy"), "lower", "exact",
-               /*abs_slack=*/1e-12);
-  }
-  return record;
-}
-
-/// ext_check_overhead shape: flat object with multiplier/..._seconds keys.
-BenchRecord normalize_check_overhead(const JsonValue& doc,
-                                     const std::string& source) {
-  BenchRecord record;
-  record.name = "check_overhead";
-  record.source = source;
-  JsonObject params;
-  params["cases"] = doc.get_number("cases");
-  params["reps"] = doc.get_number("reps");
-  record.params_json = JsonValue(std::move(params)).dump(-1);
-  record.params_hash = fnv1a_hex(record.params_json);
-  for (const char* key : {"baseline_seconds", "guarded_off_seconds",
-                          "guarded_on_seconds"}) {
-    add_metric(record, key, doc.get_number(key), "lower", "timing");
-  }
-  // Per-dispatch overheads are differences of noisy timings and can be a
-  // handful of (even negative) nanoseconds: grant absolute slack so the
-  // gate only fires on order-of-magnitude blowups, not scheduler jitter.
-  add_metric(record, "off_overhead_ns_per_dispatch",
-             doc.get_number("off_overhead_ns_per_dispatch"), "lower", "timing",
-             /*abs_slack=*/50.0);
-  add_metric(record, "on_overhead_ns_per_dispatch",
-             doc.get_number("on_overhead_ns_per_dispatch"), "lower", "timing",
-             /*abs_slack=*/500.0);
-  add_metric(record, "multiplier", doc.get_number("multiplier"), "lower",
-             "timing", /*abs_slack=*/0.05);
-  return record;
-}
-
-/// ext_sim_throughput shape: flat object with dispatch/queue speedups and
-/// bit-exactness counters.
-BenchRecord normalize_sim_throughput(const JsonValue& doc,
-                                     const std::string& source) {
-  BenchRecord record;
-  record.name = "sim_throughput";
-  record.source = source;
-  JsonObject params;
-  for (const char* key :
-       {"tasks", "machines", "groups", "reps", "hold_size", "hold_ops"}) {
-    params[key] = doc.get_number(key);
-  }
-  record.params_json = JsonValue(std::move(params)).dump(-1);
-  record.params_hash = fnv1a_hex(record.params_json);
-  for (const char* key :
-       {"reference_dispatch_seconds", "soa_dispatch_seconds",
-        "group_reference_seconds", "group_soa_seconds",
-        "singleton_reference_seconds", "singleton_soa_seconds",
-        "queue_legacy_seconds", "queue_calendar_seconds"}) {
-    add_metric(record, key, doc.get_number(key), "lower", "timing");
-  }
-  for (const char* key :
-       {"reference_events_per_sec", "soa_events_per_sec", "dispatch_speedup",
-        "group_dispatch_speedup", "singleton_dispatch_speedup",
-        "queue_speedup"}) {
-    add_metric(record, key, doc.get_number(key), "higher", "timing");
-  }
-  // The bench exits non-zero on any divergence, so these are always zero
-  // in a recorded file; gating them "exact" means a future run that
-  // somehow emits a nonzero value trips the gate even if someone relaxes
-  // the binary's hard failure.
-  add_metric(record, "parity_mismatches", doc.get_number("parity_mismatches"),
-             "lower", "exact");
-  add_metric(record, "parity_max_abs_diff",
-             doc.get_number("parity_max_abs_diff"), "lower", "exact");
-  return record;
-}
-
-/// ext_certify_scale shape: {params, scale: [...], multifit, soundness,
-/// determinism}. Timings gate as "timing"; search-iteration counts,
-/// bound/soundness violation counters, and bit-mismatch totals are
-/// deterministic by contract and gate as "exact".
-BenchRecord normalize_certify_scale(const JsonValue& doc,
-                                    const std::string& source) {
-  BenchRecord record;
-  record.name = "certify_scale";
-  record.source = source;
-  if (const JsonValue* params = doc.find("params")) {
-    record.params_json = params->dump(-1);
-    record.params_hash = fnv1a_hex(record.params_json);
-  }
-  const JsonValue* scale = doc.find("scale");
-  for (const JsonValue& row : scale->as_array()) {
-    const auto n = static_cast<long long>(row.get_number("n"));
-    const std::string suffix = "_n" + std::to_string(n);
-    add_metric(record, "scale.engine_seconds" + suffix,
-               row.get_number("engine_seconds"), "lower", "timing");
-    add_metric(record, "scale.iterations" + suffix,
-               row.get_number("iterations"), "lower", "exact");
-    // The realized guarantee depends only on the deterministic bisection
-    // bracket; a hair of absolute slack covers dump/parse rounding.
-    add_metric(record, "scale.guarantee" + suffix, row.get_number("guarantee"),
-               "lower", "exact", /*abs_slack=*/1e-9);
-    add_metric(record, "scale.violations" + suffix, row.get_number("violation"),
-               "lower", "exact");
-  }
-  if (const JsonValue* multifit = doc.find("multifit")) {
-    add_metric(record, "multifit.seconds", multifit->get_number("seconds"),
-               "lower", "timing");
-    add_metric(record, "multifit.iterations",
-               multifit->get_number("iterations"), "lower", "exact");
-  }
-  const JsonValue* soundness = doc.find("soundness");
-  add_metric(record, "soundness.violations",
-             soundness->get_number("violations"), "lower", "exact");
-  add_metric(record, "soundness.exact_cases",
-             soundness->get_number("exact_cases"), "none", "exact");
-  if (const JsonValue* determinism = doc.find("determinism")) {
-    add_metric(record, "determinism.bit_mismatches",
-               determinism->get_number("bit_mismatches"), "lower", "exact");
-  }
-  return record;
 }
 
 bool seconds_like(const std::string& name) {
@@ -222,29 +61,63 @@ BenchRecord normalize_snapshot(const JsonValue& doc, const std::string& source) 
   record.source = source;
   if (const JsonValue* counters = doc.find("counters")) {
     for (const auto& [key, value] : counters->as_object()) {
-      add_metric(record, "counters." + key, value.as_number(), "none", "exact");
+      record.add("counters." + key, value.as_number(), Direction::kNone,
+                 Noise::kExact);
     }
   }
   if (const JsonValue* gauges = doc.find("gauges")) {
     for (const auto& [key, value] : gauges->as_object()) {
-      add_metric(record, "gauges." + key, value.as_number(), "none", "timing");
+      record.add("gauges." + key, value.as_number(), Direction::kNone,
+                 Noise::kTiming);
     }
   }
   if (const JsonValue* histograms = doc.find("histograms")) {
     for (const auto& [key, value] : histograms->as_object()) {
-      const std::string direction = seconds_like(key) ? "lower" : "none";
+      const Direction direction =
+          seconds_like(key) ? Direction::kLower : Direction::kNone;
       for (const char* field : {"mean", "p50", "p90", "p99"}) {
-        add_metric(record, "histograms." + key + "." + field,
-                   value.get_number(field), direction, "timing");
+        record.add("histograms." + key + "." + field, value.get_number(field),
+                   direction, Noise::kTiming);
       }
-      add_metric(record, "histograms." + key + ".count",
-                 value.get_number("count"), "none", "exact");
+      record.add("histograms." + key + ".count", value.get_number("count"),
+                 Direction::kNone, Noise::kExact);
     }
   }
   return record;
 }
 
-/// Already-normalized BenchRecord JSON (round-trip of to_json()).
+[[noreturn]] void bad_metric(const std::string& source, const std::string& key,
+                             const std::string& what) {
+  throw std::runtime_error("perf: " + source + ": metric '" + key + "': " +
+                           what);
+}
+
+/// A required finite number; `field` names it in the error.
+double finite_number(const JsonValue* v, const std::string& source,
+                     const std::string& key, const std::string& field) {
+  if (v == nullptr || !v->is_number() || !std::isfinite(v->as_number())) {
+    bad_metric(source, key, field + " is not a finite number");
+  }
+  return v->as_number();
+}
+
+Direction parse_direction(const std::string& label, const std::string& source,
+                          const std::string& key) {
+  for (const Direction d : {Direction::kLower, Direction::kHigher, Direction::kNone}) {
+    if (label == to_string(d)) return d;
+  }
+  bad_metric(source, key, "unknown direction '" + label + "'");
+}
+
+Noise parse_noise(const std::string& label, const std::string& source,
+                  const std::string& key) {
+  for (const Noise n : {Noise::kTiming, Noise::kExact}) {
+    if (label == to_string(n)) return n;
+  }
+  bad_metric(source, key, "unknown noise class '" + label + "'");
+}
+
+/// A saved BenchRecord (round-trip of to_json()).
 BenchRecord parse_record(const JsonValue& doc, const std::string& source) {
   BenchRecord record;
   record.schema_version = static_cast<int>(doc.get_number("schema_version", 0));
@@ -253,7 +126,9 @@ BenchRecord parse_record(const JsonValue& doc, const std::string& source) {
                              std::to_string(record.schema_version));
   }
   record.name = doc.get_string("name");
-  record.source = doc.get_string("source", source);
+  // A bench leaves `source` empty; the file it was loaded from names it.
+  record.source = doc.get_string("source");
+  if (record.source.empty()) record.source = source;
   record.params_hash = doc.get_string("params_hash");
   record.params_json = doc.get_string("params_json");
   record.git_sha = doc.get_string("git_sha");
@@ -265,23 +140,58 @@ BenchRecord parse_record(const JsonValue& doc, const std::string& source) {
   for (const auto& [key, value] : metrics->as_object()) {
     BenchMetric m;
     m.name = key;
-    m.value = value.get_number("value");
-    m.direction = value.get_string("direction", "lower");
-    m.noise = value.get_string("noise", "timing");
-    m.abs_slack = value.get_number("abs_slack");
-    m.mad = value.get_number("mad");
+    m.value = finite_number(value.find("value"), source, key, "value");
+    m.direction = parse_direction(value.get_string("direction"), source, key);
+    m.noise = parse_noise(value.get_string("noise"), source, key);
+    if (const JsonValue* slack = value.find("abs_slack")) {
+      m.abs_slack = finite_number(slack, source, key, "abs_slack");
+    }
     if (const JsonValue* repeats = value.find("repeats")) {
+      if (!repeats->is_array()) bad_metric(source, key, "repeats is not an array");
       for (const JsonValue& r : repeats->as_array()) {
-        m.repeats.push_back(r.as_number());
+        m.repeats.push_back(finite_number(&r, source, key, "a repeats entry"));
       }
     }
-    if (m.repeats.empty()) m.repeats.push_back(m.value);
     record.metrics.emplace(key, std::move(m));
   }
   return record;
 }
 
 }  // namespace
+
+std::string_view to_string(Direction direction) {
+  switch (direction) {
+    case Direction::kLower: return "lower";
+    case Direction::kHigher: return "higher";
+    case Direction::kNone: return "none";
+  }
+  return "?";
+}
+
+std::string_view to_string(Noise noise) {
+  switch (noise) {
+    case Noise::kTiming: return "timing";
+    case Noise::kExact: return "exact";
+  }
+  return "?";
+}
+
+void BenchRecord::add(std::string metric, double value, Direction direction,
+                      Noise noise, double abs_slack) {
+  BenchMetric m;
+  m.name = metric;
+  m.value = value;
+  m.direction = direction;
+  m.noise = noise;
+  m.abs_slack = abs_slack;
+  m.repeats.push_back(value);
+  metrics.insert_or_assign(std::move(metric), std::move(m));
+}
+
+void BenchRecord::set_params(const JsonValue& params) {
+  params_json = params.dump(-1);
+  params_hash = fnv1a_hex(params_json);
+}
 
 const BenchMetric* BenchRecord::find(const std::string& metric) const {
   const auto it = metrics.find(metric);
@@ -293,8 +203,8 @@ std::string BenchRecord::to_json(int indent) const {
   for (const auto& [key, m] : metrics) {
     JsonObject obj;
     obj["value"] = m.value;
-    obj["direction"] = m.direction;
-    obj["noise"] = m.noise;
+    obj["direction"] = std::string(to_string(m.direction));
+    obj["noise"] = std::string(to_string(m.noise));
     obj["abs_slack"] = m.abs_slack;
     obj["mad"] = m.mad;
     JsonArray repeats;
@@ -321,125 +231,6 @@ void BenchRecord::save(const std::string& path) const {
   if (!out) throw std::runtime_error("perf: write failed for " + path);
 }
 
-/// ext_serve_throughput: streaming dispatcher vs the offline core on the
-/// same workload. The ratio and raw rates are timing-class; the drain
-/// parity counter is deterministic (the bench hard-fails on a nonzero
-/// value, so it gates "exact" like sim_throughput's parity metrics).
-BenchRecord normalize_serve_throughput(const JsonValue& doc,
-                                       const std::string& source) {
-  BenchRecord record;
-  record.name = "serve_throughput";
-  record.source = source;
-  JsonObject params;
-  for (const char* key : {"tasks", "machines", "groups", "reps", "rate"}) {
-    params[key] = doc.get_number(key);
-  }
-  record.params_json = JsonValue(std::move(params)).dump(-1);
-  record.params_hash = fnv1a_hex(record.params_json);
-  for (const char* key :
-       {"offline_seconds", "drain_seconds", "serve_seconds"}) {
-    add_metric(record, key, doc.get_number(key), "lower", "timing");
-  }
-  for (const char* key :
-       {"offline_events_per_sec", "drain_events_per_sec",
-        "serve_events_per_sec", "serve_vs_offline_ratio",
-        "drain_vs_offline_ratio"}) {
-    add_metric(record, key, doc.get_number(key), "higher", "timing");
-  }
-  add_metric(record, "drain_parity_mismatches",
-             doc.get_number("drain_parity_mismatches"), "lower", "exact");
-  add_metric(record, "peak_backlog", doc.get_number("peak_backlog"), "none",
-             "exact");
-  for (const char* key : {"response_p50", "response_p90", "response_p99"}) {
-    add_metric(record, key, doc.get_number(key), "none", "exact");
-  }
-  return record;
-}
-
-/// ext_adapt shape: {adaptive_sweep, adaptive_fuzz, *_seconds}. Both
-/// sections are deterministic in the seed (dispatch + certification are
-/// pure FP), so the ratios gate "exact" with dump/parse slack; the
-/// bound-violation counter is the acceptance criterion and gates hard at
-/// its recorded value (0). Wall-clock sections are timing-class.
-BenchRecord normalize_adapt(const JsonValue& doc, const std::string& source) {
-  BenchRecord record;
-  record.name = "adapt";
-  record.source = source;
-  const JsonValue* sweep = doc.find("adaptive_sweep");
-  const JsonValue* fuzz = doc.find("adaptive_fuzz");
-  JsonObject params;
-  for (const char* key : {"tasks", "machines", "seed", "budget"}) {
-    params[key] = doc.get_number(key);
-  }
-  params["trials"] = sweep->get_number("trials");
-  params["alpha_from"] = sweep->get_number("alpha_from");
-  params["alpha_to"] = sweep->get_number("alpha_to");
-  params["fuzz_seeds"] = fuzz->get_number("seeds");
-  record.params_json = JsonValue(std::move(params)).dump(-1);
-  record.params_hash = fnv1a_hex(record.params_json);
-
-  add_metric(record, "sweep.adaptive_mean_ratio",
-             sweep->get_number("adaptive_mean_ratio"), "lower", "exact",
-             /*abs_slack=*/1e-9);
-  add_metric(record, "sweep.best_lsgroup_mean_ratio",
-             sweep->get_number("best_lsgroup_mean_ratio"), "lower", "exact",
-             /*abs_slack=*/1e-9);
-  add_metric(record, "sweep.adaptive_final_alpha_hat",
-             sweep->get_number("adaptive_final_alpha_hat"), "none", "exact",
-             /*abs_slack=*/1e-9);
-  // The headline: 1 iff the adaptive mean ratio undercuts every fixed
-  // LS-Group degree on the drifting sweep.
-  add_metric(record, "sweep.adaptive_beats_lsgroup",
-             sweep->get_number("adaptive_beats_lsgroup"), "higher", "exact");
-  if (const JsonValue* fixed = sweep->find("fixed_mean_ratios")) {
-    for (const auto& [key, value] : fixed->as_object()) {
-      add_metric(record, "sweep.fixed." + key, value.as_number(), "none",
-                 "exact", /*abs_slack=*/1e-9);
-    }
-  }
-  add_metric(record, "fuzz.bound_violations",
-             fuzz->get_number("bound_violations"), "lower", "exact");
-  add_metric(record, "fuzz.max_bound_fraction",
-             fuzz->get_number("max_bound_fraction"), "lower", "exact",
-             /*abs_slack=*/1e-9);
-  for (const char* key : {"sweep_seconds", "fuzz_seconds"}) {
-    add_metric(record, key, doc.get_number(key), "lower", "timing");
-  }
-  return record;
-}
-
-/// ext_obs_overhead: serve_stream with the timeline recorder off vs on.
-/// The ratio is the acceptance criterion (<= 5% overhead) and gates as
-/// timing with a small absolute slack so run-to-run jitter around 1.0
-/// does not flake; the event/drop accounting is deterministic (the bench
-/// hard-fails on any mismatch) and gates "exact".
-BenchRecord normalize_obs_overhead(const JsonValue& doc,
-                                   const std::string& source) {
-  BenchRecord record;
-  record.name = "obs_overhead";
-  record.source = source;
-  JsonObject params;
-  for (const char* key : {"tasks", "machines", "groups", "reps", "rate",
-                          "capacity", "drop_capacity"}) {
-    params[key] = doc.get_number(key);
-  }
-  record.params_json = JsonValue(std::move(params)).dump(-1);
-  record.params_hash = fnv1a_hex(record.params_json);
-  for (const char* key : {"off_seconds", "on_seconds"}) {
-    add_metric(record, key, doc.get_number(key), "lower", "timing");
-  }
-  for (const char* key : {"off_events_per_sec", "on_events_per_sec"}) {
-    add_metric(record, key, doc.get_number(key), "higher", "timing");
-  }
-  add_metric(record, "overhead_ratio", doc.get_number("overhead_ratio"),
-             "lower", "timing", /*abs_slack=*/0.05);
-  for (const char* key : {"events_recorded", "events_dropped",
-                          "drop_recorded", "drop_dropped"}) {
-    add_metric(record, key, doc.get_number(key), "none", "exact");
-  }
-  return record;
-}
-
 BenchRecord normalize_bench_json(const JsonValue& doc, const std::string& source) {
   if (!doc.is_object()) {
     throw std::runtime_error("perf: " + source + ": not a JSON object");
@@ -447,35 +238,14 @@ BenchRecord normalize_bench_json(const JsonValue& doc, const std::string& source
   BenchRecord record;
   if (doc.find("schema_version") != nullptr && doc.find("metrics") != nullptr) {
     record = parse_record(doc, source);
-  } else if (doc.find("timing") != nullptr && doc.find("cache") != nullptr) {
-    record = normalize_certify(doc, source);
-  } else if (doc.find("multiplier") != nullptr &&
-             doc.find("baseline_seconds") != nullptr) {
-    record = normalize_check_overhead(doc, source);
-  } else if (doc.find("dispatch_speedup") != nullptr &&
-             doc.find("queue_speedup") != nullptr) {
-    record = normalize_sim_throughput(doc, source);
-  } else if (doc.find("serve_vs_offline_ratio") != nullptr &&
-             doc.find("drain_parity_mismatches") != nullptr) {
-    record = normalize_serve_throughput(doc, source);
-  } else if (doc.find("scale") != nullptr && doc.find("soundness") != nullptr) {
-    record = normalize_certify_scale(doc, source);
-  } else if (doc.find("adaptive_sweep") != nullptr &&
-             doc.find("adaptive_fuzz") != nullptr) {
-    record = normalize_adapt(doc, source);
-  } else if (doc.find("overhead_ratio") != nullptr &&
-             doc.find("events_recorded") != nullptr) {
-    record = normalize_obs_overhead(doc, source);
   } else if (doc.find("counters") != nullptr &&
              doc.find("histograms") != nullptr) {
     record = normalize_snapshot(doc, source);
   } else {
     throw std::runtime_error(
         "perf: " + source +
-        ": unrecognized benchmark JSON shape (expected a BenchRecord, "
-        "ext_certify_speedup, ext_check_overhead, ext_sim_throughput, "
-        "ext_serve_throughput, ext_certify_scale, ext_adapt, "
-        "ext_obs_overhead, or metrics snapshot)");
+        ": unrecognized benchmark JSON shape (expected a BenchRecord or a "
+        "--metrics-out snapshot)");
   }
   for (auto& [key, m] : record.metrics) finalize_metric(m);
   return record;

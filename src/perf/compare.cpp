@@ -12,8 +12,11 @@ namespace rdp::perf {
 namespace {
 
 double threshold_for(const BenchMetric& baseline, const CompareOptions& options) {
-  const double rel = baseline.noise == "exact" ? options.exact_rel_tolerance
-                                               : options.timing_rel_tolerance;
+  double rel = 0;
+  switch (baseline.noise) {
+    case Noise::kTiming: rel = options.timing_rel_tolerance; break;
+    case Noise::kExact: rel = options.exact_rel_tolerance; break;
+  }
   return std::max({rel * std::fabs(baseline.value),
                    options.mad_multiplier * baseline.mad, baseline.abs_slack});
 }
@@ -26,10 +29,16 @@ bool CompareResult::regressed() const {
                      [](const MetricVerdict& v) { return v.regressed(); });
 }
 
-bool CompareResult::exact_regressed() const {
+bool CompareResult::schema_broken() const {
   if (!params_match) return true;
+  return std::any_of(metrics.begin(), metrics.end(),
+                     [](const MetricVerdict& v) { return v.status == "missing"; });
+}
+
+bool CompareResult::exact_regressed() const {
+  if (schema_broken()) return true;
   return std::any_of(metrics.begin(), metrics.end(), [](const MetricVerdict& v) {
-    return v.noise == "exact" && v.regressed();
+    return v.noise == Noise::kExact && v.regressed();
   });
 }
 
@@ -40,8 +49,8 @@ std::string CompareResult::render_table() const {
   TextTable table({"metric", "dir", "baseline", "current", "delta",
                    "threshold", "status"});
   for (const MetricVerdict& v : metrics) {
-    table.add_row({v.name, v.direction, fmt(v.baseline), fmt(v.current),
-                   fmt(v.delta), fmt(v.threshold), v.status});
+    table.add_row({v.name, std::string(to_string(v.direction)), fmt(v.baseline),
+                   fmt(v.current), fmt(v.delta), fmt(v.threshold), v.status});
   }
   out << table.render();
   for (const std::string& note : notes) out << "note: " << note << "\n";
@@ -58,8 +67,8 @@ JsonValue CompareResult::to_json() const {
     obj["current"] = v.current;
     obj["delta"] = v.delta;
     obj["threshold"] = v.threshold;
-    obj["direction"] = v.direction;
-    obj["noise"] = v.noise;
+    obj["direction"] = std::string(to_string(v.direction));
+    obj["noise"] = std::string(to_string(v.noise));
     obj["status"] = v.status;
     metric_array.emplace_back(std::move(obj));
   }
@@ -120,19 +129,20 @@ CompareResult compare_records(const BenchRecord& baseline,
     v.threshold = threshold_for(base, options);
     const BenchMetric* cur = current.find(name);
     if (cur == nullptr) {
-      if (base.direction == "none") continue;  // informational, may come and go
+      if (base.direction == Direction::kNone) continue;  // may come and go
       v.status = "missing";
       result.metrics.push_back(std::move(v));
       continue;
     }
     v.current = cur->value;
     v.delta = cur->value - base.value;
-    if (base.direction == "none") {
+    if (base.direction == Direction::kNone) {
       v.status = "info";
     } else if (std::fabs(v.delta) <= v.threshold) {
       v.status = "ok";
     } else {
-      const bool worse = base.direction == "lower" ? v.delta > 0 : v.delta < 0;
+      const bool worse =
+          base.direction == Direction::kLower ? v.delta > 0 : v.delta < 0;
       v.status = worse ? "regressed" : "improved";
     }
     result.metrics.push_back(std::move(v));

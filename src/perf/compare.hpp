@@ -35,8 +35,8 @@ struct MetricVerdict {
   double current = 0;
   double delta = 0;        ///< current - baseline
   double threshold = 0;    ///< slack granted before calling it a change
-  std::string direction;   ///< "lower" | "higher" | "none"
-  std::string noise;       ///< "timing" | "exact" (from the baseline metric)
+  Direction direction = Direction::kLower;
+  Noise noise = Noise::kTiming;  ///< from the baseline metric
   /// "ok" | "improved" | "regressed" | "info" | "missing" | "new"
   std::string status;
 
@@ -56,9 +56,14 @@ struct CompareResult {
   /// (unless ignore_params).
   [[nodiscard]] bool regressed() const;
 
+  /// True when the runs are not comparable as recorded: params drifted
+  /// (unless ignore_params) or a gated metric vanished. A gate that
+  /// silently stops measuring fails even under `--warn-only`.
+  [[nodiscard]] bool schema_broken() const;
+
   /// True when an "exact"-noise-class metric (counters, iteration counts,
-  /// bit-mismatch totals -- deterministic by contract) regressed or
-  /// vanished, or params drifted. These stay enforced even when timing
+  /// bit-mismatch totals -- deterministic by contract) regressed, or the
+  /// schema broke. These stay enforced even when timing
   /// regressions are downgraded to warnings on shared runners
   /// (`perf gate --warn-only --enforce-exact`).
   [[nodiscard]] bool exact_regressed() const;

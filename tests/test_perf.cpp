@@ -1,10 +1,14 @@
-// Tests for the perf regression gate (src/perf/): BenchRecord
-// normalization of every raw BENCH_*.json shape, min-of-k repeat
-// merging, JSON round-trips, and the noise-aware comparison -- including
-// the golden cases the ISSUE pins: a self-compare is clean, and an
-// injected 2x slowdown is detected and named.
+// Tests for the perf regression gate (src/perf/): BenchRecord building
+// and loading (a saved record or a --metrics-out snapshot, and nothing
+// else), min-of-k repeat merging, JSON round-trips, and the noise-aware
+// comparison -- including the golden cases: a self-compare is clean, and
+// an injected 2x slowdown is detected and named.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,72 +19,184 @@
 namespace rdp {
 namespace {
 
-// A miniature ext_certify_speedup output (the real files carry more
-// series rows; the loader only reads params/timing/cache/checks).
-const char* kCertifyJson = R"({
-  "cache": {"evictions": 0, "hit_rate": 0.8, "hits": 16, "misses": 4},
-  "checks": {"max_abs_diff_vs_legacy": 2.2e-16, "seq_par_bit_mismatches": 0},
-  "params": {"alphas": [1.5], "budget": 300000, "m": 8, "n": 22,
-             "threads": 8, "trials": 2},
-  "series": [],
-  "timing": {"engine_par_seconds": 0.022, "engine_seq_seconds": 0.021,
-             "legacy_seconds": 0.110, "speedup_par": 5.0, "speedup_seq": 5.2}
-})";
+using perf::Direction;
+using perf::Noise;
 
-const char* kOverheadJson = R"({
-  "cases": 60, "reps": 5,
-  "baseline_seconds": 1.1, "guarded_off_seconds": 1.12,
-  "guarded_on_seconds": 1.9,
-  "off_overhead_ns_per_dispatch": 2.5, "on_overhead_ns_per_dispatch": 120.0,
-  "multiplier": 1.7
-})";
-
-perf::BenchRecord certify_record(double seq_seconds = 0.021) {
-  JsonValue doc = parse_json(kCertifyJson);
-  JsonObject root = doc.as_object();
-  JsonObject timing = root.at("timing").as_object();
-  timing["engine_seq_seconds"] = seq_seconds;
-  root["timing"] = std::move(timing);
-  return perf::normalize_bench_json(JsonValue(std::move(root)),
-                                    "BENCH_certify_smoke.json");
+JsonValue certify_params(double trials = 2) {
+  JsonObject params;
+  params["alphas"] = JsonArray{JsonValue(1.5)};
+  params["budget"] = 300000;
+  params["m"] = 8;
+  params["n"] = 22;
+  params["threads"] = 8;
+  params["trials"] = trials;
+  return JsonValue(std::move(params));
 }
 
-// --- Normalization ---------------------------------------------------------
+// A miniature certify-speedup record, built the way the bench builds it.
+perf::BenchRecord certify_record(double seq_seconds = 0.021,
+                                 double hit_rate = 0.8) {
+  perf::BenchRecord record;
+  record.name = "certify";
+  record.source = "BENCH_certify_smoke.json";
+  record.set_params(certify_params());
+  record.add("timing.engine_seq_seconds", seq_seconds, Direction::kLower,
+             Noise::kTiming);
+  record.add("timing.engine_par_seconds", 0.022, Direction::kLower, Noise::kTiming);
+  record.add("timing.legacy_seconds", 0.110, Direction::kLower, Noise::kTiming);
+  record.add("timing.speedup_seq", 5.2, Direction::kHigher, Noise::kTiming);
+  record.add("cache.hit_rate", hit_rate, Direction::kHigher, Noise::kExact);
+  record.add("checks.seq_par_bit_mismatches", 0, Direction::kLower, Noise::kExact);
+  record.add("checks.max_abs_diff_vs_legacy", 2.2e-16, Direction::kLower,
+             Noise::kExact, /*abs_slack=*/1e-12);
+  return record;
+}
 
-TEST(BenchRecord, NormalizesCertifyShape) {
+/// The saved JSON of certify_record() with one field of the
+/// cache.hit_rate metric replaced.
+JsonValue with_hit_rate_field(const std::string& field, JsonValue value) {
+  JsonObject root = parse_json(certify_record().to_json()).as_object();
+  JsonObject metrics = root.at("metrics").as_object();
+  JsonObject metric = metrics.at("cache.hit_rate").as_object();
+  metric[field] = std::move(value);
+  metrics["cache.hit_rate"] = std::move(metric);
+  root["metrics"] = std::move(metrics);
+  return JsonValue(std::move(root));
+}
+
+void expect_rejected(const JsonValue& doc, const std::string& what) {
+  try {
+    (void)perf::normalize_bench_json(doc, "copy.json");
+    FAIL() << "accepted " << what;
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("copy.json"), std::string::npos) << message;
+    EXPECT_NE(message.find("cache.hit_rate"), std::string::npos) << message;
+  }
+}
+
+// --- Building and loading ---------------------------------------------------
+
+TEST(BenchRecord, AddAndSetParamsBuildTheGateRecord) {
   const perf::BenchRecord record = certify_record();
-  EXPECT_EQ(record.name, "certify");
-  EXPECT_EQ(record.source, "BENCH_certify_smoke.json");
+  EXPECT_EQ(record.params_json, certify_params().dump(-1));
+  EXPECT_EQ(record.params_hash, perf::fnv1a_hex(record.params_json));
   EXPECT_EQ(record.params_hash.size(), 16u);
 
-  const perf::BenchMetric* seq = record.find("timing.engine_seq_seconds");
-  ASSERT_NE(seq, nullptr);
-  EXPECT_DOUBLE_EQ(seq->value, 0.021);
-  EXPECT_EQ(seq->direction, "lower");
-  EXPECT_EQ(seq->noise, "timing");
-
-  const perf::BenchMetric* speedup = record.find("timing.speedup_seq");
-  ASSERT_NE(speedup, nullptr);
-  EXPECT_EQ(speedup->direction, "higher");
-
-  const perf::BenchMetric* hit_rate = record.find("cache.hit_rate");
-  ASSERT_NE(hit_rate, nullptr);
-  EXPECT_EQ(hit_rate->direction, "higher");
-  EXPECT_EQ(hit_rate->noise, "exact");
-
-  ASSERT_NE(record.find("checks.seq_par_bit_mismatches"), nullptr);
-  ASSERT_NE(record.find("checks.max_abs_diff_vs_legacy"), nullptr);
+  const perf::BenchMetric* slack = record.find("checks.max_abs_diff_vs_legacy");
+  ASSERT_NE(slack, nullptr);
+  EXPECT_EQ(slack->direction, Direction::kLower);
+  EXPECT_EQ(slack->noise, Noise::kExact);
+  EXPECT_DOUBLE_EQ(slack->abs_slack, 1e-12);
+  EXPECT_EQ(slack->repeats, std::vector<double>{2.2e-16});
 }
 
-TEST(BenchRecord, NormalizesCheckOverheadShape) {
-  const perf::BenchRecord record = perf::normalize_bench_json(
-      parse_json(kOverheadJson), "BENCH_check_overhead_smoke.json");
-  EXPECT_EQ(record.name, "check_overhead");
-  const perf::BenchMetric* off = record.find("off_overhead_ns_per_dispatch");
-  ASSERT_NE(off, nullptr);
-  EXPECT_GT(off->abs_slack, 0.0) << "near-zero baselines need absolute slack";
-  ASSERT_NE(record.find("multiplier"), nullptr);
-  ASSERT_NE(record.find("baseline_seconds"), nullptr);
+TEST(BenchRecord, LabelsKeepTheirOnDiskSpelling) {
+  EXPECT_EQ(perf::to_string(Direction::kLower), "lower");
+  EXPECT_EQ(perf::to_string(Direction::kHigher), "higher");
+  EXPECT_EQ(perf::to_string(Direction::kNone), "none");
+  EXPECT_EQ(perf::to_string(Noise::kTiming), "timing");
+  EXPECT_EQ(perf::to_string(Noise::kExact), "exact");
+  const std::string json = certify_record().to_json(-1);
+  EXPECT_NE(json.find(R"("direction":"higher","mad":0,"noise":"exact")"),
+            std::string::npos)
+      << json;
+}
+
+TEST(BenchRecord, LoadingFillsAnEmptySourceFromTheFileName) {
+  perf::BenchRecord record = certify_record();
+  record.source.clear();
+  EXPECT_EQ(perf::normalize_bench_json(parse_json(record.to_json()),
+                                       "BENCH_x_smoke.json")
+                .source,
+            "BENCH_x_smoke.json");
+  record.source = "BENCH_certify.json";
+  EXPECT_EQ(perf::normalize_bench_json(parse_json(record.to_json()), "copy.json")
+                .source,
+            "BENCH_certify.json");
+}
+
+TEST(BenchRecord, RejectsMistypedDirection) {
+  expect_rejected(with_hit_rate_field("direction", "lowr"), "direction 'lowr'");
+}
+
+TEST(BenchRecord, RejectsMistypedNoise) {
+  expect_rejected(with_hit_rate_field("noise", "exct"), "noise 'exct'");
+}
+
+TEST(BenchRecord, RejectsNonNumericValue) {
+  expect_rejected(with_hit_rate_field("value", "0.8"), "a string value");
+  expect_rejected(with_hit_rate_field("value", nullptr), "a null value");
+}
+
+TEST(BenchRecord, RejectsNonFiniteValue) {
+  expect_rejected(
+      with_hit_rate_field("value", std::numeric_limits<double>::infinity()),
+      "an infinite value");
+  expect_rejected(
+      with_hit_rate_field("value", std::numeric_limits<double>::quiet_NaN()),
+      "a NaN value");
+}
+
+TEST(BenchRecord, RejectsBadRepeats) {
+  expect_rejected(with_hit_rate_field("repeats", JsonArray{JsonValue("x")}),
+                  "a string repeat");
+  expect_rejected(
+      with_hit_rate_field("repeats", JsonArray{JsonValue(std::nan(""))}),
+      "a NaN repeat");
+}
+
+TEST(BenchRecord, RejectsBadAbsSlack) {
+  expect_rejected(with_hit_rate_field("abs_slack", true), "a boolean abs_slack");
+  expect_rejected(
+      with_hit_rate_field("abs_slack", std::numeric_limits<double>::infinity()),
+      "an infinite abs_slack");
+}
+
+TEST(BenchRecord, RejectsUnsupportedSchemaVersion) {
+  JsonObject root = parse_json(certify_record().to_json()).as_object();
+  root["schema_version"] = 2;
+  try {
+    (void)perf::normalize_bench_json(JsonValue(std::move(root)), "copy.json");
+    FAIL() << "accepted schema_version 2";
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("copy.json"), std::string::npos) << message;
+    EXPECT_NE(message.find("schema_version"), std::string::npos) << message;
+  }
+}
+
+TEST(BenchRecord, RejectsRecordWithoutMetricsObject) {
+  JsonObject root = parse_json(certify_record().to_json()).as_object();
+  root["metrics"] = JsonArray{};
+  EXPECT_THROW(
+      (void)perf::normalize_bench_json(JsonValue(std::move(root)), "copy.json"),
+      std::runtime_error);
+}
+
+// What a bench writes with save() is what the gate reads back with
+// load_bench_file(), and an empty `source` becomes the bare file name.
+TEST(BenchRecord, SaveWritesWhatLoadBenchFileReads) {
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() / "rdp_test_bench_record.json";
+  perf::BenchRecord record = certify_record();
+  record.source.clear();
+  record.save(path.string());
+  const perf::BenchRecord back = perf::load_bench_file(path.string());
+  std::remove(path.string().c_str());
+  EXPECT_EQ(back.source, "rdp_test_bench_record.json");
+  EXPECT_EQ(back.name, record.name);
+  EXPECT_EQ(back.params_json, record.params_json);
+  EXPECT_EQ(back.params_hash, record.params_hash);
+  ASSERT_EQ(back.metrics.size(), record.metrics.size());
+  for (const auto& [key, m] : record.metrics) {
+    const perf::BenchMetric* other = back.find(key);
+    ASSERT_NE(other, nullptr) << key;
+    EXPECT_EQ(other->value, m.value) << key;
+    EXPECT_EQ(other->direction, m.direction) << key;
+    EXPECT_EQ(other->noise, m.noise) << key;
+    EXPECT_EQ(other->abs_slack, m.abs_slack) << key;
+  }
 }
 
 TEST(BenchRecord, NormalizesMetricsSnapshotShape) {
@@ -96,17 +212,24 @@ TEST(BenchRecord, NormalizesMetricsSnapshotShape) {
   EXPECT_EQ(record.name, "metrics_snapshot");
   const perf::BenchMetric* p99 = record.find("histograms.sweep.cell_seconds.p99");
   ASSERT_NE(p99, nullptr);
-  EXPECT_EQ(p99->direction, "lower") << "seconds-like histograms gate on tails";
+  EXPECT_EQ(p99->direction, Direction::kLower)
+      << "seconds-like histograms gate on tails";
   EXPECT_DOUBLE_EQ(p99->value, 0.0019);
   const perf::BenchMetric* calls = record.find("counters.sim.dispatch.calls");
   ASSERT_NE(calls, nullptr);
-  EXPECT_EQ(calls->direction, "none") << "counters are informational";
+  EXPECT_EQ(calls->direction, Direction::kNone) << "counters are informational";
 }
 
-TEST(BenchRecord, RejectsUnknownShape) {
+TEST(BenchRecord, RejectsEveryOtherShape) {
   EXPECT_THROW(
       (void)perf::normalize_bench_json(parse_json(R"({"foo": 1})"), "x.json"),
       std::runtime_error);
+  // A raw bench summary (the shape benches wrote before they built
+  // records) is not a record.
+  EXPECT_THROW((void)perf::normalize_bench_json(
+                   parse_json(R"({"multiplier": 1.7, "baseline_seconds": 1.1})"),
+                   "x.json"),
+               std::runtime_error);
   EXPECT_THROW((void)perf::load_bench_file("/nonexistent/bench.json"),
                std::runtime_error);
 }
@@ -151,13 +274,8 @@ TEST(BenchRecord, MergeRepeatsTakesBestAndComputesMad) {
 }
 
 TEST(BenchRecord, MergeRejectsMismatchedParams) {
-  JsonValue doc = parse_json(kCertifyJson);
-  JsonObject root = doc.as_object();
-  JsonObject params = root.at("params").as_object();
-  params["trials"] = 64;  // different workload
-  root["params"] = std::move(params);
-  const perf::BenchRecord other =
-      perf::normalize_bench_json(JsonValue(std::move(root)), "other.json");
+  perf::BenchRecord other = certify_record();
+  other.set_params(certify_params(64));  // different workload
   EXPECT_THROW((void)perf::merge_repeats({certify_record(), other}),
                std::runtime_error);
 }
@@ -235,23 +353,20 @@ TEST(PerfCompare, MadWidensTheThreshold) {
 }
 
 TEST(PerfCompare, ParamsDriftRegressesUnlessIgnored) {
-  JsonValue doc = parse_json(kCertifyJson);
-  JsonObject root = doc.as_object();
-  JsonObject params = root.at("params").as_object();
-  params["trials"] = 64;
-  root["params"] = std::move(params);
-  const perf::BenchRecord other =
-      perf::normalize_bench_json(JsonValue(std::move(root)), "other.json");
+  perf::BenchRecord other = certify_record();
+  other.set_params(certify_params(64));
 
   const perf::CompareResult strict = perf::compare_records(certify_record(), other);
   EXPECT_FALSE(strict.params_match);
   EXPECT_TRUE(strict.regressed());
+  EXPECT_TRUE(strict.schema_broken());
 
   perf::CompareOptions options;
   options.ignore_params = true;
   const perf::CompareResult loose =
       perf::compare_records(certify_record(), other, options);
   EXPECT_FALSE(loose.regressed());
+  EXPECT_FALSE(loose.schema_broken());
 }
 
 TEST(PerfCompare, VanishedMetricIsARegression) {
@@ -260,6 +375,9 @@ TEST(PerfCompare, VanishedMetricIsARegression) {
   current.metrics.erase("timing.engine_seq_seconds");
   const perf::CompareResult result = perf::compare_records(baseline, current);
   EXPECT_TRUE(result.regressed());
+  // A timing metric that vanished still fails `--warn-only --enforce-exact`.
+  EXPECT_TRUE(result.schema_broken());
+  EXPECT_TRUE(result.exact_regressed());
   bool missing = false;
   for (const auto& verdict : result.metrics) {
     missing = missing || (verdict.name == "timing.engine_seq_seconds" &&
@@ -287,36 +405,78 @@ TEST(PerfCompare, NewMetricIsInformational) {
 }
 
 TEST(PerfCompare, AbsSlackProtectsNearZeroBaselines) {
-  const perf::BenchRecord baseline = perf::normalize_bench_json(
-      parse_json(kOverheadJson), "BENCH_check_overhead_smoke.json");
+  const auto overhead = [](double off_ns) {
+    perf::BenchRecord record;
+    record.name = "check_overhead";
+    record.add("off_overhead_ns_per_dispatch", off_ns, Direction::kLower,
+               Noise::kTiming, /*abs_slack=*/50.0);
+    return record;
+  };
   // Off-overhead jumps 2.5ns -> 40ns: a 16x relative change that is still
   // scheduler noise in absolute terms -- inside the 50ns slack.
-  JsonValue doc = parse_json(kOverheadJson);
-  JsonObject root = doc.as_object();
-  root["off_overhead_ns_per_dispatch"] = 40.0;
-  const perf::BenchRecord current = perf::normalize_bench_json(
-      JsonValue(std::move(root)), "BENCH_check_overhead_smoke.json");
-  const perf::CompareResult result = perf::compare_records(baseline, current);
+  const perf::CompareResult result =
+      perf::compare_records(overhead(2.5), overhead(40.0));
   EXPECT_FALSE(result.regressed());
 }
 
 TEST(PerfCompare, ExactMetricsAreTight) {
-  JsonValue doc = parse_json(kCertifyJson);
-  JsonObject root = doc.as_object();
-  JsonObject cache = root.at("cache").as_object();
-  cache["hit_rate"] = 0.5;  // cache effectiveness collapsed
-  root["cache"] = std::move(cache);
-  const perf::BenchRecord current = perf::normalize_bench_json(
-      JsonValue(std::move(root)), "BENCH_certify_smoke.json");
-  const perf::CompareResult result =
-      perf::compare_records(certify_record(), current);
-  EXPECT_TRUE(result.regressed());
-  bool named = false;
-  for (const auto& verdict : result.metrics) {
-    named = named || (verdict.name == "cache.hit_rate" &&
-                      verdict.status == "regressed");
+  // Cache effectiveness collapsed; also a 0.80 -> 0.79 drop, which the
+  // 20% timing tolerance would wave through.
+  for (const double hit_rate : {0.5, 0.79}) {
+    const perf::CompareResult result =
+        perf::compare_records(certify_record(), certify_record(0.021, hit_rate));
+    EXPECT_TRUE(result.regressed()) << hit_rate;
+    EXPECT_TRUE(result.exact_regressed()) << hit_rate;
+    bool named = false;
+    for (const auto& verdict : result.metrics) {
+      named = named || (verdict.name == "cache.hit_rate" &&
+                        verdict.status == "regressed");
+    }
+    EXPECT_TRUE(named) << hit_rate;
   }
-  EXPECT_TRUE(named);
+}
+
+TEST(PerfCompare, HigherIsBetterRegressesOnADrop) {
+  const auto speedup = [](double value) {
+    perf::BenchRecord record = certify_record();
+    record.add("timing.speedup_seq", value, Direction::kHigher, Noise::kTiming);
+    return record;
+  };
+  const auto status_of = [](const perf::CompareResult& result) {
+    for (const auto& verdict : result.metrics) {
+      if (verdict.name == "timing.speedup_seq") return verdict.status;
+    }
+    return std::string("absent");
+  };
+  const perf::CompareResult dropped = perf::compare_records(speedup(5.2), speedup(2.0));
+  EXPECT_TRUE(dropped.regressed());
+  EXPECT_EQ(status_of(dropped), "regressed");
+  const perf::CompareResult doubled = perf::compare_records(speedup(5.2), speedup(10.4));
+  EXPECT_FALSE(doubled.regressed());
+  EXPECT_EQ(status_of(doubled), "improved");
+}
+
+TEST(PerfCompare, DirectionNoneIsReportedButNeverGates) {
+  const auto with_info = [](double value) {
+    perf::BenchRecord record = certify_record();
+    record.add("info.trials", value, Direction::kNone, Noise::kExact);
+    return record;
+  };
+  const perf::CompareResult result =
+      perf::compare_records(with_info(1.0), with_info(10.0));
+  EXPECT_FALSE(result.regressed());
+  EXPECT_FALSE(result.exact_regressed());
+  bool reported = false;
+  for (const auto& verdict : result.metrics) {
+    reported = reported ||
+               (verdict.name == "info.trials" && verdict.status == "info");
+  }
+  EXPECT_TRUE(reported);
+  // An informational metric may also vanish without breaking the schema.
+  const perf::CompareResult vanished =
+      perf::compare_records(with_info(1.0), certify_record());
+  EXPECT_FALSE(vanished.regressed());
+  EXPECT_FALSE(vanished.schema_broken());
 }
 
 TEST(PerfCompare, HostMismatchIsNotedButDoesNotGate) {

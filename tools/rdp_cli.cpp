@@ -104,9 +104,9 @@ int usage(const char* program) {
          "                   [--rel-tol=R] [--mad-mult=K]\n"
          "           gate    [--baselines=DIR] [--current-dir=DIR]\n"
          "                   [--json=FILE] [--warn-only] [--enforce-exact]\n"
-         "           (normalize BENCH_*.json into BenchRecords, diff fresh\n"
-         "            runs against committed baselines in bench/baselines/;\n"
-         "            see docs/PERFORMANCE.md)\n\n"
+         "           (merge the BenchRecords benches write to BENCH_*.json,\n"
+         "            diff fresh runs against committed baselines in\n"
+         "            bench/baselines/; see docs/PERFORMANCE.md)\n\n"
          "global:  --metrics-out=FILE (metrics snapshot JSON)\n"
          "         --trace-out=FILE   (Chrome trace_event; .jsonl for JSONL)\n"
          "         --sample-out=FILE  (JSONL metrics time series, one line\n"
@@ -368,28 +368,19 @@ int cmd_sweep(const Args& args) {
 
 void write_text_file(const std::string& path, const std::string& content);
 
-/// Strict numeric flag parsing for the serve command: Args::get(double)
-/// tolerates trailing junk ("4x" -> 4) and non-finite spellings ("nan",
-/// "inf"), and a negative --tasks would wrap through size_t into an
-/// absurd allocation inside the arrival generator (a runtime failure,
-/// exit 1). Flags that size or rate the workload are re-parsed from the
-/// raw string here so every rejection is an invalid_argument (usage
-/// error, exit 2) before anything reaches a generator.
+/// Range checks for the serve command's workload-sizing flags (Args
+/// already rejects partial and non-finite numbers): a zero or negative
+/// rate or duration, or a --tasks that would wrap through size_t into an
+/// absurd allocation, is a usage error (exit 2) before anything reaches
+/// a generator.
 double serve_positive_flag(const Args& args, const std::string& key,
                            double fallback) {
   if (!args.has(key)) return fallback;
-  const std::string raw = args.get(key, std::string(""));
-  double value = 0;
-  std::size_t consumed = 0;
-  try {
-    value = std::stod(raw, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != raw.size() || !std::isfinite(value) || !(value > 0.0)) {
+  const double value = args.get(key, fallback);
+  if (!(value > 0.0)) {
     throw std::invalid_argument("serve: --" + key +
                                 " must be a positive finite number (got '" +
-                                raw + "')");
+                                args.get(key, std::string("")) + "')");
   }
   return value;
 }
@@ -397,18 +388,11 @@ double serve_positive_flag(const Args& args, const std::string& key,
 std::size_t serve_count_flag(const Args& args, const std::string& key,
                              std::size_t fallback) {
   if (!args.has(key)) return fallback;
-  const std::string raw = args.get(key, std::string(""));
-  long long value = 0;
-  std::size_t consumed = 0;
-  try {
-    value = std::stoll(raw, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != raw.size() || raw.empty() || value < 1) {
+  const std::int64_t value = args.get(key, std::int64_t{0});
+  if (value < 1) {
     throw std::invalid_argument("serve: --" + key +
-                                " must be a positive integer (got '" + raw +
-                                "')");
+                                " must be a positive integer (got '" +
+                                args.get(key, std::string("")) + "')");
   }
   return static_cast<std::size_t>(value);
 }
@@ -1112,12 +1096,15 @@ perf::CompareOptions compare_options_from(const Args& args) {
   options.timing_rel_tolerance =
       args.get("rel-tol", options.timing_rel_tolerance);
   options.mad_multiplier = args.get("mad-mult", options.mad_multiplier);
+  if (options.timing_rel_tolerance < 0 || options.mad_multiplier < 0) {
+    throw std::invalid_argument("perf: --rel-tol and --mad-mult must be >= 0");
+  }
   options.ignore_params = args.get("ignore-params", false);
   return options;
 }
 
-/// `perf record`: normalize raw bench JSON (min-of-k over several files)
-/// into a committed baseline record.
+/// `perf record`: merge bench records (min-of-k over several files) into
+/// a committed baseline record.
 int cmd_perf_record(const Args& args) {
   std::vector<std::string> inputs = split_csv(args.get("in", std::string("")));
   // Files may also be given as positionals after `record`.
@@ -1169,6 +1156,11 @@ int cmd_perf_compare(const Args& args) {
   }
   const bool warn_only = args.get("warn-only", false);
   const bool enforce_exact = args.get("enforce-exact", false);
+  if (warn_only && result.schema_broken()) {
+    std::cout << "params drifted or a gated metric vanished; failing "
+                 "despite --warn-only\n";
+    return EXIT_FAILURE;
+  }
   if (warn_only && enforce_exact && result.exact_regressed()) {
     std::cout << "enforce-exact: exact-noise-class metric regressed; "
                  "failing despite --warn-only\n";
@@ -1240,6 +1232,7 @@ int cmd_perf_gate(const Args& args) {
     results.emplace_back(result.to_json());
     any_regressed = any_regressed || result.regressed();
     any_exact_regressed = any_exact_regressed || result.exact_regressed();
+    any_error = any_error || result.schema_broken();
   }
 
   JsonObject verdict;
