@@ -122,10 +122,8 @@ int main(int argc, char** argv) {
 
     // Deterministic shape stats from a direct backend call (the engine
     // path and the direct path share the same decision procedure).
-    HsCertifyOptions hs;
-    hs.precision_k = k;
     HsCertifyStats stats;
-    const CertifiedCmax direct = hs_certified_cmax(p, m, hs, &stats);
+    const CertifiedCmax direct = hs_certified_cmax(p, m, k, &stats);
 
     const double guarantee =
         result.lower > 0 ? result.upper / result.lower : 1.0;
@@ -178,9 +176,7 @@ int main(int argc, char** argv) {
     const unsigned ks = 3 + static_cast<unsigned>(s % 3);
 
     const CertifiedCmax bnb = certified_cmax(p, mm, 2'000'000);
-    HsCertifyOptions hs;
-    hs.precision_k = ks;
-    const CertifiedCmax ptas = hs_certified_cmax(p, mm, hs);
+    const CertifiedCmax ptas = hs_certified_cmax(p, mm, ks);
     const MultifitResult small_mf = multifit_cmax(p, mm);
 
     const double tol = 1e-9 * std::max(bnb.upper, Time{1});

@@ -15,8 +15,10 @@
 //
 //   queue -- the classic hold model on the event queues alone: prime with
 //     q events, then ops times (pop the minimum, push it back at a later
-//     time). CalendarQueue vs the old std::priority_queue wrapper, same
-//     deterministic event stream, popped-time checksums compared.
+//     time). SimEventQueue, the calendar queue the failure and speculative
+//     loops use, vs the std::priority_queue binary heap (SimEventBefore
+//     inverted) they used before it; same deterministic SimEvent stream,
+//     popped-event checksums compared.
 //
 // The min over --reps repetitions is reported (steady-state figure; the
 // first rep pays page faults and arena growth).
@@ -36,6 +38,7 @@
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
+#include "binary_heap_queue.hpp"
 #include "check/reference_dispatcher.hpp"
 #include "cli/args.hpp"
 #include "core/instance.hpp"
@@ -44,7 +47,6 @@
 #include "io/table.hpp"
 #include "perf/bench_record.hpp"
 #include "perturb/stochastic.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "sim/workspace.hpp"
 #include "workload/generators.hpp"
@@ -66,27 +68,32 @@ std::uint64_t mix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-/// Runs the hold model on any queue with push(time, payload) / pop()
-/// returning {time, seq, payload}. Returns an order-sensitive checksum of
-/// the popped (time, payload) stream so both queues can be diffed.
+/// Runs the hold model with finish events that carry their task id and a
+/// fresh seq per push, as the dispatchers stamp them. Returns an
+/// order-sensitive checksum of the popped (time, task) stream so both
+/// queues can be diffed.
 template <typename Queue>
 std::uint64_t run_hold(Queue& queue, std::size_t size, std::size_t ops,
                        std::uint64_t seed) {
   std::uint64_t rng = seed;
+  std::uint64_t seq = 0;
+  const auto push = [&](Time when, TaskId task) {
+    queue.push(SimEvent{when, kSimEventFinish, kNoMachine, task, 0, seq++});
+  };
   for (std::size_t i = 0; i < size; ++i) {
     const double t =
         static_cast<double>(mix64(rng) >> 11) * 0x1.0p-53 * 1000.0;
-    queue.push(t, static_cast<std::uint64_t>(i));
+    push(t, static_cast<TaskId>(i));
   }
   std::uint64_t checksum = 14695981039346656037ull;
   for (std::size_t i = 0; i < ops; ++i) {
-    auto event = queue.pop();
-    checksum = (checksum ^ event.payload) * 1099511628211ull;
-    checksum = (checksum ^ std::bit_cast<std::uint64_t>(event.time)) *
+    const SimEvent event = pop_next(queue);
+    checksum = (checksum ^ event.task) * 1099511628211ull;
+    checksum = (checksum ^ std::bit_cast<std::uint64_t>(event.when)) *
                1099511628211ull;
     const double step =
         static_cast<double>(mix64(rng) >> 11) * 0x1.0p-53 * 10.0;
-    queue.push(event.time + step, event.payload);
+    push(event.when + step, event.task);
   }
   return checksum;
 }
@@ -180,18 +187,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- queue: hold model, legacy binary heap vs calendar queue ----------
+  // --- queue: hold model, binary heap vs calendar queue -----------------
   double legacy_seconds = std::numeric_limits<double>::infinity();
   double calendar_seconds = std::numeric_limits<double>::infinity();
   std::uint64_t legacy_sum = 0;
   std::uint64_t calendar_sum = 0;
   for (std::size_t r = 0; r < reps; ++r) {
-    check::LegacyEventQueue<std::uint64_t> legacy;
+    BinaryHeapQueue legacy;
     const auto legacy_start = Clock::now();
     legacy_sum = run_hold(legacy, hold_size, hold_ops, seed);
     legacy_seconds = std::min(legacy_seconds, seconds_since(legacy_start));
 
-    EventQueue<std::uint64_t> calendar;
+    SimEventQueue calendar;
     const auto calendar_start = Clock::now();
     calendar_sum = run_hold(calendar, hold_size, hold_ops, seed);
     calendar_seconds = std::min(calendar_seconds, seconds_since(calendar_start));

@@ -14,6 +14,7 @@
 #include "algo/dispatch_policies.hpp"
 #include "algo/lpt.hpp"
 #include "algo/strategy.hpp"
+#include "binary_heap_queue.hpp"
 #include "check/reference_dispatcher.hpp"
 #include "core/instance.hpp"
 #include "core/realization.hpp"
@@ -26,7 +27,6 @@
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "perturb/stochastic.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/workspace.hpp"
 #include "workload/generators.hpp"
 
@@ -327,7 +327,8 @@ BENCHMARK(BM_HistogramSummary);
 // the retained pre-rewrite core (check/reference_dispatcher.*) on the
 // same inputs -- the pair documents the rewrite's speedup in-tree.
 // BM_SimEventQueueHold / BM_SimLegacyQueueHold do the same for the event
-// queue alone under the classic hold model.
+// queue alone under the classic hold model: SimEventQueue against the
+// std::priority_queue binary heap it replaced.
 
 void BM_SimDispatchWorkspace(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -380,25 +381,29 @@ void hold_model(benchmark::State& state, Queue& queue) {
     x ^= x << 17;
     return 1e-3 * static_cast<double>(x % 100000);
   };
+  std::uint64_t seq = 0;
+  const auto push = [&](Time when, TaskId task) {
+    queue.push(SimEvent{when, kSimEventFinish, kNoMachine, task, 0, seq++});
+  };
   for (std::size_t i = 0; i < kQueueSize; ++i) {
-    queue.push(next_step(), static_cast<std::uint64_t>(i));
+    push(next_step(), static_cast<TaskId>(i));
   }
   for (auto _ : state) {
-    auto event = queue.pop();
-    benchmark::DoNotOptimize(event.payload);
-    queue.push(event.time + next_step(), event.payload);
+    const SimEvent event = pop_next(queue);
+    benchmark::DoNotOptimize(event.task);
+    push(event.when + next_step(), event.task);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
 void BM_SimEventQueueHold(benchmark::State& state) {
-  EventQueue<std::uint64_t> queue;
+  SimEventQueue queue;
   hold_model(state, queue);
 }
 BENCHMARK(BM_SimEventQueueHold);
 
 void BM_SimLegacyQueueHold(benchmark::State& state) {
-  check::LegacyEventQueue<std::uint64_t> queue;
+  BinaryHeapQueue queue;
   hold_model(state, queue);
 }
 BENCHMARK(BM_SimLegacyQueueHold);

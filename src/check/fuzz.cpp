@@ -577,9 +577,8 @@ void check_certify_ptas_lb(const CheckContext& ctx) {
   const std::span<const Time> p = c.actual.actual;
   const MachineId m = c.instance.num_machines();
   const CertifiedCmax bnb = certified_cmax(p, m, 500'000);
-  HsCertifyOptions hs;
-  hs.precision_k = 3 + static_cast<unsigned>(c.seed % 3);
-  const CertifiedCmax ptas = hs_certified_cmax(p, m, hs);
+  const CertifiedCmax ptas =
+      hs_certified_cmax(p, m, 3 + static_cast<unsigned>(c.seed % 3));
   const Time scale = std::max({bnb.upper, ptas.upper, Time{1}});
   if (ptas.lower > bnb.upper + kTol * scale) {
     ctx.fail("certify-ptas-lower-bound",

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <queue>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>

@@ -16,8 +16,6 @@
 // Nothing here is used by production code paths.
 #pragma once
 
-#include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "core/placement.hpp"
@@ -86,42 +84,5 @@ namespace rdp::check {
     const Instance& instance, const Placement& placement, const Realization& actual,
     const std::vector<TaskId>& priority, const std::vector<Time>& arrivals,
     std::vector<Time> initial_ready = {}, std::vector<double> speeds = {});
-
-/// Pre-rewrite EventQueue: std::priority_queue with a (time, seq) wrapper
-/// and a *copy-out* pop -- the shape the production queue had before the
-/// calendar-queue rewrite. The throughput bench drives both with the same
-/// event stream to measure the core speedup.
-template <typename Payload>
-class LegacyEventQueue {
- public:
-  struct Event {
-    Time time;
-    std::uint64_t seq;
-    Payload payload;
-
-    bool operator<(const Event& other) const noexcept {
-      if (time != other.time) return time > other.time;  // min-heap
-      return seq > other.seq;
-    }
-  };
-
-  void push(Time time, Payload payload) {
-    queue_.push(Event{time, next_seq_++, std::move(payload)});
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return queue_.size(); }
-  [[nodiscard]] const Event& top() const { return queue_.top(); }
-
-  Event pop() {
-    Event out = queue_.top();  // copy: priority_queue::top is const
-    queue_.pop();
-    return out;
-  }
-
- private:
-  std::priority_queue<Event> queue_;
-  std::uint64_t next_seq_ = 0;
-};
 
 }  // namespace rdp::check

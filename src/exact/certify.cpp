@@ -230,8 +230,8 @@ std::vector<CertifiedCmax> CertifyEngine::certify_batch(
   }
   // Size routing: instances past the PTAS threshold go to the
   // Hochbaum-Shmoys dual-approximation backend, which is a pure function
-  // of (values, m, options) -- no warm start needed, and batch results
-  // stay bit-identical across thread counts by construction.
+  // of (values, m, ptas_precision) -- no warm start needed, and batch
+  // results stay bit-identical across thread counts by construction.
   const auto routes_to_ptas = [&](const Slot& slot) {
     return options.ptas_threshold > 0 &&
            slot.key.values.size() > options.ptas_threshold;
@@ -241,10 +241,8 @@ std::vector<CertifiedCmax> CertifyEngine::certify_batch(
   const auto solve_slot = [&](std::size_t s) {
     Slot& slot = slots[s];
     if (routes_to_ptas(slot)) {
-      HsCertifyOptions hs;
-      hs.precision_k = options.ptas_precision;
-      hs.dp_state_budget = options.ptas_state_budget;
-      slot.result = hs_certified_cmax(slot.key.values, slot.key.m, hs);
+      slot.result =
+          hs_certified_cmax(slot.key.values, slot.key.m, options.ptas_precision);
       ptas_solves.fetch_add(1, std::memory_order_relaxed);
       return;
     }

@@ -51,9 +51,6 @@ struct CertifyOptions {
   /// PTAS guarantee parameter: the large-n bracket targets
   /// upper <= (1 + 1/ptas_precision) * lower.
   unsigned ptas_precision = 8;
-  /// Config-DP state budget for the PTAS decision procedure; exhaustion
-  /// widens the bracket but never breaks soundness.
-  std::size_t ptas_state_budget = 200'000;
 };
 
 /// Point-in-time cache statistics.

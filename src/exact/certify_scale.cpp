@@ -13,6 +13,7 @@
 #include "algo/lpt.hpp"
 #include "core/order.hpp"
 #include "core/scan.hpp"
+#include "exact/branch_and_bound.hpp"
 #include "exact/dual_approx.hpp"
 #include "exact/first_fit_tree.hpp"
 
@@ -27,6 +28,17 @@ namespace {
 constexpr double kRelSlack = 1e-12;
 constexpr double kInfeasibleMargin = 1e-9;
 constexpr int kInfinity = std::numeric_limits<int>::max() / 2;
+
+// Bisection stops when hi <= lo * (1 + kRelEpsilon) or after
+// kMaxIterations probes.
+constexpr double kRelEpsilon = 1e-7;
+constexpr int kMaxIterations = 64;
+// Budgets of the exact config DP (proof 4): memoized states, config
+// trials, and enumerated bin configurations. Exhausting any of them
+// degrades that probe to feasible-unproven.
+constexpr std::size_t kDpStateBudget = 200'000;
+constexpr std::size_t kDpWorkBudget = kDpStateBudget * 10;
+constexpr std::size_t kConfigBudget = 50'000;
 
 using CountVector = std::vector<std::uint32_t>;
 
@@ -63,9 +75,8 @@ void build_classes(std::span<const Time> sorted, std::size_t num_big,
 
 // Enumerates every bin configuration (multiset of big classes with total
 // rounded size <= cap and at most max_items items) into `flat`, stride =
-// cls.size(). Returns false when the count exceeds `config_budget`.
+// cls.size(). Returns false when the count exceeds kConfigBudget.
 bool enumerate_configs(const BigClasses& cls, Time cap, unsigned max_items,
-                       std::size_t config_budget,
                        std::vector<std::uint32_t>& flat) {
   flat.clear();
   const std::size_t num_classes = cls.size();
@@ -77,7 +88,7 @@ bool enumerate_configs(const BigClasses& cls, Time cap, unsigned max_items,
         if (!within_budget) return;
         if (idx == num_classes) {
           if (items == 0) return;
-          if (num_configs >= config_budget) {
+          if (num_configs >= kConfigBudget) {
             within_budget = false;
             return;
           }
@@ -101,17 +112,13 @@ bool enumerate_configs(const BigClasses& cls, Time cap, unsigned max_items,
   return within_budget;
 }
 
-// Exact min-bins over class-count states, memoized. The state budget caps
-// memo entries and a work budget caps config trials, so a blow-up
+// Exact min-bins over class-count states, memoized. kDpStateBudget caps
+// memo entries and kDpWorkBudget caps config trials, so a blow-up
 // surfaces as `exhausted()` (feasible-unproven) instead of a stall.
 class BinPackDp {
  public:
-  BinPackDp(const std::vector<std::uint32_t>& configs_flat, std::size_t stride,
-            std::size_t state_budget)
-      : flat_(configs_flat),
-        stride_(stride),
-        state_budget_(state_budget),
-        work_budget_(state_budget * 10) {}
+  BinPackDp(const std::vector<std::uint32_t>& configs_flat, std::size_t stride)
+      : flat_(configs_flat), stride_(stride) {}
 
   [[nodiscard]] int min_bins(const CountVector& demand) {
     CountVector state = demand;
@@ -171,14 +178,14 @@ class BinPackDp {
     }
     const auto it = memo_.find(state);
     if (it != memo_.end()) return it->second;
-    if (memo_.size() >= state_budget_) {
+    if (memo_.size() >= kDpStateBudget) {
       exhausted_ = true;
       return kInfinity;
     }
     int best = kInfinity;
     const std::size_t num_configs = stride_ == 0 ? 0 : flat_.size() / stride_;
     for (std::size_t ci = 0; ci < num_configs; ++ci) {
-      if (++work_ > work_budget_) {
+      if (++work_ > kDpWorkBudget) {
         exhausted_ = true;
         return kInfinity;
       }
@@ -196,8 +203,6 @@ class BinPackDp {
 
   const std::vector<std::uint32_t>& flat_;
   std::size_t stride_;
-  std::size_t state_budget_;
-  std::size_t work_budget_;
   std::size_t work_ = 0;
   bool exhausted_ = false;
   std::map<CountVector, int> memo_;
@@ -246,8 +251,8 @@ bool pack_bigs_ffd(const BigClasses& cls, MachineId m, Time cap_eff,
 }
 
 Verdict decide(std::span<const Time> sorted, Time total, MachineId m,
-               unsigned kr, Time target, const HsCertifyOptions& options,
-               DecideScratch& scratch, HsCertifyStats* stats) {
+               unsigned kr, Time target, DecideScratch& scratch,
+               HsCertifyStats* stats) {
   // Proof 1: a single job exceeds the target (input values are exact).
   if (sorted.front() > target) return Verdict::kInfeasible;
   // Proof 2: average load exceeds the target beyond fp accumulation error.
@@ -270,12 +275,11 @@ Verdict decide(std::span<const Time> sorted, Time total, MachineId m,
   // Proof 4: exact bin packing of the rounded instance needs > m bins.
   // Rounding down only eases packing, so infeasibility transfers.
   if (stats != nullptr) ++stats->dp_decisions;
-  if (!enumerate_configs(scratch.cls, cap_eff, kr, options.config_budget,
-                         scratch.configs)) {
+  if (!enumerate_configs(scratch.cls, cap_eff, kr, scratch.configs)) {
     if (stats != nullptr) ++stats->dp_exhaustions;
     return Verdict::kUnproven;
   }
-  BinPackDp dp(scratch.configs, scratch.cls.size(), options.dp_state_budget);
+  BinPackDp dp(scratch.configs, scratch.cls.size());
   const int bins = dp.min_bins(scratch.cls.count);
   if (dp.exhausted()) {
     if (stats != nullptr) ++stats->dp_exhaustions;
@@ -288,12 +292,12 @@ Verdict decide(std::span<const Time> sorted, Time total, MachineId m,
 }  // namespace
 
 CertifiedCmax hs_certified_cmax(std::span<const Time> p, MachineId m,
-                                const HsCertifyOptions& options,
-                                HsCertifyStats* stats) {
+                                unsigned precision_k, HsCertifyStats* stats) {
   if (m == 0) throw std::invalid_argument("hs_certified_cmax: m must be >= 1");
-  if (options.precision_k < 2) {
+  if (precision_k < 2) {
     throw std::invalid_argument("hs_certified_cmax: precision_k must be >= 2");
   }
+  require_finite_times(p, "hs_certified_cmax");
   CertifiedCmax result;
   result.backend = CertifyBackend::kPtas;
   result.assignment = Assignment(p.size());
@@ -338,17 +342,15 @@ CertifiedCmax hs_certified_cmax(std::span<const Time> p, MachineId m,
   if (n > m) lo = std::max(lo, sorted[m - 1] + sorted[m]);
   Time hi = std::max(avg + sorted.front(), lo);
 
-  const unsigned kr = options.precision_k + 1;
+  const unsigned kr = precision_k + 1;
   DecideScratch scratch;
   Time t_construct = 0;
   Verdict construct_kind = Verdict::kUnproven;
   bool have_construct = false;
-  for (int iter = 0; iter < options.max_iterations &&
-                     hi > lo * (1.0 + options.rel_epsilon);
+  for (int iter = 0; iter < kMaxIterations && hi > lo * (1.0 + kRelEpsilon);
        ++iter) {
     const Time target = 0.5 * (lo + hi);
-    const Verdict verdict =
-        decide(sorted, total, m, kr, target, options, scratch, stats);
+    const Verdict verdict = decide(sorted, total, m, kr, target, scratch, stats);
     if (stats != nullptr) ++stats->iterations;
     if (verdict == Verdict::kInfeasible) {
       lo = target;
@@ -396,11 +398,9 @@ CertifiedCmax hs_certified_cmax(std::span<const Time> p, MachineId m,
       } else {  // Verdict::kFeasibleDp
         std::vector<std::uint32_t> bins_flat;
         materialized =
-            enumerate_configs(scratch.cls, cap_eff, kr, options.config_budget,
-                              scratch.configs);
+            enumerate_configs(scratch.cls, cap_eff, kr, scratch.configs);
         if (materialized) {
-          BinPackDp dp(scratch.configs, scratch.cls.size(),
-                       options.dp_state_budget);
+          BinPackDp dp(scratch.configs, scratch.cls.size());
           const int bins = dp.min_bins(scratch.cls.count);
           materialized = !dp.exhausted() && bins <= static_cast<int>(m) &&
                          dp.reconstruct(scratch.cls.count, bins_flat);

@@ -23,28 +23,12 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 
 #include "core/types.hpp"
 #include "exact/optimal.hpp"
 
 namespace rdp {
-
-struct HsCertifyOptions {
-  /// Guarantee parameter: upper <= (1 + 1/precision_k) * lower when the
-  /// bisection converges without DP budget exhaustion. Must be >= 2.
-  unsigned precision_k = 8;
-  /// Bisection stops when hi <= lo * (1 + rel_epsilon).
-  double rel_epsilon = 1e-7;
-  /// Hard cap on bisection iterations.
-  int max_iterations = 64;
-  /// Memoized-state budget for the exact config DP (check 4). Exhaustion
-  /// degrades that probe to feasible-unproven.
-  std::size_t dp_state_budget = 200'000;
-  /// Cap on enumerated bin configurations before the DP gives up.
-  std::size_t config_budget = 50'000;
-};
 
 struct HsCertifyStats {
   int iterations = 0;         ///< decision probes evaluated
@@ -62,11 +46,15 @@ struct HsCertifyStats {
 /// Certified P||Cmax bracket via Hochbaum-Shmoys dual approximation.
 /// `lower` is a sound lower bound on OPT, `upper` the measured makespan
 /// of a fully materialized schedule, `backend` = CertifyBackend::kPtas.
-/// O(n log n) once (sort + prefix sums) plus O(log(1/eps)) cheap probes;
-/// a probe allocates nothing unless it reaches the config DP.
+/// `precision_k` (>= 2) is the guarantee parameter: upper <= (1 +
+/// 1/precision_k) * lower when the bisection converges without config-DP
+/// budget exhaustion. O(n log n) once (sort + prefix sums) plus
+/// O(log(1/eps)) cheap probes; a probe allocates nothing unless it
+/// reaches the config DP. Throws std::invalid_argument on m == 0,
+/// precision_k < 2 or a NaN/inf time.
 [[nodiscard]] CertifiedCmax hs_certified_cmax(std::span<const Time> p,
                                               MachineId m,
-                                              const HsCertifyOptions& options = {},
+                                              unsigned precision_k = 8,
                                               HsCertifyStats* stats = nullptr);
 
 }  // namespace rdp

@@ -1,6 +1,6 @@
 // Bucketed calendar queue -- the O(1)-amortized event queue behind the
 // rewritten simulator hot path (replacing the std::priority_queue binary
-// heaps in the event-driven dispatchers and in EventQueue).
+// heaps in the event-driven dispatchers).
 //
 // Events are hashed into time buckets of one "year" width; a pop scans
 // the bucket that covers the current simulated instant and only falls

@@ -1,6 +1,6 @@
 // Property tests for the calendar event queue against an oracle binary
-// heap (std::priority_queue), plus the EventQueue regression tests from
-// the hot-path rewrite: move-only payloads and move-out pop.
+// heap (std::priority_queue), plus the regression tests from the hot-path
+// rewrite: FIFO among equal SimEvents, move-only events and move-out pop.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +11,7 @@
 
 #include "rng/rng.hpp"
 #include "sim/calendar_queue.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/workspace.hpp"
 
 namespace rdp {
 namespace {
@@ -132,28 +132,91 @@ TEST(CalendarQueue, WideTimeRangeTriggersRecalibration) {
   EXPECT_TRUE(calendar.empty());
 }
 
-TEST(CalendarQueue, EqualTimesPopInInsertionOrderThroughEventQueue) {
-  EventQueue<int> queue;
-  for (int v = 0; v < 100; ++v) queue.push(5.0, v);
-  queue.push(1.0, -1);
-  EXPECT_EQ(queue.pop().payload, -1);
-  for (int v = 0; v < 100; ++v) {
-    EXPECT_EQ(queue.pop().payload, v) << "FIFO order broken at " << v;
+// Equal (time, kind) finishes pop in seq order: the FIFO guarantee the
+// dispatchers' binary heaps gave before the calendar queue.
+TEST(CalendarQueue, EqualTimesPopInInsertionOrderThroughSimEventQueue) {
+  SimEventQueue queue;
+  std::uint64_t seq = 0;
+  for (TaskId task = 0; task < 100; ++task) {
+    queue.push(SimEvent{5.0, kSimEventFinish, 0, task, 0, seq++});
+  }
+  queue.push(SimEvent{1.0, kSimEventFinish, 0, 1000, 0, seq++});
+  EXPECT_EQ(queue.pop().task, 1000u);
+  for (TaskId task = 0; task < 100; ++task) {
+    EXPECT_EQ(queue.pop().task, task) << "FIFO order broken at " << task;
   }
   EXPECT_TRUE(queue.empty());
 }
 
-// Satellite regression: EventQueue::pop() used to *copy* the event out of
-// the heap before removing it, which both required copyable payloads and
-// paid an allocation per pop for out-of-line payload state. A move-only
-// payload now compiles and round-trips.
-TEST(EventQueue, SupportsMoveOnlyPayloads) {
-  EventQueue<std::unique_ptr<int>> queue;
-  queue.push(2.0, std::make_unique<int>(2));
-  queue.push(1.0, std::make_unique<int>(1));
-  queue.push(3.0, std::make_unique<int>(3));
+// The hold-model benches time SimEventQueue against a std::priority_queue
+// ordered by the inverted SimEventBefore and diff their pop streams; the
+// two must agree on every tie rule (kind, free machine id, seq).
+TEST(CalendarQueue, SimEventQueueMatchesBinaryHeap) {
+  struct SimEventAfter {
+    bool operator()(const SimEvent& a, const SimEvent& b) const noexcept {
+      return SimEventBefore{}(b, a);
+    }
+  };
+  Xoshiro256 rng(3);
+  SimEventQueue calendar;
+  std::priority_queue<SimEvent, std::vector<SimEvent>, SimEventAfter> heap;
+  std::uint64_t seq = 0;
+  Time now = 0;
+  const auto push = [&] {
+    const SimEvent event{now + static_cast<Time>(rng.next_below(8)),
+                         static_cast<std::uint8_t>(rng.next_below(3)),
+                         static_cast<MachineId>(rng.next_below(4)),
+                         static_cast<TaskId>(seq), 0, seq};
+    ++seq;
+    calendar.push(event);
+    heap.push(event);
+  };
+  for (int i = 0; i < 256; ++i) push();
+  for (int op = 0; op < 5000; ++op) {
+    const SimEvent expected = heap.top();
+    heap.pop();
+    const SimEvent got = calendar.pop();
+    ASSERT_EQ(got.seq, expected.seq) << "op " << op;
+    now = got.when;
+    push();
+  }
+  EXPECT_EQ(calendar.size(), heap.size());
+}
+
+// Events that own out-of-line state: pop() *moves* the minimum out, so
+// move-only events compile and round-trip, and nothing is copied on the
+// push/pop path (a copy-out pop would pay an allocation per event).
+template <typename Payload>
+struct OwningEvent {
+  Time time;
+  std::uint64_t seq;
+  Payload payload;
+};
+struct OwningTime {
+  template <typename Payload>
+  Time operator()(const OwningEvent<Payload>& e) const noexcept {
+    return e.time;
+  }
+};
+struct OwningBefore {
+  template <typename Payload>
+  bool operator()(const OwningEvent<Payload>& a,
+                  const OwningEvent<Payload>& b) const noexcept {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+};
+template <typename Payload>
+using OwningQueue = CalendarQueue<OwningEvent<Payload>, OwningTime, OwningBefore>;
+
+TEST(CalendarQueue, SupportsMoveOnlyEvents) {
+  using Event = OwningEvent<std::unique_ptr<int>>;
+  OwningQueue<std::unique_ptr<int>> queue;
+  queue.push(Event{2.0, 0, std::make_unique<int>(2)});
+  queue.push(Event{1.0, 1, std::make_unique<int>(1)});
+  queue.push(Event{3.0, 2, std::make_unique<int>(3)});
   for (int expect = 1; expect <= 3; ++expect) {
-    auto event = queue.pop();
+    const Event event = queue.pop();
     ASSERT_NE(event.payload, nullptr);
     EXPECT_EQ(*event.payload, expect);
   }
@@ -176,14 +239,18 @@ struct CopyCounter {
 };
 int CopyCounter::copies = 0;
 
-TEST(EventQueue, PopMovesThePayloadOut) {
-  EventQueue<CopyCounter> queue;
+TEST(CalendarQueue, PopMovesTheEventOut) {
+  using Event = OwningEvent<CopyCounter>;
+  OwningQueue<CopyCounter> queue;
   CopyCounter::copies = 0;
-  for (int v = 0; v < 64; ++v) queue.push(static_cast<Time>(v % 7), CopyCounter(v));
+  for (int v = 0; v < 64; ++v) {
+    queue.push(Event{static_cast<Time>(v % 7), static_cast<std::uint64_t>(v),
+                     CopyCounter(v)});
+  }
   long long sum = 0;
   while (!queue.empty()) sum += queue.pop().payload.value;
   EXPECT_EQ(sum, 63 * 64 / 2);
-  EXPECT_EQ(CopyCounter::copies, 0) << "push/pop path copied a payload";
+  EXPECT_EQ(CopyCounter::copies, 0) << "push/pop path copied an event";
 }
 
 }  // namespace

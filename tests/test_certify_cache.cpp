@@ -288,10 +288,7 @@ CertifiedCmax comparator_reference_certify(std::span<const Time> p, MachineId m,
   for (std::size_t r = 0; r < p.size(); ++r) values[r] = p[order[r]] / scale;
   CertifiedCmax canon;
   if (options.ptas_threshold > 0 && p.size() > options.ptas_threshold) {
-    HsCertifyOptions hs;
-    hs.precision_k = options.ptas_precision;
-    hs.dp_state_budget = options.ptas_state_budget;
-    canon = hs_certified_cmax(values, m, hs);
+    canon = hs_certified_cmax(values, m, options.ptas_precision);
   } else {
     canon = certified_cmax(values, m, options.node_budget);
   }

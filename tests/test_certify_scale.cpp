@@ -11,9 +11,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
+#include "algo/lpt.hpp"
+#include "exact/branch_and_bound.hpp"
 #include "exact/brute_force.hpp"
 #include "exact/certify.hpp"
 #include "exact/certify_scale.hpp"
@@ -169,9 +172,7 @@ TEST(HsCertify, SoundnessAgainstBranchAndBound200Seeds) {
     const unsigned k = 3 + static_cast<unsigned>(seed % 3);
 
     const CertifiedCmax bnb = certified_cmax(p, m, 2'000'000);
-    HsCertifyOptions options;
-    options.precision_k = k;
-    const CertifiedCmax hs = hs_certified_cmax(p, m, options);
+    const CertifiedCmax hs = hs_certified_cmax(p, m, k);
 
     const double tol = 1e-9 * std::max(bnb.upper, Time{1});
     ASSERT_LE(hs.lower, bnb.upper + tol) << "seed " << seed;       // LB sound
@@ -191,10 +192,8 @@ TEST(HsCertify, ModerateInstanceMeetsGuarantee) {
   Xoshiro256 rng(99);
   const std::vector<Time> p = random_times(rng, 20'000);
   const MachineId m = 16;
-  HsCertifyOptions options;
-  options.precision_k = 8;
   HsCertifyStats stats;
-  const CertifiedCmax result = hs_certified_cmax(p, m, options, &stats);
+  const CertifiedCmax result = hs_certified_cmax(p, m, 8, &stats);
 
   EXPECT_GT(result.lower, 0.0);
   EXPECT_LE(result.lower, result.upper);
@@ -205,30 +204,145 @@ TEST(HsCertify, ModerateInstanceMeetsGuarantee) {
 }
 
 TEST(HsCertify, DegenerateInstances) {
-  HsCertifyOptions options;
   // m == 0 and precision_k < 2 are caller bugs.
-  EXPECT_THROW((void)hs_certified_cmax(std::vector<Time>{1.0}, 0, options),
+  EXPECT_THROW((void)hs_certified_cmax(std::vector<Time>{1.0}, 0),
                std::invalid_argument);
-  HsCertifyOptions bad_k;
-  bad_k.precision_k = 1;
-  EXPECT_THROW((void)hs_certified_cmax(std::vector<Time>{1.0}, 2, bad_k),
+  EXPECT_THROW((void)hs_certified_cmax(std::vector<Time>{1.0}, 2, 1),
+               std::invalid_argument);
+
+  // A non-finite time has no optimum to certify; unchecked, NaN yields a
+  // "proven" optimum of 0 and inf an exact bracket of [inf, inf].
+  constexpr Time kNaN = std::numeric_limits<Time>::quiet_NaN();
+  constexpr Time kInf = std::numeric_limits<Time>::infinity();
+  EXPECT_THROW((void)hs_certified_cmax(std::vector<Time>{3, 5, kNaN, 2, 7}, 2),
+               std::invalid_argument);
+  EXPECT_THROW((void)hs_certified_cmax(std::vector<Time>{3, 5, kInf, 2, 7}, 2),
                std::invalid_argument);
 
   // Empty and all-zero instances are exact with zero makespan.
-  const CertifiedCmax empty = hs_certified_cmax(std::vector<Time>{}, 3, options);
+  const CertifiedCmax empty = hs_certified_cmax(std::vector<Time>{}, 3);
   EXPECT_TRUE(empty.exact);
   EXPECT_EQ(empty.upper, 0.0);
-  const CertifiedCmax zeros =
-      hs_certified_cmax(std::vector<Time>(4, 0.0), 2, options);
+  const CertifiedCmax zeros = hs_certified_cmax(std::vector<Time>(4, 0.0), 2);
   EXPECT_TRUE(zeros.exact);
   EXPECT_EQ(zeros.upper, 0.0);
 
   // Fewer tasks than machines: one task per machine is optimal.
   const std::vector<Time> few = {5.0, 3.0};
-  const CertifiedCmax spread = hs_certified_cmax(few, 4, options);
+  const CertifiedCmax spread = hs_certified_cmax(few, 4);
   EXPECT_LE(spread.lower, 5.0 + 1e-9);
   EXPECT_LE(spread.upper, hs_guarantee(8) * 5.0 * (1 + 1e-6));
 }
+
+TEST(HsCertify, SingleTaskIsExact) {
+  const CertifiedCmax one = hs_certified_cmax(std::vector<Time>{5.0}, 3);
+  EXPECT_TRUE(one.exact);
+  EXPECT_EQ(one.lower, 5.0);
+  EXPECT_EQ(one.upper, 5.0);
+}
+
+TEST(HsCertify, UnitTasksSolvedExactly) {
+  const std::vector<Time> p(12, 1.0);
+  const CertifiedCmax r = hs_certified_cmax(p, 4, 3);
+  EXPECT_TRUE(r.exact);
+  EXPECT_EQ(r.upper, 3.0);
+  EXPECT_EQ(recomputed_makespan(r.assignment, p, 4), 3.0);
+}
+
+TEST(HsCertify, BeatsLptOnItsWorstCase) {
+  // Graham's LPT worst case for m = 2: {3,3,2,2,2}; LPT = 7, OPT = 6.
+  const std::vector<Time> p = {3.0, 3.0, 2.0, 2.0, 2.0};
+  ASSERT_EQ(lpt_schedule(p, 2).makespan, 7.0);
+  const CertifiedCmax r = hs_certified_cmax(p, 2, 4);
+  EXPECT_TRUE(r.exact);
+  EXPECT_EQ(r.upper, 6.0);
+  EXPECT_EQ(recomputed_makespan(r.assignment, p, 2), 6.0);
+}
+
+TEST(HsCertify, AssignmentReproducesUpper) {
+  Xoshiro256 rng(5);
+  const std::vector<Time> p = random_times(rng, 20);
+  const CertifiedCmax r = hs_certified_cmax(p, 4, 3);
+  EXPECT_EQ(r.assignment.machine_of.size(), p.size());
+  EXPECT_EQ(recomputed_makespan(r.assignment, p, 4), r.upper);
+}
+
+TEST(HsCertify, BracketWidthBoundsTheTrueRatio) {
+  Xoshiro256 rng(7);
+  const std::vector<Time> p = random_times(rng, 14);
+  const CertifiedCmax r = hs_certified_cmax(p, 3, 3);
+  const BnbResult opt = branch_and_bound_cmax(p, 3);
+  ASSERT_TRUE(opt.proven);
+  EXPECT_LE(r.upper, hs_guarantee(3) * r.lower * (1 + 1e-9));
+  EXPECT_LE(r.upper / opt.best, r.upper / r.lower * (1 + 1e-9));
+}
+
+TEST(HsCertify, DefaultPrecisionIsEight) {
+  Xoshiro256 rng(17);
+  const std::vector<Time> p = random_times(rng, 40);
+  const CertifiedCmax implicit = hs_certified_cmax(p, 5);
+  const CertifiedCmax explicit_k = hs_certified_cmax(p, 5, 8);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(implicit.lower),
+            std::bit_cast<std::uint64_t>(explicit_k.lower));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(implicit.upper),
+            std::bit_cast<std::uint64_t>(explicit_k.upper));
+  EXPECT_EQ(implicit.assignment.machine_of, explicit_k.assignment.machine_of);
+}
+
+// The bisection runs at most 64 probes, and every probe is either a
+// sound infeasibility proof or lowers hi.
+TEST(HsCertify, BisectionStaysWithinIterationCap) {
+  Xoshiro256 rng(31);
+  for (const std::size_t n : {std::size_t{30}, std::size_t{3000}}) {
+    const std::vector<Time> p = random_times(rng, n);
+    HsCertifyStats stats;
+    const CertifiedCmax r = hs_certified_cmax(p, 7, 5, &stats);
+    EXPECT_GT(stats.iterations, 0);
+    EXPECT_LE(stats.iterations, 64);
+    EXPECT_LE(stats.infeasible_proofs, stats.iterations);
+    EXPECT_LE(stats.dp_exhaustions, stats.dp_decisions);
+    EXPECT_LE(r.lower, r.upper);
+  }
+}
+
+// The (seed, n, m, k) grid against a proven branch-and-bound optimum:
+// upper within (1 + 1/k) of OPT, lower never above OPT, and upper exactly
+// the makespan recomputed from the assignment.
+struct HsCase {
+  std::uint64_t seed;
+  std::size_t n;
+  MachineId m;
+  unsigned k;
+};
+
+class HsGuarantee : public ::testing::TestWithParam<HsCase> {};
+
+TEST_P(HsGuarantee, WithinOnePlusOneOverK) {
+  const auto [seed, n, m, k] = GetParam();
+  Xoshiro256 rng(seed);
+  const std::vector<Time> p = random_times(rng, n);
+
+  const BnbResult opt = branch_and_bound_cmax(p, m);
+  ASSERT_TRUE(opt.proven);
+  const CertifiedCmax r = hs_certified_cmax(p, m, k);
+  EXPECT_LE(r.upper, hs_guarantee(k) * opt.best * (1 + 1e-9)) << "k=" << k;
+  EXPECT_LE(r.lower, opt.best * (1 + 1e-9)) << "k=" << k;
+  EXPECT_EQ(recomputed_makespan(r.assignment, p, m), r.upper);
+}
+
+std::vector<HsCase> hs_grid() {
+  std::vector<HsCase> cases;
+  std::uint64_t seed = 11;
+  for (unsigned k : {2u, 3u, 4u}) {
+    for (MachineId m : {2u, 3u, 4u}) {
+      cases.push_back({seed++, 12, m, k});
+      cases.push_back({seed++, 18, m, k});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, HsGuarantee, ::testing::ValuesIn(hs_grid()));
 
 // ---------------------------------------------------------------------
 // Engine routing: size threshold, backend tag, cache behavior.
@@ -269,6 +383,26 @@ TEST(CertifyRouting, ThresholdZeroDisablesPtas) {
   options.node_budget = 1000;  // keep the B&B cheap; exactness not needed
   const CertifiedCmax result = engine.certify(p, 8, options);
   EXPECT_EQ(result.backend, CertifyBackend::kBnb);
+}
+
+// CertifyOptions::ptas_precision is the backend's precision_k: the engine
+// certifies the canonical (sorted, max-scaled) vector with it.
+TEST(CertifyRouting, PtasPrecisionReachesBackend) {
+  Xoshiro256 rng(9);
+  std::vector<Time> p = random_times(rng, 600);
+  std::sort(p.begin(), p.end(), std::greater<>());
+  const Time scale = p.front();
+  for (Time& v : p) v /= scale;  // already canonical: the engine's key is p
+  CertifyEngine engine;
+  CertifyOptions options;
+  options.ptas_precision = 3;
+  const CertifiedCmax routed = engine.certify(p, 8, options);
+  const CertifiedCmax direct = hs_certified_cmax(p, 8, 3);
+  EXPECT_EQ(routed.backend, CertifyBackend::kPtas);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(routed.lower),
+            std::bit_cast<std::uint64_t>(direct.lower));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(routed.upper),
+            std::bit_cast<std::uint64_t>(direct.upper));
 }
 
 // A PTAS-routed batch must be bit-identical across thread counts

@@ -99,7 +99,8 @@ TEST(Integration, MemoryAwarePipelineRespectsBothBudgets) {
 
 TEST(Integration, SolverStackAgreesOnSharedInstances) {
   // All four solvers on one instance: LB <= exact == (DP for m=2)
-  // <= MULTIFIT <= LPT, and the PTAS within its guarantee.
+  // <= MULTIFIT <= LPT, and the Hochbaum-Shmoys bracket within its
+  // guarantee around the optimum.
   Xoshiro256 rng(3);
   std::vector<Time> p;
   for (int j = 0; j < 14; ++j) {
@@ -111,14 +112,16 @@ TEST(Integration, SolverStackAgreesOnSharedInstances) {
   const PartitionResult dp = partition_cmax(p, 1.0);
   const MultifitResult mf = multifit_cmax(p, m);
   const GreedyScheduleResult lpt = lpt_schedule(p, m);
-  const PtasResult ptas = ptas_cmax(p, m, 3);
+  const CertifiedCmax hs = hs_certified_cmax(p, m, 3);
 
   ASSERT_TRUE(exact.proven);
   EXPECT_LE(lb, exact.best + 1e-9);
   EXPECT_NEAR(dp.makespan, exact.best, 1e-9);
   EXPECT_GE(mf.makespan + 1e-9, exact.best);
   EXPECT_GE(lpt.makespan + 1e-9, mf.makespan - 1e-9);
-  EXPECT_LE(ptas.makespan, (1.0 + 1.0 / 3.0) * exact.best + 1e-6);
+  EXPECT_LE(hs.lower, exact.best + 1e-9);
+  EXPECT_GE(hs.upper + 1e-9, exact.best);
+  EXPECT_LE(hs.upper, hs_guarantee(3) * exact.best + 1e-6);
 
   const CertifiedCmax certified = certified_cmax(p, m);
   EXPECT_TRUE(certified.exact);

@@ -1,7 +1,8 @@
-// Tests for the event queue, the machine ready heap, the shared dispatch
-// kernel and the online semi-clairvoyant dispatcher.
+// Tests for the SimEvent queue order, the machine ready heap, the shared
+// dispatch kernel and the online semi-clairvoyant dispatcher.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
@@ -17,7 +18,6 @@
 #include "core/validate.hpp"
 #include "sim/arena.hpp"
 #include "sim/dispatch_kernel.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "sim/ready_heap.hpp"
 #include "sim/trace.hpp"
@@ -26,15 +26,26 @@
 namespace rdp {
 namespace {
 
-TEST(EventQueue, OrdersByTimeThenFifo) {
-  EventQueue<int> q;
-  q.push(2.0, 10);
-  q.push(1.0, 20);
-  q.push(1.0, 30);
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop().payload, 20);
-  EXPECT_EQ(q.pop().payload, 30);  // FIFO among equal times
-  EXPECT_EQ(q.pop().payload, 10);
+// SimEventQueue's tie order: time, then kind (finish < failure < free),
+// then machine id among frees, then insertion seq.
+TEST(SimEventQueue, OrdersByTimeKindMachineThenSeq) {
+  SimEventQueue q;
+  std::uint64_t seq = 0;
+  const auto push = [&](Time when, std::uint8_t kind, MachineId machine,
+                        TaskId task) {
+    q.push(SimEvent{when, kind, machine, task, 0, seq++});
+  };
+  push(2.0, kSimEventFinish, 0, 10);
+  push(1.0, kSimEventFree, 3, 20);
+  push(1.0, kSimEventFree, 1, 30);
+  push(1.0, kSimEventFailure, 2, 40);
+  push(1.0, kSimEventFinish, 5, 50);
+  push(1.0, kSimEventFinish, 4, 60);
+  push(1.0, kSimEventFree, 1, 70);
+  EXPECT_EQ(q.size(), 7u);
+  for (const TaskId expected : {50u, 60u, 40u, 30u, 70u, 20u, 10u}) {
+    EXPECT_EQ(q.pop().task, expected);
+  }
   EXPECT_TRUE(q.empty());
 }
 
