@@ -9,60 +9,17 @@
 
 namespace rdp::obs {
 
-Histogram::Histogram() : buckets_(new std::uint64_t[kNumBuckets]()) {}
+LocalHistogram::LocalHistogram() : buckets_(new std::uint64_t[kNumBuckets]()) {}
 
-std::size_t Histogram::bucket_index(double x) noexcept {
-  if (!(x > 0.0)) return kNonPositive;  // also catches NaN
-  if (!std::isfinite(x)) return kOverflow;
-  int exp = 0;
-  const double frac = std::frexp(x, &exp);  // x = frac * 2^exp, frac in [0.5, 1)
-  if (exp < kMinExp) return kUnderflow;
-  if (exp >= kMaxExp) return kOverflow;
-  int sub = static_cast<int>((frac - 0.5) * (2 * kSubBuckets));
-  if (sub < 0) sub = 0;
-  if (sub >= kSubBuckets) sub = kSubBuckets - 1;
-  return kFirstRegular +
-         static_cast<std::size_t>(exp - kMinExp) *
-             static_cast<std::size_t>(kSubBuckets) +
-         static_cast<std::size_t>(sub);
-}
-
-double Histogram::bucket_midpoint(std::size_t index) noexcept {
+double LocalHistogram::bucket_midpoint(std::size_t index) noexcept {
   const std::size_t r = index - kFirstRegular;
   const int exp = kMinExp + static_cast<int>(r / kSubBuckets);
   const auto sub = static_cast<double>(r % kSubBuckets);
   return std::ldexp(0.5 + (sub + 0.5) / (2.0 * kSubBuckets), exp);
 }
 
-namespace {
-
-/// Neumaier step: folds `x` into the compensated pair (sum, compensation).
-void neumaier_add(double& sum, double& compensation, double x) noexcept {
-  const double t = sum + x;
-  if (std::abs(sum) >= std::abs(x)) {
-    compensation += (sum - t) + x;
-  } else {
-    compensation += (x - t) + sum;
-  }
-  sum = t;
-}
-
-}  // namespace
-
-void Histogram::observe(double x) noexcept {
-  const std::size_t bucket = bucket_index(x);
-  std::lock_guard lock(mutex_);
-  ++buckets_[bucket];
-  lo_ = std::min(lo_, bucket);
-  hi_ = std::max(hi_, bucket);
-  welford_.add(x);
-  // Neumaier-compensated sum: exact to ~1 ulp of the true sum regardless
-  // of count (mean * count drifts once counts get large).
-  neumaier_add(sum_, sum_compensation_, x);
-}
-
-void Histogram::quantiles_locked(const double* targets, double* out,
-                                 std::size_t num_targets) const noexcept {
+void LocalHistogram::quantiles(const double* targets, double* out,
+                               std::size_t num_targets) const noexcept {
   std::uint64_t total = 0;
   for (std::size_t b = lo_; b <= hi_; ++b) total += buckets_[b];
   if (total == 0) {
@@ -96,29 +53,25 @@ void Histogram::quantiles_locked(const double* targets, double* out,
   }
 }
 
-Histogram::Summary Histogram::summary() const noexcept {
+LocalHistogram::Summary LocalHistogram::summary() const noexcept {
   Summary s;
   const double targets[] = {0.50, 0.90, 0.99};
   double estimates[3] = {0.0, 0.0, 0.0};
-  {
-    std::lock_guard lock(mutex_);
-    s.count = welford_.count();
-    s.mean = welford_.mean();
-    s.stddev = welford_.stddev();
-    s.min = welford_.count() ? welford_.min() : 0.0;
-    s.max = welford_.count() ? welford_.max() : 0.0;
-    s.sum = sum_ + sum_compensation_;
-    quantiles_locked(targets, estimates, 3);
-  }
+  s.count = welford_.count();
+  s.mean = welford_.mean();
+  s.stddev = welford_.stddev();
+  s.min = welford_.count() ? welford_.min() : 0.0;
+  s.max = welford_.count() ? welford_.max() : 0.0;
+  s.sum = sum_ + sum_compensation_;
+  quantiles(targets, estimates, 3);
   s.p50 = estimates[0];
   s.p90 = estimates[1];
   s.p99 = estimates[2];
   return s;
 }
 
-void Histogram::merge(const Histogram& other) noexcept {
+void LocalHistogram::merge(const LocalHistogram& other) noexcept {
   if (this == &other) return;
-  std::scoped_lock lock(mutex_, other.mutex_);
   for (std::size_t b = other.lo_; b <= other.hi_; ++b) {
     buckets_[b] += other.buckets_[b];
   }
@@ -132,8 +85,7 @@ void Histogram::merge(const Histogram& other) noexcept {
   neumaier_add(sum_, sum_compensation_, other.sum_compensation_);
 }
 
-void Histogram::reset() noexcept {
-  std::lock_guard lock(mutex_);
+void LocalHistogram::reset() noexcept {
   welford_ = Welford{};
   sum_ = 0.0;
   sum_compensation_ = 0.0;
@@ -142,12 +94,11 @@ void Histogram::reset() noexcept {
   hi_ = 0;
 }
 
-double Histogram::quantile(double q) const noexcept {
+double LocalHistogram::quantile(double q) const noexcept {
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
   double estimate = 0.0;
-  std::lock_guard lock(mutex_);
-  quantiles_locked(&q, &estimate, 1);
+  quantiles(&q, &estimate, 1);
   return estimate;
 }
 

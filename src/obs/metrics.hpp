@@ -6,8 +6,11 @@
 // null-pointer check when no registry is attached.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -65,11 +68,14 @@ class Gauge {
 /// midpoint is within 1/(2*kSubBuckets) < 1% of every value it absorbs
 /// -- that is the documented relative-error bound on p50/p90/p99.
 ///
-/// Thread-safe: one short mutex guards the moments, the bucket counters
-/// and the live range [lo_, hi_] of non-empty buckets. reset(), merge(),
-/// summary() and quantile() touch only that range, so a histogram that
-/// holds a few octaves costs a few hundred buckets per call, not 4099.
-class Histogram {
+/// Single owner, no lock: one thread fills and reads it (the serve
+/// epilogue, the SLO window ring, the timeline replay). It is movable,
+/// so a builder can fill one and hand it on. reset(), merge(),
+/// summary() and quantile() touch only the live range [lo_, hi_] of
+/// non-empty buckets, so a histogram that holds a few octaves costs a
+/// few hundred buckets per call, not 4099. Histogram below is the
+/// shared, locked form of the same thing.
+class LocalHistogram {
  public:
   /// Linear subdivisions per power of two. 64 gives a worst-case
   /// quantile relative error of 1/128 ~= 0.8%.
@@ -81,9 +87,14 @@ class Histogram {
   static constexpr int kMinExp = -40;
   static constexpr int kMaxExp = 24;
 
-  Histogram();
-
-  void observe(double x) noexcept;
+  static constexpr std::size_t kNonPositive = 0;  ///< x <= 0 or NaN
+  static constexpr std::size_t kUnderflow = 1;    ///< 0 < x, exp < kMinExp
+  static constexpr std::size_t kFirstRegular = 2;
+  static constexpr std::size_t kNumRegular =
+      static_cast<std::size_t>(kMaxExp - kMinExp) *
+      static_cast<std::size_t>(kSubBuckets);
+  static constexpr std::size_t kOverflow = kFirstRegular + kNumRegular;  ///< and +inf
+  static constexpr std::size_t kNumBuckets = kOverflow + 1;
 
   struct Summary {
     std::uint64_t count = 0;
@@ -97,6 +108,19 @@ class Histogram {
     double p99 = 0.0;
   };
 
+  LocalHistogram();
+
+  void observe(double x) noexcept {
+    const std::size_t bucket = bucket_index(x);
+    ++buckets_[bucket];
+    lo_ = std::min(lo_, bucket);
+    hi_ = std::max(hi_, bucket);
+    welford_.add(x);
+    // Neumaier-compensated sum: exact to ~1 ulp of the true sum regardless
+    // of count (mean * count drifts once counts get large).
+    neumaier_add(sum_, sum_compensation_, x);
+  }
+
   [[nodiscard]] Summary summary() const noexcept;
 
   /// Bucket-estimated quantile for q in [0, 1] (nearest-rank). Within
@@ -108,42 +132,103 @@ class Histogram {
   /// Welford moment merge (Chan et al.), and Neumaier sums combined so
   /// the merged sum() stays exactly compensated. The result summarizes
   /// the union of both sample streams -- the rollup primitive behind
-  /// WindowedHistogram (obs/window.hpp) and sweep aggregation. Both
-  /// histograms' locks are held together (std::scoped_lock), so `other`
-  /// is folded as one consistent snapshot; still, never merge two
-  /// histograms into each other concurrently.
-  void merge(const Histogram& other) noexcept;
+  /// WindowedHistogram (obs/window.hpp) and sweep aggregation.
+  void merge(const LocalHistogram& other) noexcept;
 
   /// Discards every recorded sample (counts, moments, sums). The bucket
   /// array is retained, so a reset histogram is reusable without
   /// allocation -- window rings recycle interval slots through this.
   void reset() noexcept;
 
- private:
-  static constexpr std::size_t kNonPositive = 0;  ///< x <= 0
-  static constexpr std::size_t kUnderflow = 1;    ///< 0 < x, exp < kMinExp
-  static constexpr std::size_t kFirstRegular = 2;
-  static constexpr std::size_t kNumRegular =
-      static_cast<std::size_t>(kMaxExp - kMinExp) *
-      static_cast<std::size_t>(kSubBuckets);
-  static constexpr std::size_t kOverflow = kFirstRegular + kNumRegular;
-  static constexpr std::size_t kNumBuckets = kOverflow + 1;
-
-  [[nodiscard]] static std::size_t bucket_index(double x) noexcept;
+  /// The bucket `x` lands in. A positive normal x with frexp exponent e
+  /// (x = f * 2^e, f in [0.5, 1)) goes to regular bucket
+  /// (e - kMinExp) * kSubBuckets + floor((f - 0.5) * 2 * kSubBuckets);
+  /// the exponent and the sub-bucket are read straight from the IEEE-754
+  /// bits, which gives that bucket for every double.
+  [[nodiscard]] static std::size_t bucket_index(double x) noexcept {
+    static_assert(kSubBuckets == 64, "the sub-bucket is the top 6 mantissa bits");
+    if (!(x > 0.0)) return kNonPositive;  // also catches NaN
+    // x > 0, so the sign bit is clear. A normal x has frexp exponent
+    // biased - 1022 and frac = (1 + mantissa / 2^52) / 2, so
+    // (frac - 0.5) * 128 is exactly mantissa / 2^46: its top 6 bits.
+    // Subnormals (biased exponent 0) fall below kMinExp and +inf (2047)
+    // at or above kMaxExp, as they do through frexp.
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    const int exp = static_cast<int>(bits >> 52) - 1022;
+    if (exp < kMinExp) return kUnderflow;
+    if (exp >= kMaxExp) return kOverflow;
+    return kFirstRegular +
+           static_cast<std::size_t>(exp - kMinExp) *
+               static_cast<std::size_t>(kSubBuckets) +
+           static_cast<std::size_t>((bits >> 46) & 63U);
+  }
+  /// Midpoint of regular bucket `index` -- its quantile representative.
   [[nodiscard]] static double bucket_midpoint(std::size_t index) noexcept;
 
-  /// Nearest-rank estimates for ascending `targets` over the live range.
-  /// Caller holds mutex_.
-  void quantiles_locked(const double* targets, double* out,
-                        std::size_t num_targets) const noexcept;
+ private:
+  /// Neumaier step: folds `x` into the compensated pair (sum, compensation).
+  static void neumaier_add(double& sum, double& compensation, double x) noexcept {
+    const double t = sum + x;
+    if (std::abs(sum) >= std::abs(x)) {
+      compensation += (sum - t) + x;
+    } else {
+      compensation += (x - t) + sum;
+    }
+    sum = t;
+  }
 
-  mutable std::mutex mutex_;
+  /// Nearest-rank estimates for ascending `targets` over the live range.
+  void quantiles(const double* targets, double* out,
+                 std::size_t num_targets) const noexcept;
+
   Welford welford_;
   double sum_ = 0.0;              // Neumaier-compensated running sum
   double sum_compensation_ = 0.0;
   std::unique_ptr<std::uint64_t[]> buckets_;
   std::size_t lo_ = kNumBuckets;  // live range [lo_, hi_]; empty: lo_ > hi_
   std::size_t hi_ = 0;
+};
+
+/// The shared form of LocalHistogram: one short mutex around it, and
+/// every method locks, then delegates. This is what the registry hands
+/// out, so any thread may observe into a named histogram.
+class Histogram {
+ public:
+  using Summary = LocalHistogram::Summary;
+
+  void observe(double x) noexcept {
+    std::lock_guard lock(mutex_);
+    local_.observe(x);
+  }
+
+  [[nodiscard]] Summary summary() const noexcept {
+    std::lock_guard lock(mutex_);
+    return local_.summary();
+  }
+
+  [[nodiscard]] double quantile(double q) const noexcept {
+    std::lock_guard lock(mutex_);
+    return local_.quantile(q);
+  }
+
+  /// LocalHistogram::merge with both locks held together
+  /// (std::scoped_lock), so `other` is folded as one consistent
+  /// snapshot; still, never merge two histograms into each other
+  /// concurrently.
+  void merge(const Histogram& other) noexcept {
+    if (this == &other) return;
+    std::scoped_lock lock(mutex_, other.mutex_);
+    local_.merge(other.local_);
+  }
+
+  void reset() noexcept {
+    std::lock_guard lock(mutex_);
+    local_.reset();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  LocalHistogram local_;
 };
 
 /// A point-in-time copy of every metric in a registry, detached from the

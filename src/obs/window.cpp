@@ -1,5 +1,6 @@
 #include "obs/window.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,11 +8,16 @@ namespace rdp::obs {
 
 namespace {
 
-/// Interval index of time t. Negative t floors to interval 0 -- serve
-/// clocks start at 0 and tiny negative jitter should not drop samples.
+/// Interval index of time t. Negative t (and NaN) floors to interval 0
+/// -- serve clocks start at 0 and tiny negative jitter should not drop
+/// samples. Quotients at or past 2^62 (t = inf included) clamp to 2^62
+/// before the cast, which would be undefined at 2^63, and leave the
+/// ring's index arithmetic room to step past the newest slot.
 std::int64_t interval_index(double t, double interval) noexcept {
+  constexpr std::int64_t kMaxIndex = std::int64_t{1} << 62;
   if (!(t > 0.0)) return 0;
-  return static_cast<std::int64_t>(t / interval);
+  const double q = t / interval;
+  return q < static_cast<double>(kMaxIndex) ? static_cast<std::int64_t>(q) : kMaxIndex;
 }
 
 }  // namespace
@@ -45,7 +51,6 @@ void WindowedHistogram::advance_to(std::int64_t idx) noexcept {
 
 void WindowedHistogram::observe(double t, double value) noexcept {
   const std::int64_t idx = interval_index(t, interval_);
-  std::lock_guard<std::mutex> lock(mutex_);
   advance_to(idx);
   const auto n = static_cast<std::int64_t>(ring_.size());
   if (idx <= newest_ - n) {
@@ -55,17 +60,15 @@ void WindowedHistogram::observe(double t, double value) noexcept {
   ring_[static_cast<std::size_t>(idx % n)].observe(value);
 }
 
-Histogram::Summary WindowedHistogram::interval_summary(double t) const noexcept {
+LocalHistogram::Summary WindowedHistogram::interval_summary(double t) const noexcept {
   const std::int64_t idx = interval_index(t, interval_);
-  std::lock_guard<std::mutex> lock(mutex_);
   const auto n = static_cast<std::int64_t>(ring_.size());
   if (newest_ < 0 || idx > newest_ || idx <= newest_ - n) return {};
   return ring_[static_cast<std::size_t>(idx % n)].summary();
 }
 
-Histogram::Summary WindowedHistogram::window_summary(double t) noexcept {
+LocalHistogram::Summary WindowedHistogram::window_summary(double t) noexcept {
   const std::int64_t idx = interval_index(t, interval_);
-  std::lock_guard<std::mutex> lock(mutex_);
   advance_to(idx);
   scratch_.reset();
   const auto n = static_cast<std::int64_t>(ring_.size());
@@ -74,73 +77,6 @@ Histogram::Summary WindowedHistogram::window_summary(double t) noexcept {
     scratch_.merge(ring_[static_cast<std::size_t>(i % n)]);
   }
   return scratch_.summary();
-}
-
-std::uint64_t WindowedHistogram::late_dropped() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return late_dropped_;
-}
-
-WindowedMax::WindowedMax(double interval_seconds, std::size_t num_intervals)
-    : interval_(interval_seconds),
-      values_(num_intervals, 0.0),
-      seen_(num_intervals, 0) {
-  if (!(interval_seconds > 0.0) || !std::isfinite(interval_seconds)) {
-    throw std::invalid_argument(
-        "WindowedMax: interval_seconds must be positive and finite");
-  }
-  if (num_intervals == 0) {
-    throw std::invalid_argument("WindowedMax: num_intervals must be >= 1");
-  }
-}
-
-void WindowedMax::advance_to(std::int64_t idx) noexcept {
-  if (idx <= newest_) return;
-  const auto n = static_cast<std::int64_t>(values_.size());
-  const std::int64_t first = std::max(newest_ + 1, idx - n + 1);
-  for (std::int64_t i = first; i <= idx; ++i) {
-    const auto slot = static_cast<std::size_t>(i % n);
-    values_[slot] = 0.0;
-    seen_[slot] = 0;
-  }
-  newest_ = idx;
-}
-
-void WindowedMax::observe(double t, double value) noexcept {
-  const std::int64_t idx = interval_index(t, interval_);
-  std::lock_guard<std::mutex> lock(mutex_);
-  advance_to(idx);
-  const auto n = static_cast<std::int64_t>(values_.size());
-  if (idx <= newest_ - n) return;
-  const auto slot = static_cast<std::size_t>(idx % n);
-  if (!seen_[slot] || value > values_[slot]) values_[slot] = value;
-  seen_[slot] = 1;
-}
-
-double WindowedMax::interval_max(double t, double fallback) const noexcept {
-  const std::int64_t idx = interval_index(t, interval_);
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto n = static_cast<std::int64_t>(values_.size());
-  if (newest_ < 0 || idx > newest_ || idx <= newest_ - n) return fallback;
-  const auto slot = static_cast<std::size_t>(idx % n);
-  return seen_[slot] ? values_[slot] : fallback;
-}
-
-double WindowedMax::window_max(double t, double fallback) noexcept {
-  const std::int64_t idx = interval_index(t, interval_);
-  std::lock_guard<std::mutex> lock(mutex_);
-  advance_to(idx);
-  const auto n = static_cast<std::int64_t>(values_.size());
-  double best = fallback;
-  bool any = false;
-  const std::int64_t first = std::max<std::int64_t>(0, idx - n + 1);
-  for (std::int64_t i = first; i <= idx; ++i) {
-    const auto slot = static_cast<std::size_t>(i % n);
-    if (!seen_[slot]) continue;
-    if (!any || values_[slot] > best) best = values_[slot];
-    any = true;
-  }
-  return best;
 }
 
 }  // namespace rdp::obs

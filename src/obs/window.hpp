@@ -2,31 +2,29 @@
 // histograms (obs/metrics.hpp) over a caller-supplied time axis --
 // simulated seconds for the SLO engine, wall seconds for live sampling.
 // Each sample lands in the histogram of its interval floor(t/interval);
-// advancing time expires the oldest intervals in place (Histogram::
-// reset(), no allocation), and a window rollup is a Histogram::merge of
-// the live slots. This is what gives response-time telemetry a time
+// advancing time expires the oldest intervals in place (LocalHistogram::
+// reset(), no allocation), and a window rollup is a LocalHistogram::merge
+// of the live slots. This is what gives response-time telemetry a time
 // axis: per-interval p50/p90/p99 that *forget* an old regime within
 // ring-length intervals of a load change, instead of one cumulative
 // histogram that averages the burst away.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "obs/metrics.hpp"
 
 namespace rdp::obs {
 
+/// Single owner, no lock, like the LocalHistograms it holds: one thread
+/// observes and queries it (evaluate_slo builds one per call).
 class WindowedHistogram {
  public:
   /// `interval_seconds` > 0 is the bucketing grain; `num_intervals` >= 1
   /// is the ring length (the window spans num_intervals * interval
   /// seconds). Throws std::invalid_argument on bad geometry.
   WindowedHistogram(double interval_seconds, std::size_t num_intervals);
-
-  WindowedHistogram(const WindowedHistogram&) = delete;
-  WindowedHistogram& operator=(const WindowedHistogram&) = delete;
 
   /// Records `value` at time `t` (t >= 0). Times may arrive out of
   /// order within the window; samples older than the window's trailing
@@ -36,58 +34,26 @@ class WindowedHistogram {
 
   /// Summary of the single interval containing `t`, empty if it is
   /// outside the window.
-  [[nodiscard]] Histogram::Summary interval_summary(double t) const noexcept;
+  [[nodiscard]] LocalHistogram::Summary interval_summary(double t) const noexcept;
 
   /// Rollup of every live interval up to and including the one holding
   /// `t` (advances the window to t first): the sliding-window summary.
-  [[nodiscard]] Histogram::Summary window_summary(double t) noexcept;
+  [[nodiscard]] LocalHistogram::Summary window_summary(double t) noexcept;
 
   [[nodiscard]] double interval_seconds() const noexcept { return interval_; }
   [[nodiscard]] std::size_t num_intervals() const noexcept { return ring_.size(); }
   /// Samples rejected for arriving behind the trailing edge.
-  [[nodiscard]] std::uint64_t late_dropped() const noexcept;
+  [[nodiscard]] std::uint64_t late_dropped() const noexcept { return late_dropped_; }
 
  private:
-  /// Rotates so the interval index `idx` is the newest slot. Caller
-  /// holds mutex_.
+  /// Rotates so the interval index `idx` is the newest slot.
   void advance_to(std::int64_t idx) noexcept;
 
-  const double interval_;
-  mutable std::mutex mutex_;
-  std::vector<Histogram> ring_;
-  Histogram scratch_;          ///< merge target for window_summary
+  double interval_;
+  std::vector<LocalHistogram> ring_;
+  LocalHistogram scratch_;     ///< merge target for window_summary
   std::int64_t newest_ = -1;   ///< highest interval index seen; -1 = none
   std::uint64_t late_dropped_ = 0;
-};
-
-/// Per-interval maxima over the same rotating-ring scheme -- the backlog
-/// watermark series (a Histogram would blur the peak; operators alarm on
-/// the watermark itself).
-class WindowedMax {
- public:
-  WindowedMax(double interval_seconds, std::size_t num_intervals);
-
-  /// Offers `value` as a candidate maximum for the interval holding `t`.
-  void observe(double t, double value) noexcept;
-
-  /// Maximum recorded in the interval holding `t`, or `fallback` when
-  /// that interval is outside the window or never saw a sample.
-  [[nodiscard]] double interval_max(double t, double fallback = 0.0) const noexcept;
-
-  /// Maximum over every live interval (advances the window to t first).
-  [[nodiscard]] double window_max(double t, double fallback = 0.0) noexcept;
-
-  [[nodiscard]] double interval_seconds() const noexcept { return interval_; }
-  [[nodiscard]] std::size_t num_intervals() const noexcept { return values_.size(); }
-
- private:
-  void advance_to(std::int64_t idx) noexcept;
-
-  const double interval_;
-  mutable std::mutex mutex_;
-  std::vector<double> values_;
-  std::vector<std::uint8_t> seen_;
-  std::int64_t newest_ = -1;
 };
 
 }  // namespace rdp::obs

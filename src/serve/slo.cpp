@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/order.hpp"
 #include "core/schedule.hpp"
@@ -99,13 +101,23 @@ SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
   const double horizon = schedule.makespan();
   const double width = spec.window_seconds;
   const std::size_t sustain = std::max<std::size_t>(spec.sustain, 1);
+  // Bound the window count before anything is allocated: a tiny width
+  // would overflow the size_t cast below (undefined) or ask for more
+  // SloWindows than memory holds.
+  const double windows_needed = horizon / width;
+  if (!(width > 0.0) || !(windows_needed <= static_cast<double>(kMaxSloWindows))) {
+    std::ostringstream what;
+    what << "evaluate_slo: window=" << width << " cuts a horizon of " << horizon
+         << " s into " << windows_needed << " windows; it must be positive and give at most "
+         << kMaxSloWindows;
+    throw std::invalid_argument(what.str());
+  }
   // horizon / width can round just below an integer whose window ends
   // exactly at the horizon (626.9999999999999 / 0.3 is
   // 2089.9999999999995, and 2089 * 0.3 + 0.3 == 626.9999999999999).
   // Grow until the last window's t1 lies strictly past the horizon, so
   // the task that finishes at the makespan is always counted.
-  auto num_windows =
-      static_cast<std::size_t>(std::floor(horizon / width)) + 1;
+  auto num_windows = static_cast<std::size_t>(std::floor(windows_needed)) + 1;
   while (static_cast<double>(num_windows - 1) * width + width <= horizon) {
     ++num_windows;
   }
@@ -139,7 +151,7 @@ SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
   // breach trip the verdict by construction.
   const std::size_t depth = std::max<std::size_t>(sustain - 1, 1);
   obs::WindowedHistogram response_window(width, depth);
-  obs::Histogram interval_wait;
+  obs::LocalHistogram interval_wait;
 
   std::size_t fin_cur = 0, start_cur = 0, arr_cur = 0;
   std::int64_t backlog_now = 0;

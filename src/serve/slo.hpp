@@ -27,6 +27,10 @@ struct Schedule;
 /// "Target not requested" sentinel for SloSpec fields.
 inline constexpr double kNoSloTarget = std::numeric_limits<double>::infinity();
 
+/// Most windows one evaluation may cut a run into: 2^22 SloWindows are
+/// ~740 MB. evaluate_slo rejects a geometry past it before allocating.
+inline constexpr std::size_t kMaxSloWindows = std::size_t{1} << 22;
+
 /// Operator targets. Quantile targets are ceilings on the *windowed*
 /// response time (finish - arrival); an infinite target means "not
 /// requested". `backlog` caps the per-window watermark of admitted-but-
@@ -58,8 +62,8 @@ struct SloSpec {
 struct SloWindow {
   double t0 = 0.0;
   double t1 = 0.0;
-  obs::Histogram::Summary response;    ///< sliding window ending here
-  obs::Histogram::Summary queue_wait;  ///< this interval only
+  obs::LocalHistogram::Summary response;    ///< sliding window ending here
+  obs::LocalHistogram::Summary queue_wait;  ///< this interval only
   double backlog_watermark = 0.0;
   bool violated = false;
 };
@@ -84,7 +88,9 @@ struct SloReport {
 /// window's summary as `serve.window.*` gauges when a metrics registry
 /// is installed, which is how the sampler JSONL picks up the SLO time
 /// series. Throws std::invalid_argument when schedule/arrival sizes
-/// disagree or the schedule has unassigned tasks.
+/// disagree, the schedule has unassigned tasks, window_seconds is not
+/// positive, or makespan / window_seconds is not finite or exceeds
+/// kMaxSloWindows.
 [[nodiscard]] SloReport evaluate_slo(const Schedule& schedule,
                                      std::span<const Time> arrivals,
                                      const SloSpec& spec);

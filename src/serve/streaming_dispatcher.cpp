@@ -98,9 +98,9 @@ ServeStats compute_serve_stats(const Schedule& schedule,
   if (arrivals.size() != n) {
     throw std::invalid_argument("compute_serve_stats: arrivals size mismatch");
   }
-  obs::Histogram response;
-  obs::Histogram queue_wait;
-  obs::Histogram service;
+  obs::LocalHistogram response;
+  obs::LocalHistogram queue_wait;
+  obs::LocalHistogram service;
   ServeStats stats;
   bool any = false;
   for (TaskId j = 0; j < n; ++j) {

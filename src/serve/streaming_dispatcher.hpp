@@ -63,14 +63,15 @@ void serve_stream(const Instance& instance, const Placement& placement,
 ///   queue wait = start - arrival   (admission to first byte of work)
 ///   service    = finish - start    (time on the machine)
 ///   response   = finish - arrival  (what the caller experienced; sojourn)
-/// Built from the schedule after the fact through obs::Histogram (HDR
-/// quantiles, <= 0.8% error), so the dispatch loop itself carries no
-/// instrumentation. Summaries rather than the histograms themselves:
-/// a Histogram owns a mutex and cannot be returned by value.
+/// Built from the schedule after the fact through three unlocked
+/// obs::LocalHistograms (HDR quantiles, <= 0.8% error), so the dispatch
+/// loop itself carries no instrumentation. Summaries rather than the
+/// histograms themselves: each histogram is 4099 buckets, a summary 72
+/// bytes.
 struct ServeStats {
-  obs::Histogram::Summary response;
-  obs::Histogram::Summary queue_wait;
-  obs::Histogram::Summary service;
+  obs::LocalHistogram::Summary response;
+  obs::LocalHistogram::Summary queue_wait;
+  obs::LocalHistogram::Summary service;
   Time first_arrival = 0;
   Time last_finish = 0;
 };

@@ -5,20 +5,6 @@
 
 namespace rdp {
 
-void Welford::add(double x) noexcept {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  const double d1 = x - mean_;
-  mean_ += d1 / static_cast<double>(count_);
-  const double d2 = x - mean_;
-  m2_ += d1 * d2;
-}
-
 void Welford::merge(const Welford& other) noexcept {
   if (other.count_ == 0) return;
   if (count_ == 0) {

@@ -2,13 +2,26 @@
 // experiment harness to aggregate per-trial ratios without storing them.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 namespace rdp {
 
 class Welford {
  public:
-  void add(double x) noexcept;
+  void add(double x) noexcept {
+    if (count_ == 0) {
+      min_ = max_ = x;
+    } else {
+      min_ = std::min(min_, x);
+      max_ = std::max(max_, x);
+    }
+    ++count_;
+    const double d1 = x - mean_;
+    mean_ += d1 / static_cast<double>(count_);
+    const double d2 = x - mean_;
+    m2_ += d1 * d2;
+  }
 
   /// Merges another accumulator (parallel reduction; Chan et al. update).
   void merge(const Welford& other) noexcept;

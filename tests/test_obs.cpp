@@ -137,7 +137,7 @@ void expect_quantiles_within_bound(const std::vector<double>& samples) {
     // Documented bound: 1/(2 * kSubBuckets) relative error per bucket,
     // i.e. < 1%; allow exactly that plus float fuzz.
     const double tolerance =
-        std::abs(exact) / (2.0 * obs::Histogram::kSubBuckets) + 1e-12;
+        std::abs(exact) / (2.0 * obs::LocalHistogram::kSubBuckets) + 1e-12;
     EXPECT_NEAR(reported[i], exact, tolerance)
         << "q=" << quantiles[i] << " over " << samples.size() << " samples";
     EXPECT_DOUBLE_EQ(reported[i], h.quantile(quantiles[i]));
@@ -252,7 +252,7 @@ TEST(HistogramMerge, MergedQuantilesMatchExactOrderStatistics) {
   for (int i = 0; i < 3; ++i) {
     const double exact = exact_quantile(all, quantiles[i]);
     const double tolerance =
-        std::abs(exact) / (2.0 * obs::Histogram::kSubBuckets) + 1e-12;
+        std::abs(exact) / (2.0 * obs::LocalHistogram::kSubBuckets) + 1e-12;
     EXPECT_NEAR(reported[i], exact, tolerance) << "q=" << quantiles[i];
   }
   // Moments and extremes of the union, not just buckets.
@@ -449,6 +449,132 @@ TEST(HistogramLiveRange, ConcurrentObserveKeepsCountsAndQuantilesExact) {
   EXPECT_EQ(bits(s.min), bits(serial.summary().min));
   EXPECT_EQ(bits(s.max), bits(serial.summary().max));
   expect_same_quantiles(shared, serial);
+}
+
+// --- Bit-level bucket index and the LocalHistogram / Histogram split ------
+
+// The bucket formula as it was written through std::frexp: the oracle the
+// IEEE-754 bit reading must agree with on every double.
+std::size_t frexp_bucket_index(double x) {
+  using H = obs::LocalHistogram;
+  if (!(x > 0.0)) return H::kNonPositive;
+  if (!std::isfinite(x)) return H::kOverflow;
+  int exp = 0;
+  const double frac = std::frexp(x, &exp);
+  if (exp < H::kMinExp) return H::kUnderflow;
+  if (exp >= H::kMaxExp) return H::kOverflow;
+  int sub = static_cast<int>((frac - 0.5) * (2 * H::kSubBuckets));
+  sub = std::clamp(sub, 0, H::kSubBuckets - 1);
+  return H::kFirstRegular +
+         static_cast<std::size_t>(exp - H::kMinExp) * H::kSubBuckets +
+         static_cast<std::size_t>(sub);
+}
+
+void expect_bucket_matches_frexp(double x) {
+  EXPECT_EQ(obs::LocalHistogram::bucket_index(x), frexp_bucket_index(x))
+      << "x=" << x << " bits=0x" << std::hex << bits(x);
+}
+
+TEST(HistogramBucketIndex, MatchesFrexpAtEdgesAndSpecialValues) {
+  using H = obs::LocalHistogram;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (int e = -1074; e <= 1023; ++e) expect_bucket_matches_frexp(std::ldexp(1.0, e));
+  // Every sub-bucket edge of every covered octave (and one octave past
+  // each end), with its nextafter neighbours on both sides.
+  for (int e = H::kMinExp - 1; e <= H::kMaxExp + 1; ++e) {
+    for (int sub = 0; sub <= H::kSubBuckets; ++sub) {
+      const double edge = std::ldexp(0.5 + sub / (2.0 * H::kSubBuckets), e);
+      for (const double x : {std::nextafter(edge, 0.0), edge, std::nextafter(edge, kInf)}) {
+        expect_bucket_matches_frexp(x);
+      }
+    }
+  }
+  for (const double x :
+       {std::ldexp(1.0, H::kMinExp - 1), std::ldexp(1.0, H::kMaxExp - 1),
+        std::nextafter(std::ldexp(1.0, H::kMinExp - 1), 0.0),
+        std::nextafter(std::ldexp(1.0, H::kMaxExp - 1), 0.0),
+        std::numeric_limits<double>::denorm_min(), 3 * std::numeric_limits<double>::denorm_min(),
+        std::nextafter(std::numeric_limits<double>::min(), 0.0),
+        std::numeric_limits<double>::min(), std::numeric_limits<double>::max(), 0.0, -0.0,
+        kInf, -kInf, std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(), -1.0, -std::numeric_limits<double>::max()}) {
+    expect_bucket_matches_frexp(x);
+  }
+  EXPECT_EQ(H::bucket_index(std::ldexp(1.0, H::kMinExp - 1)), H::kFirstRegular);
+  EXPECT_EQ(H::bucket_index(std::nextafter(std::ldexp(1.0, H::kMaxExp - 1), 0.0)),
+            H::kOverflow - 1);
+  EXPECT_EQ(H::bucket_index(std::numeric_limits<double>::denorm_min()), H::kUnderflow);
+  EXPECT_EQ(H::bucket_index(kInf), H::kOverflow);
+  EXPECT_EQ(H::bucket_index(std::numeric_limits<double>::quiet_NaN()), H::kNonPositive);
+}
+
+TEST(HistogramBucketIndex, MatchesFrexpOnRandomBitPatterns) {
+  std::mt19937_64 rng(2024);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double x = std::bit_cast<double>(rng());
+    if (obs::LocalHistogram::bucket_index(x) != frexp_bucket_index(x) && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits=0x" << std::hex << bits(x);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(HistogramBucketIndex, EveryRegularMidpointLandsInItsBucket) {
+  using H = obs::LocalHistogram;
+  for (std::size_t b = H::kFirstRegular; b < H::kOverflow; ++b) {
+    EXPECT_EQ(H::bucket_index(H::bucket_midpoint(b)), b);
+  }
+}
+
+// Histogram is LocalHistogram behind a lock: the same observe / merge /
+// reset sequence must leave bit-identical summaries and quantiles.
+TEST(HistogramSplit, LockedAndLocalAgreeBitwise) {
+  std::mt19937_64 rng(99);
+  std::lognormal_distribution<double> dist(0.0, 3.0);
+  std::uniform_int_distribution<int> op(0, 99);
+  const auto draw = [&] {
+    switch (op(rng) % 10) {
+      case 0: return -dist(rng);
+      case 1: return 0.0;
+      case 2: return dist(rng) * 1e-15;  // underflow
+      case 3: return dist(rng) * 1e9;    // overflow
+      default: return dist(rng);
+    }
+  };
+  obs::LocalHistogram local, local_side;
+  obs::Histogram locked, locked_side;
+  const auto expect_same = [](const obs::LocalHistogram& a, const obs::Histogram& b) {
+    expect_same_summary(a.summary(), b.summary());
+    for (const double q : {0.0, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+      EXPECT_EQ(bits(a.quantile(q)), bits(b.quantile(q))) << "q=" << q;
+    }
+  };
+  for (int step = 0; step < 2000; ++step) {
+    const int o = op(rng);
+    if (o < 80) {
+      const double x = draw();
+      local.observe(x);
+      locked.observe(x);
+    } else if (o < 92) {
+      const double x = draw();
+      local_side.observe(x);
+      locked_side.observe(x);
+    } else if (o < 97) {
+      local.merge(local_side);
+      locked.merge(locked_side);
+    } else if (o < 98) {
+      local_side.reset();
+      locked_side.reset();
+    } else {
+      local.reset();
+      locked.reset();
+    }
+    expect_same(local, locked);
+  }
+  // A moved-from builder hands its whole state on.
+  const obs::LocalHistogram moved(std::move(local));
+  expect_same(moved, locked);
 }
 
 TEST(Metrics, ReferencesAreStableAcrossLookups) {

@@ -6,12 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
+#include "algo/strategy.hpp"
 #include "check/invariants.hpp"
 #include "check/reference_dispatcher.hpp"
 #include "core/instance.hpp"
@@ -21,8 +27,10 @@
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
+#include "obs/window.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/service.hpp"
+#include "serve/slo.hpp"
 #include "serve/streaming_dispatcher.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "workload/generators.hpp"
@@ -648,6 +656,160 @@ TEST(ServeService, CycleInstanceTilesTaskMix) {
   }
   EXPECT_THROW((void)cycle_instance(Instance{}, 4),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Degenerate SLO geometry: a window count that would overflow the size_t
+// cast or exhaust memory is rejected before anything is allocated.
+
+TEST(SloGeometry, RejectsWindowCountPastTheCap) {
+  const ServeFixture fx = poisson_fixture(200, 4, 2, 20.0, 41);
+  const StreamingDispatchResult result = serve_stream(
+      fx.instance, fx.placement, fx.actual, fx.priority, fx.arrivals);
+  const double horizon = result.schedule.makespan();
+  ASSERT_GT(horizon, 1.0);
+  SloSpec spec = parse_slo_spec("p99=30");
+  for (const double width : {1e-300, 1e-6, horizon / (2.0 * kMaxSloWindows),
+                             std::numeric_limits<double>::denorm_min(), 0.0, -1.0,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    spec.window_seconds = width;
+    try {
+      (void)evaluate_slo(result.schedule, fx.arrivals, spec);
+      ADD_FAILURE() << "window=" << width << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("window="), std::string::npos) << e.what();
+    }
+  }
+  // Just under the cap is still evaluated, one window per interval.
+  spec.window_seconds = horizon / 100'000.0;
+  const SloReport report = evaluate_slo(result.schedule, fx.arrivals, spec);
+  EXPECT_GE(report.windows.size(), 100'000u);
+  EXPECT_LE(report.windows.size(), 100'002u);
+  std::uint64_t counted = 0;
+  for (const SloWindow& w : report.windows) counted += w.queue_wait.count;
+  EXPECT_EQ(counted, fx.instance.num_tasks());
+}
+
+TEST(SloGeometry, WindowedHistogramClampsHugeTimes) {
+  obs::WindowedHistogram window(1e-300, 2);
+  window.observe(1.0, 3.0);  // 1e300 intervals: past int64, clamped
+  window.observe(std::numeric_limits<double>::infinity(), 5.0);
+  window.observe(std::numeric_limits<double>::quiet_NaN(), 7.0);  // interval 0: late
+  const obs::LocalHistogram::Summary s = window.window_summary(1e308);
+  EXPECT_EQ(s.count, 2u);
+  EXPECT_DOUBLE_EQ(s.min, 3.0);
+  EXPECT_DOUBLE_EQ(s.max, 5.0);
+  EXPECT_EQ(window.late_dropped(), 1u);
+  EXPECT_EQ(window.interval_summary(1.0).count, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pin of the serve reports: every ServeStats and SloWindow field,
+// hashed by bit pattern. The hashes were recorded before the epilogue
+// moved to unlocked histograms, so a change that moves any report bit
+// (an ulp of a mean, one quantile bucket, one verdict) fails here and
+// has to be made on purpose.
+
+struct BitHash {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
+  void add(std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(double x) { add(std::bit_cast<std::uint64_t>(x)); }
+  void add(const obs::Histogram::Summary& s) {
+    add(static_cast<std::uint64_t>(s.count));
+    for (const double x : {s.mean, s.stddev, s.min, s.max, s.sum, s.p50, s.p90, s.p99}) {
+      add(x);
+    }
+  }
+};
+
+struct GoldenCase {
+  const char* strategy;
+  ArrivalParams arrivals;
+  double rho;
+  std::size_t n;
+  std::uint64_t seed;
+  const char* slo;
+};
+
+/// Place, prioritize and serve one stream the way bench/e2e's serve
+/// workloads do (m = 64, alpha = 1.5, estimates uniform on [1, 10]), then
+/// returns {ServeStats hash, SloReport hash}.
+std::pair<std::uint64_t, std::uint64_t> golden_report_hashes(const GoldenCase& c) {
+  WorkloadParams wp;
+  wp.num_tasks = c.n;
+  wp.num_machines = 64;
+  wp.alpha = 1.5;
+  wp.seed = c.seed;
+  const Instance instance = uniform_workload(wp, 1.0, 10.0);
+  const Realization actual = realize(instance, NoiseModel::kUniform, c.seed + 1);
+  ArrivalParams params = c.arrivals;
+  params.rate = c.rho * 64.0 / (total_actual(actual) / static_cast<double>(c.n));
+  params.seed = c.seed + 2;
+  const std::vector<Time> arrivals = generate_arrivals(params, c.n);
+  const TwoPhaseStrategy strategy = strategy_from_spec(c.strategy);
+  const Placement placement = strategy.place(instance);
+  const std::vector<TaskId> priority = make_priority(instance, strategy.rule());
+  const StreamingDispatchResult result =
+      serve_stream(instance, placement, actual, priority, arrivals);
+
+  const ServeStats stats = compute_serve_stats(result.schedule, arrivals);
+  BitHash stats_hash;
+  stats_hash.add(stats.response);
+  stats_hash.add(stats.queue_wait);
+  stats_hash.add(stats.service);
+  stats_hash.add(stats.first_arrival);
+  stats_hash.add(stats.last_finish);
+
+  const SloReport report = evaluate_slo(result.schedule, arrivals, parse_slo_spec(c.slo));
+  BitHash slo_hash;
+  for (const SloWindow& w : report.windows) {
+    slo_hash.add(w.t0);
+    slo_hash.add(w.t1);
+    slo_hash.add(w.response);
+    slo_hash.add(w.queue_wait);
+    slo_hash.add(w.backlog_watermark);
+    slo_hash.add(static_cast<std::uint64_t>(w.violated));
+  }
+  slo_hash.add(static_cast<std::uint64_t>(report.violating_windows));
+  slo_hash.add(static_cast<std::uint64_t>(report.max_consecutive_violations));
+  slo_hash.add(report.burn_rate);
+  slo_hash.add(static_cast<std::uint64_t>(report.sustained_violation));
+  return {stats_hash.h, slo_hash.h};
+}
+
+TEST(ServeGolden, ReportsBitIdenticalToPinnedHashes) {
+  ArrivalParams poisson;
+  poisson.model = ArrivalModel::kPoisson;
+  ArrivalParams mmpp;
+  mmpp.model = ArrivalModel::kBurst;
+  mmpp.burst_boost = 2.5;
+  mmpp.burst_on = 100.0;
+  mmpp.burst_off = 400.0;
+  const struct {
+    GoldenCase c;
+    std::uint64_t stats;
+    std::uint64_t slo;
+  } cases[] = {
+      // 110 windows, 25 violating, longest streak 3.
+      {{"ls-group:8", poisson, 0.7, 4000, 11, "p99=14,backlog=40,window=5,sustain=3"},
+       0xe2a33a0095050d56ULL, 0x1d3867c7035c5853ULL},
+      // 62 windows, one 25-window streak through the bursts.
+      {{"lpt-no-restriction", mmpp, 0.6, 4000, 12, "p90=60,backlog=150,window=10,sustain=4"},
+       0x4c3b0f029f65611dULL, 0x581a97384ab5797dULL},
+      // 1075 windows, 262 violating, longest streak 9.
+      {{"ls-group:4", poisson, 0.9, 3000, 13, "p50=7,p99=20,window=0.3,sustain=1"},
+       0x80da7135c44c37a1ULL, 0xf8d640e81ccb9810ULL},
+  };
+  for (const auto& [c, stats, slo] : cases) {
+    const auto [got_stats, got_slo] = golden_report_hashes(c);
+    EXPECT_EQ(got_stats, stats) << c.strategy << " stats: 0x" << std::hex << got_stats;
+    EXPECT_EQ(got_slo, slo) << c.strategy << " slo: 0x" << std::hex << got_slo;
+  }
 }
 
 // ---------------------------------------------------------------------------

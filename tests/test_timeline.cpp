@@ -227,7 +227,7 @@ double exact_quantile(std::vector<double> xs, double q) {
 
 // Documented histogram bound: 1/(2*kSubBuckets) relative error.
 double quantile_tolerance(double exact) {
-  return std::abs(exact) / (2.0 * obs::Histogram::kSubBuckets) + 1e-12;
+  return std::abs(exact) / (2.0 * obs::LocalHistogram::kSubBuckets) + 1e-12;
 }
 
 TEST(WindowedHistogram, RejectsBadGeometry) {
@@ -340,21 +340,6 @@ TEST(WindowedHistogram, LargeTimeJumpClearsEverything) {
   const obs::Histogram::Summary s = window.window_summary(1e6);
   EXPECT_EQ(s.count, 1u);
   EXPECT_DOUBLE_EQ(s.max, 42.0);
-}
-
-TEST(WindowedMax, TracksPerIntervalWatermarks) {
-  obs::WindowedMax window(1.0, 3);
-  window.observe(0.5, 3.0);
-  window.observe(0.7, 7.0);
-  window.observe(1.5, 2.0);
-  EXPECT_DOUBLE_EQ(window.interval_max(0.9), 7.0);
-  EXPECT_DOUBLE_EQ(window.interval_max(1.1), 2.0);
-  EXPECT_DOUBLE_EQ(window.interval_max(2.5, -1.0), -1.0);  // unseen interval
-  EXPECT_DOUBLE_EQ(window.window_max(1.9), 7.0);
-  // Rotating past interval 0 forgets the 7.0 peak.
-  EXPECT_DOUBLE_EQ(window.window_max(3.5), 2.0);
-  // Rotating past everything leaves only the fallback.
-  EXPECT_DOUBLE_EQ(window.window_max(100.0, 0.0), 0.0);
 }
 
 // --- SLO spec parsing ------------------------------------------------------
@@ -900,7 +885,7 @@ TEST(SloEvaluate, PublishesWindowGaugesWhenRegistryInstalled) {
     (void)evaluate_slo(schedule, arrivals, spec);
   }
   EXPECT_NEAR(registry.gauge("serve.window.response_p99").value(), 0.5,
-              0.5 / obs::Histogram::kSubBuckets);
+              0.5 / obs::LocalHistogram::kSubBuckets);
   EXPECT_DOUBLE_EQ(registry.gauge("serve.window.burn_rate").value(), 0.0);
 }
 

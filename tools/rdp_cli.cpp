@@ -769,7 +769,7 @@ int cmd_obs(const Args& args) {
   // the arrive -> eligible gap (data movement before the task could run;
   // only dispatchers with an admission boundary emit it), queue-wait the
   // remainder up to start, service the time on the machine.
-  obs::Histogram response_hist, queue_wait_hist, service_hist, transfer_hist;
+  obs::LocalHistogram response_hist, queue_wait_hist, service_hist, transfer_hist;
   std::uint64_t attributed = 0, refetched_tasks = 0;
   for (TaskId j = 0; j < n; ++j) {
     if (refetches[j] > 0) ++refetched_tasks;
@@ -824,10 +824,10 @@ int cmd_obs(const Args& args) {
   table.add_row({"machines", std::to_string(m)});
   table.add_row({"horizon (sim s)", fmt(horizon, 3)});
   table.add_row({"attributed tasks", std::to_string(attributed)});
-  const obs::Histogram::Summary response = response_hist.summary();
-  const obs::Histogram::Summary queue_wait = queue_wait_hist.summary();
-  const obs::Histogram::Summary service = service_hist.summary();
-  const obs::Histogram::Summary transfer = transfer_hist.summary();
+  const obs::LocalHistogram::Summary response = response_hist.summary();
+  const obs::LocalHistogram::Summary queue_wait = queue_wait_hist.summary();
+  const obs::LocalHistogram::Summary service = service_hist.summary();
+  const obs::LocalHistogram::Summary transfer = transfer_hist.summary();
   table.add_row({"response p50/p90/p99", fmt(response.p50, 4) + " / " +
                                              fmt(response.p90, 4) + " / " +
                                              fmt(response.p99, 4)});
