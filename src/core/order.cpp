@@ -1,11 +1,13 @@
 #include "core/order.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 #include <numeric>
 
+#include "core/prefetch.hpp"
 #include "core/scan.hpp"
 
 namespace rdp {
@@ -41,9 +43,23 @@ void bucket_order(std::span<const Time> times,
   for (const Time t : times) ++out[bucket_of(kDescending ? -t : t)];
   std::exclusive_scan(out.begin(), out.end(), out.begin(), TaskId{0});
   pairs.resize(n);
+  // The scatter writes `pairs` at random. A ring of the next kAhead
+  // tasks' buckets, each still computed once, lets it ask for a task's
+  // slot kAhead tasks before writing it, so those cache misses overlap.
+  constexpr std::size_t kAhead = 16;
+  const auto bucket_at = [&](std::size_t j) {
+    return bucket_of(kDescending ? -times[j] : times[j]);
+  };
+  std::array<std::size_t, kAhead> ahead{};
+  for (std::size_t j = 0; j < std::min(n, kAhead); ++j) ahead[j] = bucket_at(j);
   for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t b = ahead[j % kAhead];
+    if (j + kAhead < n) {
+      ahead[j % kAhead] = bucket_at(j + kAhead);
+      prefetch(&pairs[out[ahead[j % kAhead]]]);
+    }
     const Time key = kDescending ? -times[j] : times[j];
-    pairs[out[bucket_of(key)]++] = {key, static_cast<TaskId>(j)};
+    pairs[out[b]++] = {key, static_cast<TaskId>(j)};
   }
   // out[b] is now the end of bucket b. Every key in bucket b is below
   // every key in bucket b + 1, so once the few buckets of more than 32

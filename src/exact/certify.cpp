@@ -55,31 +55,49 @@ Canonical canonicalize(std::span<const Time> p) {
 
 // ------------------------------------------------------------ cache key --
 
+// One word per step over the machine count, the size and the exact bit
+// patterns (FxHash's rotate-xor-multiply), then a 64-bit finalizer so the
+// low bits the bucket index reads depend on every input word.
+std::size_t key_hash(MachineId m, std::span<const Time> values) noexcept {
+  constexpr std::uint64_t kMul = 0x517cc1b727220a95ull;
+  std::uint64_t h = 0;
+  const auto mix = [&h](std::uint64_t word) { h = (std::rotl(h, 5) ^ word) * kMul; };
+  mix(m);
+  mix(values.size());
+  for (const Time v : values) mix(std::bit_cast<std::uint64_t>(v));
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  return static_cast<std::size_t>(h);
+}
+
+// A canonical instance with its hash, computed once when the key is made:
+// the batch dedup, the lookup and the insert all reuse it. Equality is
+// still the full (m, values) comparison; the hash only rules out
+// mismatches early.
 struct CacheKey {
-  MachineId m = 0;
+  CacheKey(MachineId machines, std::vector<Time> canonical)
+      : m(machines), values(std::move(canonical)), hash(key_hash(m, values)) {}
+
+  MachineId m;
   std::vector<Time> values;
+  std::size_t hash;
 
   bool operator==(const CacheKey& other) const {
-    return m == other.m && values == other.values;
+    return hash == other.hash && m == other.m && values == other.values;
   }
 };
 
-struct CacheKeyHash {
-  std::size_t operator()(const CacheKey& key) const noexcept {
-    // FNV-1a over the machine count and the exact bit patterns.
-    std::uint64_t h = 14695981039346656037ull;
-    const auto mix = [&h](std::uint64_t v) {
-      for (int byte = 0; byte < 8; ++byte) {
-        h ^= (v >> (8 * byte)) & 0xffull;
-        h *= 1099511628211ull;
-      }
-    };
-    mix(key.m);
-    mix(key.values.size());
-    for (const Time v : key.values) mix(std::bit_cast<std::uint64_t>(v));
-    return static_cast<std::size_t>(h);
-  }
+// The maps below index keys that live elsewhere (a batch's slots, the LRU
+// list's nodes) by address, so no key is ever copied.
+struct KeyRefHash {
+  std::size_t operator()(const CacheKey* key) const noexcept { return key->hash; }
 };
+struct KeyRefEqual {
+  bool operator()(const CacheKey* a, const CacheKey* b) const { return *a == *b; }
+};
+template <typename V>
+using KeyRefMap = std::unordered_map<const CacheKey*, V, KeyRefHash, KeyRefEqual>;
 
 // Maps a canonical-space result back to the caller's index space and
 // scale. The upper bound is re-derived from the assignment's loads under
@@ -122,7 +140,7 @@ struct CertifyEngine::Impl {
   mutable std::mutex mutex;
   std::size_t capacity;
   LruList lru;  // front = most recently used
-  std::unordered_map<CacheKey, LruList::iterator, CacheKeyHash> index;
+  KeyRefMap<LruList::iterator> index;  // keys point into `lru`
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
@@ -133,22 +151,23 @@ struct CertifyEngine::Impl {
   // the batch layer attributes hits/misses per request.
   bool lookup(const CacheKey& key, CertifiedCmax* out) {
     std::lock_guard lock(mutex);
-    const auto it = index.find(key);
+    const auto it = index.find(&key);
     if (it == index.end()) return false;
     lru.splice(lru.begin(), lru, it->second);
     *out = it->second->second;
     return true;
   }
 
-  // Inserts a solved entry; first writer wins when two batches race.
-  void insert(const CacheKey& key, const CertifiedCmax& value) {
+  // Inserts a solved entry, taking `key`'s values only when it does;
+  // first writer wins when two batches race.
+  void insert(CacheKey& key, const CertifiedCmax& value) {
     if (capacity == 0) return;
     std::lock_guard lock(mutex);
-    if (index.contains(key)) return;
-    lru.emplace_front(key, value);
-    index.emplace(key, lru.begin());
+    if (index.contains(&key)) return;
+    lru.emplace_front(std::move(key), value);
+    index.emplace(&lru.front().first, lru.begin());
     while (index.size() > capacity) {
-      index.erase(lru.back().first);
+      index.erase(&lru.back().first);
       lru.pop_back();
       ++evictions;
     }
@@ -201,16 +220,21 @@ std::vector<CertifiedCmax> CertifyEngine::certify_batch(
     CertifiedCmax result;               // canonical-space result
     bool resolved = false;              // cache hit or already solved
   };
+  // The canonical values move into the keys (denormalize reads only the
+  // order and scale). Reserving every slot up front keeps the keys'
+  // addresses, which `slot_of` holds, stable.
   std::vector<Slot> slots;
-  std::unordered_map<CacheKey, std::size_t, CacheKeyHash> slot_of;
+  slots.reserve(count);
+  KeyRefMap<std::size_t> slot_of;
   for (std::size_t i = 0; i < count; ++i) {
     if (canons[i].trivial) continue;
-    CacheKey key{batch[i].m, canons[i].values};
-    const auto [it, inserted] = slot_of.try_emplace(std::move(key), slots.size());
-    if (inserted) {
-      slots.push_back(Slot{it->first, {}, {}, false});
+    CacheKey key(batch[i].m, std::move(canons[i].values));
+    if (const auto it = slot_of.find(&key); it != slot_of.end()) {
+      slots[it->second].requests.push_back(i);
+      continue;
     }
-    slots[it->second].requests.push_back(i);
+    slots.push_back(Slot{std::move(key), {i}, {}, false});
+    slot_of.emplace(&slots.back().key, slots.size() - 1);
   }
 
   // Resolve from the cache (sequentially, so LRU recency stays
@@ -279,7 +303,8 @@ std::vector<CertifiedCmax> CertifyEngine::certify_batch(
   for (const std::size_t s : pending) slots[s].resolved = true;
 
   // Publish the new solves (slot order keeps insertion deterministic).
-  for (const Slot& slot : slots) {
+  // A published key's values move into the cache; nothing below reads them.
+  for (Slot& slot : slots) {
     impl_->insert(slot.key, slot.result);
   }
 

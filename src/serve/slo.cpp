@@ -71,6 +71,13 @@ SloSpec parse_slo_spec(const std::string& text) {
       if (v < 1.0 || v != std::floor(v)) {
         throw std::invalid_argument("--slo: sustain must be a positive integer");
       }
+      // A streak longer than the window cap can never happen, and the
+      // bound keeps the size_t cast below defined.
+      if (v > static_cast<double>(kMaxSloWindows)) {
+        throw std::invalid_argument("--slo: sustain=" + value + " exceeds " +
+                                    std::to_string(kMaxSloWindows) +
+                                    ", the most windows one evaluation may have");
+      }
       spec.sustain = static_cast<std::size_t>(v);
     } else {
       throw std::invalid_argument("--slo: unknown key '" + key + "'");
@@ -148,8 +155,11 @@ SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
   // window quantiles, which stays below the sustained-violation streak,
   // so paging requires slow responses in at least two distinct
   // intervals. A depth of `sustain` would make any one-interval tail
-  // breach trip the verdict by construction.
-  const std::size_t depth = std::max<std::size_t>(sustain - 1, 1);
+  // breach trip the verdict by construction. Past num_windows + 1 the
+  // ring never evicts, so deeper rings hold the same samples: clamping
+  // there keeps every result and bounds the up-front allocation.
+  const std::size_t depth =
+      std::min(std::max<std::size_t>(sustain - 1, 1), num_windows + 1);
   obs::WindowedHistogram response_window(width, depth);
   obs::LocalHistogram interval_wait;
 

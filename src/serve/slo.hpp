@@ -53,7 +53,8 @@ struct SloSpec {
 /// p50/p90/p99/backlog (targets; simulated seconds / tasks) and
 /// window/sustain (geometry). Examples: "p99=4.5,backlog=200",
 /// "p90=2,window=0.5,sustain=5". Throws std::invalid_argument on
-/// unknown keys, non-numeric values, or non-positive geometry.
+/// unknown keys, non-numeric values, non-positive geometry, or a sustain
+/// above kMaxSloWindows.
 [[nodiscard]] SloSpec parse_slo_spec(const std::string& text);
 
 /// One evaluation window [t0, t1): response/queue-wait summaries over
@@ -80,8 +81,9 @@ struct SloReport {
 
 /// Evaluates `spec` over a completed streaming run. The response series
 /// is judged through a sliding window of `spec.sustain - 1` intervals
-/// (min 1): deep enough that a straggler interval cannot hide inside an
-/// otherwise-quiet window, shallow enough that a single bad interval
+/// (min 1; the ring holding them stops at the window count + 1, which
+/// already spans the whole run): deep enough that a straggler interval
+/// cannot hide inside an otherwise-quiet window, shallow enough that a single bad interval
 /// smears across fewer windows than the sustained-violation streak --
 /// paging therefore requires slowness in at least two distinct
 /// intervals. The backlog watermark is judged per single interval. Also publishes the final

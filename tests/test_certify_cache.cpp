@@ -15,7 +15,7 @@
 #include <thread>
 #include <vector>
 
-#include "exact/brute_force.hpp"
+#include "brute_force.hpp"
 #include "exact/certify.hpp"
 #include "exact/certify_scale.hpp"
 #include "parallel/thread_pool.hpp"
@@ -329,6 +329,91 @@ TEST(CertifyCache, MatchesComparatorCanonicalFormBitwise) {
     expect_bitwise_equal(got, want);
     EXPECT_EQ(got.backend, want.backend);
   }
+}
+
+// A fixed call sequence through a capacity-2 engine: permutations and
+// power-of-two rescalings that must hit, a second machine count that must
+// miss, evictions across the B&B (n = 20) and Hochbaum-Shmoys (n = 600,
+// 5000) routes, and a batch that dedups, hits and warm-starts. Every
+// certificate's bits and the counters after every call feed one FNV-1a
+// hash, recorded against the engine before its keys were hashed once and
+// moved, so a change to what hits, what is evicted or what is returned
+// fails here.
+TEST(CertifyCache, CountersAndLruUnchangedAcrossRoutes) {
+  Xoshiro256 rng(2022);
+  const std::vector<Time> p20 = random_times(rng, 20);
+  const std::vector<Time> q20 = random_times(rng, 20);
+  const std::vector<Time> p600 = random_times(rng, 600);
+  const std::vector<Time> p5000 = random_times(rng, 5000);
+  const auto permuted = [&rng](std::vector<Time> p) {
+    for (std::size_t k = p.size() - 1; k > 0; --k) {
+      std::swap(p[k], p[rng.next_below(k + 1)]);
+    }
+    return p;
+  };
+  const auto scaled = [](std::vector<Time> p, double factor) {
+    for (Time& t : p) t *= factor;
+    return p;
+  };
+
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto add = [&hash](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      hash ^= (word >> (8 * b)) & 0xffU;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  CertifyEngine engine(2);
+  const auto record = [&](const std::vector<CertifiedCmax>& results) {
+    for (const CertifiedCmax& c : results) {
+      add(std::bit_cast<std::uint64_t>(c.lower));
+      add(std::bit_cast<std::uint64_t>(c.upper));
+      add(c.exact ? 1 : 0);
+      add(static_cast<std::uint64_t>(c.backend));
+      for (const MachineId i : c.assignment.machine_of) add(i);
+    }
+    const CertifyCacheStats stats = engine.cache_stats();
+    for (const std::uint64_t v : {stats.hits, stats.misses, stats.evictions,
+                                  static_cast<std::uint64_t>(stats.size)}) {
+      add(v);
+    }
+  };
+  const auto certify = [&](const std::vector<Time>& p, MachineId m) {
+    record({engine.certify(p, m)});
+  };
+
+  certify(p20, 3);                    // miss
+  certify(permuted(p20), 3);          // hit
+  certify(scaled(p20, 4.0), 3);       // hit
+  certify(p20, 4);                    // miss: m is part of the key
+  certify(p600, 8);                   // miss (HS), evicts (p20, 3)
+  certify(p20, 3);                    // miss, evicts (p20, 4)
+  certify(permuted(p600), 8);         // hit, refreshes (p600, 8)
+  certify(p5000, 16);                 // miss (HS), evicts (p20, 3)
+  {
+    const std::vector<Time> half600 = scaled(p600, 0.5);
+    const std::vector<Time> shuffled5000 = permuted(p5000);
+    const std::vector<Time> shuffled20 = permuted(p20);
+    const std::vector<CertifyRequest> batch = {
+        {half600, 8}, {shuffled5000, 16}, {p20, 4}, {shuffled20, 4}, {q20, 4}};
+    record(engine.certify_batch(batch));  // 2 hits, 1 dedup hit, 2 warm misses
+  }
+  certify(p600, 8);                   // miss: evicted by the batch
+  certify(q20, 4);                    // hit
+  {
+    // The batch's two misses evict its own hit before it is published,
+    // so publishing re-inserts it, which evicts the first miss again.
+    const std::vector<CertifyRequest> batch = {{p20, 3}, {p5000, 16}, {p600, 8}};
+    record(engine.certify_batch(batch));
+  }
+  certify(p20, 3);                    // miss
+
+  const CertifyCacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.hits, 8u);
+  EXPECT_EQ(stats.misses, 11u);
+  EXPECT_EQ(stats.evictions, 10u);
+  EXPECT_EQ(stats.size, 2u);
+  EXPECT_EQ(hash, 0x27d8485880e0acc2ULL);
 }
 
 TEST(CertifyCache, WarmStartDisabledStillCorrect) {

@@ -17,7 +17,7 @@
 
 #include "algo/lpt.hpp"
 #include "exact/branch_and_bound.hpp"
-#include "exact/brute_force.hpp"
+#include "brute_force.hpp"
 #include "exact/certify.hpp"
 #include "exact/certify_scale.hpp"
 #include "exact/dual_approx.hpp"

@@ -16,7 +16,7 @@
 #include "algo/list_scheduling.hpp"
 #include "algo/lpt.hpp"
 #include "exact/branch_and_bound.hpp"
-#include "exact/brute_force.hpp"
+#include "brute_force.hpp"
 #include "exact/dual_approx.hpp"
 #include "exact/lower_bounds.hpp"
 #include "exact/optimal.hpp"

@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <queue>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -76,6 +78,115 @@ TEST(ListScheduling, OntoInitialLoads) {
   EXPECT_EQ(r.assignment[0], 1u);
   EXPECT_EQ(r.assignment[1], 1u);
   EXPECT_DOUBLE_EQ(r.makespan, 10.0);
+}
+
+// The greedy list_schedule ran before the winner tree, kept as the
+// oracle: a (load, id) min-heap, popped, charged and pushed back per task.
+struct HeapSlot {
+  Time load;
+  MachineId id;
+  bool operator<(const HeapSlot& other) const noexcept {
+    if (load != other.load) return load > other.load;
+    return id > other.id;
+  }
+};
+
+GreedyScheduleResult heap_list_schedule(std::span<const Time> weights,
+                                        std::span<const TaskId> order,
+                                        std::vector<Time> initial_loads) {
+  const auto m = static_cast<MachineId>(initial_loads.size());
+  if (m == 0) throw std::invalid_argument("need at least one machine");
+  GreedyScheduleResult result;
+  result.assignment = Assignment(weights.size());
+  result.loads = std::move(initial_loads);
+  std::priority_queue<HeapSlot> heap;
+  for (MachineId i = 0; i < m; ++i) heap.push({result.loads[i], i});
+  for (const TaskId j : order) {
+    if (j >= weights.size()) throw std::out_of_range("task id out of range");
+    if (result.assignment[j] != kNoMachine) throw std::invalid_argument("duplicate task");
+    HeapSlot slot = heap.top();
+    heap.pop();
+    result.assignment.machine_of[j] = slot.id;
+    slot.load += weights[j];
+    result.loads[slot.id] = slot.load;
+    heap.push(slot);
+  }
+  result.makespan = *std::max_element(result.loads.begin(), result.loads.end());
+  return result;
+}
+
+void expect_bitwise_equal(const GreedyScheduleResult& got, const GreedyScheduleResult& want) {
+  EXPECT_EQ(got.assignment.machine_of, want.assignment.machine_of);
+  ASSERT_EQ(got.loads.size(), want.loads.size());
+  for (std::size_t i = 0; i < want.loads.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.loads[i]),
+              std::bit_cast<std::uint64_t>(want.loads[i]))
+        << "machine " << i;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.makespan),
+            std::bit_cast<std::uint64_t>(want.makespan));
+}
+
+TEST(ListScheduling, MatchesPriorityQueueReferenceBitwise) {
+  Xoshiro256 rng(20261018);
+  constexpr std::size_t n = 1000;
+  const MachineId machine_counts[] = {1, 2, 3, 7, 8, 63, 64, 65, 130};
+  const char* const shapes[] = {"uniform", "integer ties", "signed zeros", "1e300 outlier"};
+  for (int shape = 0; shape < 4; ++shape) {
+    std::vector<Time> w(n);
+    for (Time& t : w) {
+      switch (shape) {
+        case 0: t = sample_uniform(rng, 1.0, 10.0); break;
+        case 1: t = static_cast<double>(1 + rng.next_below(4)); break;
+        case 2: t = rng.next_below(8) == 0 ? 1.0 : (rng.next_below(2) == 0 ? -0.0 : 0.0);
+          break;
+        default: t = rng.next_below(200) == 0 ? 1e300 : sample_uniform(rng, 1.0, 2.0);
+      }
+    }
+    std::vector<TaskId> input(n);
+    std::iota(input.begin(), input.end(), TaskId{0});
+    std::vector<TaskId> random = input;
+    for (std::size_t k = n - 1; k > 0; --k) {
+      std::swap(random[k], random[rng.next_below(k + 1)]);
+    }
+    const std::pair<const char*, std::vector<TaskId>> orders[] = {
+        {"input", input}, {"lpt", lpt_order(w)}, {"random", random}};
+    for (const MachineId m : machine_counts) {
+      SCOPED_TRACE(std::string(shapes[shape]) + " m=" + std::to_string(m));
+      expect_bitwise_equal(list_schedule(w, m),
+                           heap_list_schedule(w, input, std::vector<Time>(m, 0)));
+      for (const auto& [name, order] : orders) {
+        for (const std::size_t len : {n, n / 3, std::size_t{0}}) {
+          SCOPED_TRACE(std::string(name) + " prefix " + std::to_string(len));
+          const std::span<const TaskId> prefix(order.data(), len);
+          expect_bitwise_equal(list_schedule(w, m, prefix),
+                               heap_list_schedule(w, prefix, std::vector<Time>(m, 0)));
+        }
+      }
+      // Onto unequal initial loads, and onto signed zeros that tie.
+      std::vector<Time> unequal(m), zeros(m);
+      for (MachineId i = 0; i < m; ++i) {
+        unequal[i] = static_cast<double>(rng.next_below(40));
+        zeros[i] = rng.next_below(2) == 0 ? -0.0 : 0.0;
+      }
+      for (const std::vector<Time>& initial : {unequal, zeros}) {
+        expect_bitwise_equal(list_schedule_onto(w, orders[1].second, initial),
+                             heap_list_schedule(w, orders[1].second, initial));
+        expect_bitwise_equal(list_schedule_onto(w, random, initial),
+                             heap_list_schedule(w, random, initial));
+      }
+    }
+  }
+  // Both reject the same inputs with the same exception types.
+  const std::vector<Time> w = {1.0, 2.0, 3.0};
+  const std::vector<TaskId> duplicate = {0, 2, 0};
+  const std::vector<TaskId> out_of_range = {0, 3};
+  EXPECT_THROW((void)list_schedule(w, 2, duplicate), std::invalid_argument);
+  EXPECT_THROW((void)heap_list_schedule(w, duplicate, {0, 0}), std::invalid_argument);
+  EXPECT_THROW((void)list_schedule(w, 2, out_of_range), std::out_of_range);
+  EXPECT_THROW((void)heap_list_schedule(w, out_of_range, {0, 0}), std::out_of_range);
+  EXPECT_THROW((void)list_schedule_onto(w, out_of_range, {}), std::invalid_argument);
+  EXPECT_THROW((void)heap_list_schedule(w, out_of_range, {}), std::invalid_argument);
 }
 
 TEST(Lpt, OrderIsNonIncreasingAndStable) {

@@ -366,6 +366,23 @@ TEST(SloSpec, RejectsMalformedSpecs) {
       << "geometry alone is not an SLO";
 }
 
+// A streak longer than kMaxSloWindows can never occur; past it the value
+// is rejected by name before any size_t cast (1e30 would be undefined).
+TEST(SloSpec, RejectsSustainPastTheWindowCap) {
+  const std::string too_many = std::to_string(kMaxSloWindows + 1);
+  for (const std::string& sustain : {std::string("1e30"), too_many}) {
+    try {
+      (void)parse_slo_spec("p99=1,sustain=" + sustain);
+      ADD_FAILURE() << "sustain=" << sustain << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("sustain=" + sustain), std::string::npos)
+          << e.what();
+    }
+  }
+  const SloSpec at_cap = parse_slo_spec("p99=1,sustain=" + std::to_string(kMaxSloWindows));
+  EXPECT_EQ(at_cap.sustain, kMaxSloWindows);
+}
+
 // --- SLO evaluation --------------------------------------------------------
 
 // One task per second arriving on a 1s grid, each starting immediately
@@ -770,6 +787,32 @@ TEST(SloEvaluate, MatchesTwoSortReferenceOnDegenerateTimes) {
     for (const SloWindow& w : got.windows) started += w.queue_wait.count;
     EXPECT_EQ(started, n);
   }
+}
+
+// evaluate_slo clamps its response ring to num_windows + 1 intervals,
+// past which a ring never evicts. The reference keeps the sustain - 1
+// ring (4095 intervals here, ~128 MiB), and the reports must agree bit
+// for bit, sustained verdict included.
+TEST(SloEvaluate, HugeSustainMatchesTheUnclampedRingBitwise) {
+  SloSpec spec;
+  spec.p99 = 1.0;
+  spec.backlog = 2.0;
+  spec.sustain = 4096;
+  std::vector<Time> arrivals;
+  Schedule schedule = uniform_schedule(10, 0.5, &arrivals);
+  schedule.finish[4] = arrivals[4] + 3.0;  // one slow task, seen by every later window
+  const SloReport got = evaluate_slo(schedule, arrivals, spec);
+  ASSERT_GE(got.windows.size(), 10u);
+  ASSERT_LE(got.windows.size(), 12u);
+  EXPECT_GT(got.violating_windows, 0u);
+  expect_reports_bitwise_equal(got, reference_evaluate_slo(schedule, arrivals, spec),
+                               "uniform");
+
+  std::mt19937_64 rng(4096);
+  const Schedule random = random_slo_schedule(rng, 40, 0.25, true, &arrivals);
+  spec.window_seconds = random.makespan() / 9.5;  // ten windows
+  expect_reports_bitwise_equal(evaluate_slo(random, arrivals, spec),
+                               reference_evaluate_slo(random, arrivals, spec), "random");
 }
 
 // --- order_by_time ---------------------------------------------------------
