@@ -11,7 +11,7 @@
 //   off -- no recorder installed; every emission site is a null check.
 //
 //   on -- a TimelineRecorder sized to hold the whole run (3 events per
-//     task). overhead_ratio = off_events_per_sec / on_events_per_sec;
+//     task). overhead_ratio = off_tasks_per_sec / on_tasks_per_sec;
 //     the acceptance ceiling is 1.05 (<= 5% throughput cost), enforced
 //     here as a hard failure (--max-overhead, default 1.05; the smoke
 //     invocation relaxes it -- Debug builds and loaded CI runners are
@@ -163,13 +163,13 @@ int main(int argc, char** argv) {
   }
 
   const double nd = static_cast<double>(n);
-  const double off_eps = nd / off_seconds;
-  const double on_eps = nd / on_seconds;
-  const double overhead = off_eps / on_eps;
+  const double off_tps = nd / off_seconds;
+  const double on_tps = nd / on_seconds;
+  const double overhead = off_tps / on_tps;
 
-  TextTable table({"recorder", "seconds", "events/sec", "vs off"});
-  table.add_row({"off", fmt(off_seconds, 3), fmt(off_eps, 0), "1.00"});
-  table.add_row({"on", fmt(on_seconds, 3), fmt(on_eps, 0), fmt(overhead, 3)});
+  TextTable table({"recorder", "seconds", "tasks/sec", "vs off"});
+  table.add_row({"off", fmt(off_seconds, 3), fmt(off_tps, 0), "1.00"});
+  table.add_row({"on", fmt(on_seconds, 3), fmt(on_tps, 0), fmt(overhead, 3)});
   std::cout << "ext_obs_overhead: n=" << n << " m=" << m << " groups=" << groups
             << " rate=" << rate << " reps=" << reps << "\n"
             << table.render() << "recorded " << events_recorded
@@ -188,8 +188,8 @@ int main(int argc, char** argv) {
     using perf::Direction, perf::Noise;
     record.add("off_seconds", off_seconds, Direction::kLower, Noise::kTiming);
     record.add("on_seconds", on_seconds, Direction::kLower, Noise::kTiming);
-    record.add("off_events_per_sec", off_eps, Direction::kHigher, Noise::kTiming);
-    record.add("on_events_per_sec", on_eps, Direction::kHigher, Noise::kTiming);
+    record.add("off_tasks_per_sec", off_tps, Direction::kHigher, Noise::kTiming);
+    record.add("on_tasks_per_sec", on_tps, Direction::kHigher, Noise::kTiming);
     // The ratio is the acceptance criterion (<= 5% overhead) and gates as
     // timing with a small absolute slack so run-to-run jitter around 1.0
     // does not flake; the event/drop accounting is deterministic (the

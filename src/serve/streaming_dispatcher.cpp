@@ -41,6 +41,7 @@ void serve_stream(const Instance& instance, const Placement& placement,
     mx->counter("serve.stream.tasks").add(n);
     mx->counter("serve.stream.wakes").add(stats.wakes);
     mx->counter("serve.stream.parks").add(stats.parks);
+    mx->counter("serve.stream.direct_starts").add(stats.direct_starts);
     mx->gauge("serve.stream.peak_backlog")
         .set_max(static_cast<double>(out.peak_backlog));
   }

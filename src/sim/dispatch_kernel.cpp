@@ -135,7 +135,9 @@ DispatchKernelStats run_dispatch_kernel(
   if (!speeds.empty()) {
     if (speeds.size() != m) reject(who, "speeds size mismatch");
     for (double s : speeds) {
-      if (!(s > 0.0)) reject(who, "speeds must be positive");
+      if (!(s > 0.0) || !std::isfinite(s)) {
+        reject(who, "speeds must be finite and positive");
+      }
     }
   }
 
@@ -157,6 +159,8 @@ DispatchKernelStats run_dispatch_kernel(
   // position, a streaming access per queue, instead of a serialized
   // random cache miss into actual[] per dispatch. queue_slot_of[j] is
   // packed (queue << 32 | slot), so admission reads one word per task.
+  // The same pass validates every duration: a NaN would also break the
+  // strict (ready, id) order the loop's decisions rely on.
   const std::span<Time> queue_durations = arena.allocate_span<Time>(n);
   const std::span<std::uint64_t> queue_slot_of =
       cohort ? std::span<std::uint64_t>{} : arena.allocate_span<std::uint64_t>(n);
@@ -167,7 +171,11 @@ DispatchKernelStats run_dispatch_kernel(
                    const std::uint32_t q = placement.set_id(j);
                    queue_slot_of[j] = (std::uint64_t{q} << 32) | (pos - queues.begin[q]);
                  }
-                 queue_durations[pos] = actual[j];
+                 const Time d = actual[j];
+                 if (!(d >= 0.0 && d <= std::numeric_limits<Time>::max())) {
+                   reject(who, "actual durations must be finite and non-negative");
+                 }
+                 queue_durations[pos] = d;
                });
   const std::uint32_t num_queues = queues.count;
   const std::span<std::uint32_t> queue_begin = queues.begin;
@@ -313,11 +321,21 @@ DispatchKernelStats run_dispatch_kernel(
     Time next_free = pool.empty() ? kNever : pool.top_ready();
     if (cursor < n && next_when <= next_free) {
       const std::size_t burst_start = cursor;
+      std::size_t direct = 0;
       do {
+        // Step the cursor first: the direct start below needs to know
+        // whether another arrival shares this instant.
         const TaskId j = next_task;
+        const Time now = next_when;
+        if (++cursor < n) {
+          next_task = order.empty() ? static_cast<TaskId>(cursor) : order[cursor];
+          next_when = arrivals[next_task];
+        } else {
+          next_when = kNever;
+        }
         const std::uint64_t qs = queue_slot_of[j];
         const auto q = static_cast<std::uint32_t>(qs >> 32);
-        bitmaps.set(q, static_cast<std::uint32_t>(qs));
+        bool admit = true;
         if (single_queue_machines) {
           for (std::uint32_t w = parked_word_begin[q]; w < parked_word_begin[q + 1];
                ++w) {
@@ -326,11 +344,34 @@ DispatchKernelStats run_dispatch_kernel(
             const auto k = (w - parked_word_begin[q]) * 64 +
                            static_cast<std::uint32_t>(std::countr_zero(bits));
             bits &= bits - 1;
-            pool.push(next_when, placement.distinct_set(q)[k]);
+            const MachineId i = placement.distinct_set(q)[k];
             ++stats.wakes;
             // The woken machine is ready now, before any later arrival
             // in this batch; it dispatches in between.
-            next_free = next_when;
+            next_free = now;
+            // Direct start: a parked machine of q proves q held no
+            // admitted task, so j is the task i takes -- decided here when
+            // no arrival at this instant follows (a later same-instant
+            // task could outrank j) and i is the pool's next pop ((ready,
+            // id) is a strict order). The pool round trip is skipped; the
+            // burst ends, and the dispatch phase goes on as if i had just
+            // popped and started j.
+            if (next_when > now &&
+                (pool.empty() || pool.top_ready() > now ||
+                 (pool.top_ready() == now && pool.top() > i))) {
+              const std::uint32_t pos =
+                  queue_begin[q] + static_cast<std::uint32_t>(qs);
+              const Time duration = speeds.empty()
+                                        ? queue_durations[pos]
+                                        : queue_durations[pos] / speeds[i];
+              pool.push(now + duration, i);
+              trace_out[emitted++] = DispatchEvent{now, j, i, duration};
+              --remaining;
+              ++direct;
+              admit = false;
+            } else {
+              pool.push(now, i);
+            }
             break;
           }
         } else if (parked_count > 0) {
@@ -338,7 +379,7 @@ DispatchKernelStats run_dispatch_kernel(
             if (parked[i]) {
               parked[i] = 0;
               --parked_count;
-              pool.push(next_when, i);
+              pool.push(now, i);
               ++stats.wakes;
             }
           }
@@ -346,15 +387,14 @@ DispatchKernelStats run_dispatch_kernel(
           // batch; re-read the horizon so it dispatches in between.
           next_free = pool.empty() ? kNever : pool.top_ready();
         }
-        if (++cursor >= n) {
-          next_when = kNever;
-          break;
-        }
-        next_task = order.empty() ? static_cast<TaskId>(cursor) : order[cursor];
-        next_when = arrivals[next_task];
-      } while (next_when <= next_free);
+        if (admit) bitmaps.set(q, static_cast<std::uint32_t>(qs));
+      } while (cursor < n && next_when <= next_free);
+      // A direct start counts in the burst's peak, as the task it would
+      // have been between admission and the first dispatch.
       backlog += cursor - burst_start;
       stats.peak_backlog = std::max(stats.peak_backlog, backlog);
+      backlog -= direct;
+      stats.direct_starts += direct;
     }
     if (!tail_mode && cursor >= n) {
       // Stream exhausted: freeze the admitted set. One O(n/64) word walk

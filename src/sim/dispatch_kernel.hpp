@@ -13,8 +13,10 @@
 // busy machines (sim/ready_heap.hpp). Once every task is released the
 // surviving bits are compacted into dense per-queue lists and the tail
 // runs on plain head pointers; a cohort released in one instant (drain
-// mode among them) skips the bitmaps entirely. All per-run state comes
-// from the SimWorkspace arena. Equal-time ordering: every release at t
+// mode among them) skips the bitmaps entirely. An arrival that wakes a
+// parked machine certain to take it starts there at admission (a direct
+// start), with no bitmap bit and no heap round trip. All per-run state
+// comes from the SimWorkspace arena. Equal-time ordering: every release at t
 // is admitted before any machine freed at t dispatches, and machines
 // freed at the same instant grab work in machine-id order.
 //
@@ -42,6 +44,9 @@ struct DispatchKernelStats {
   std::size_t peak_backlog = 0;  ///< most released-but-unstarted tasks
   std::size_t wakes = 0;         ///< parked machines woken by a release
   std::size_t parks = 0;         ///< idle machines parked to wait for one
+  /// Wakes whose task started at admission, skipping the pool round trip
+  /// (at most one per admission burst; always 0 in drain mode).
+  std::size_t direct_starts = 0;
 };
 
 /// Runs the loop until every task is served, writing the task-indexed

@@ -608,6 +608,217 @@ TEST(ServeStream, ValidatesInputs) {
       std::invalid_argument);
 }
 
+TEST(ServeStream, RejectsNonFiniteOrNegativeDurationsAndSpeeds) {
+  const Instance instance = Instance::from_estimates({1.0, 2.0, 3.0, 4.0}, 2, 2.0);
+  const Placement placement = Placement::everywhere(4, 2);
+  const std::vector<TaskId> priority = {0, 1, 2, 3};
+  const std::vector<Time> arrivals = {0.0, 1.0, 2.0, 3.0};
+  const auto expect_named = [](auto&& call, const char* what) {
+    try {
+      call();
+      ADD_FAILURE() << what << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("serve_stream: ", 0), 0u) << e.what();
+    }
+  };
+  for (const Time bad : {std::numeric_limits<Time>::quiet_NaN(), Time{-1.0},
+                         std::numeric_limits<Time>::infinity()}) {
+    Realization actual{{1.0, 2.0, 3.0, 4.0}};
+    actual.actual[3] = bad;
+    expect_named(
+        [&] { (void)serve_stream(instance, placement, actual, priority, arrivals); },
+        "a bad actual duration");
+  }
+  const Realization actual{{1.0, 2.0, 3.0, 4.0}};
+  expect_named(
+      [&] {
+        (void)serve_stream(instance, placement, actual, priority, arrivals, {},
+                           {1.0, std::numeric_limits<double>::infinity()});
+      },
+      "an infinite speed");
+}
+
+// ---------------------------------------------------------------------------
+// Direct start: an arrival that wakes a parked machine starts on it at
+// admission when nothing else can claim it first. Each case below is one
+// where the shortcut must decline or get a detail right; all must match
+// the naive oracle bit for bit.
+
+void expect_matches_reference(const Instance& instance, const Placement& placement,
+                              const Realization& actual,
+                              const std::vector<TaskId>& priority,
+                              const std::vector<Time>& arrivals,
+                              const std::vector<Time>& initial_ready = {},
+                              const std::vector<double>& speeds = {}) {
+  const StreamingDispatchResult got = serve_stream(
+      instance, placement, actual, priority, arrivals, initial_ready, speeds);
+  const StreamingDispatchResult want = check::reference_serve_stream(
+      instance, placement, actual, priority, arrivals, initial_ready, speeds);
+  const std::size_t n = instance.num_tasks();
+  ASSERT_EQ(got.trace.size(), want.trace.size());
+  for (TaskId j = 0; j < n; ++j) {
+    EXPECT_EQ(got.schedule.assignment.machine_of[j],
+              want.schedule.assignment.machine_of[j])
+        << "task " << j;
+    EXPECT_EQ(got.schedule.start[j], want.schedule.start[j]) << "task " << j;
+    EXPECT_EQ(got.schedule.finish[j], want.schedule.finish[j]) << "task " << j;
+  }
+  for (std::size_t e = 0; e < got.trace.size(); ++e) {
+    EXPECT_EQ(got.trace.events[e].when, want.trace.events[e].when) << "event " << e;
+    EXPECT_EQ(got.trace.events[e].task, want.trace.events[e].task) << "event " << e;
+    EXPECT_EQ(got.trace.events[e].machine, want.trace.events[e].machine)
+        << "event " << e;
+    EXPECT_EQ(got.trace.events[e].actual, want.trace.events[e].actual) << "event " << e;
+  }
+  EXPECT_EQ(got.peak_backlog, want.peak_backlog);
+}
+
+std::uint64_t direct_starts_of(const Instance& instance, const Placement& placement,
+                               const Realization& actual,
+                               const std::vector<TaskId>& priority,
+                               const std::vector<Time>& arrivals,
+                               const std::vector<double>& speeds = {}) {
+  obs::MetricsRegistry registry;
+  {
+    obs::ObservabilityScope scope(&registry, nullptr);
+    (void)serve_stream(instance, placement, actual, priority, arrivals, {}, speeds);
+  }
+  return registry.counter("serve.stream.direct_starts").value();
+}
+
+TEST(ServeDirectStart, SameInstantArrivalWithBetterRankDeclines) {
+  // Both machines park at t = 0. Tasks 0 and 1 arrive together at t = 5
+  // and task 1 outranks task 0, so machine 0 -- woken by task 0 -- must
+  // run task 1. Starting task 0 at its admission would be wrong: another
+  // arrival shares the instant. Task 1 wakes machine 1, which is not the
+  // pool's next pop (machine 0 is, at the same instant), so it declines
+  // too.
+  const Instance instance = Instance::from_estimates({3.0, 5.0}, 2, 2.0);
+  const Placement placement = Placement::everywhere(2, 2);
+  const std::vector<TaskId> priority = {1, 0};
+  const Realization actual{{3.0, 5.0}};
+  const std::vector<Time> arrivals = {5.0, 5.0};
+  expect_matches_reference(instance, placement, actual, priority, arrivals);
+  const StreamingDispatchResult result =
+      serve_stream(instance, placement, actual, priority, arrivals);
+  EXPECT_EQ(result.schedule.assignment.machine_of[1], 0u);
+  EXPECT_EQ(result.schedule.assignment.machine_of[0], 1u);
+  EXPECT_EQ(result.peak_backlog, 2u);
+  EXPECT_EQ(direct_starts_of(instance, placement, actual, priority, arrivals), 0u);
+}
+
+TEST(ServeDirectStart, ArrivalAtALowerIdMachinesFreeInstantDeclines) {
+  // Disjoint groups {0} and {1}. Machine 0 runs task 0 over [0, 5) and
+  // has task 1 waiting; machine 1 parks at t = 0. Task 2 arrives for
+  // machine 1 at exactly t = 5, when machine 0 frees: machine 0 is the
+  // pool's next pop, so its start of task 1 comes first in the trace,
+  // and the direct start declines.
+  const Instance instance = Instance::from_estimates({5.0, 2.0, 3.0}, 2, 2.0);
+  const Placement placement = Placement::in_groups({0, 0, 1}, 2, 2);
+  const std::vector<TaskId> priority = {0, 1, 2};
+  const Realization actual{{5.0, 2.0, 3.0}};
+  const std::vector<Time> arrivals = {0.0, 0.0, 5.0};
+  expect_matches_reference(instance, placement, actual, priority, arrivals);
+  const StreamingDispatchResult result =
+      serve_stream(instance, placement, actual, priority, arrivals);
+  ASSERT_EQ(result.trace.size(), 3u);
+  EXPECT_EQ(result.trace.events[1].task, 1u);
+  EXPECT_EQ(result.trace.events[2].task, 2u);
+  EXPECT_EQ(direct_starts_of(instance, placement, actual, priority, arrivals), 0u);
+
+  // Mirrored, the woken machine has the lower id and goes first: the
+  // direct start is taken.
+  const Placement mirrored = Placement::in_groups({1, 1, 0}, 2, 2);
+  expect_matches_reference(instance, mirrored, actual, priority, arrivals);
+  EXPECT_EQ(direct_starts_of(instance, mirrored, actual, priority, arrivals), 1u);
+}
+
+TEST(ServeDirectStart, DividesTheDurationByTheMachineSpeed) {
+  // Gapped arrivals into two disjoint groups with speeds 0.5 and 3:
+  // every task starts directly, and finish = start + actual / speed.
+  const Instance instance =
+      Instance::from_estimates({2.0, 3.0, 4.0, 5.0, 1.0, 7.0}, 2, 2.0);
+  const Placement placement = Placement::in_groups({0, 1, 0, 1, 0, 1}, 2, 2);
+  const std::vector<TaskId> priority = {5, 4, 3, 2, 1, 0};
+  const Realization actual{{2.5, 3.0, 0.7, 5.0, 1.0, 6.5}};
+  const std::vector<Time> arrivals = {0.5, 1.0, 30.0, 31.0, 70.0, 70.5};
+  const std::vector<double> speeds = {0.5, 3.0};
+  expect_matches_reference(instance, placement, actual, priority, arrivals, {}, speeds);
+  const StreamingDispatchResult result = serve_stream(
+      instance, placement, actual, priority, arrivals, {}, std::vector<double>(speeds));
+  for (TaskId j = 0; j < 6; ++j) {
+    const MachineId i = result.schedule.assignment.machine_of[j];
+    EXPECT_EQ(result.schedule.start[j], arrivals[j]);
+    EXPECT_EQ(result.schedule.finish[j], arrivals[j] + actual[j] / speeds[i]);
+  }
+  EXPECT_EQ(direct_starts_of(instance, placement, actual, priority, arrivals, speeds),
+            6u);
+}
+
+TEST(ServeDirectStart, SingleMachineMatchesTheOracle) {
+  // m = 1: gapped arrivals start directly; a same-instant pair, an
+  // arrival at the machine's free instant and arrivals into a busy
+  // machine all take the admission path.
+  const Instance instance =
+      Instance::from_estimates({2.0, 1.0, 3.0, 1.0, 2.0, 4.0, 1.0}, 1, 2.0);
+  const Placement placement = Placement::everywhere(7, 1);
+  const std::vector<TaskId> priority = {6, 5, 4, 3, 2, 1, 0};
+  const Realization actual{{2.0, 1.0, 3.0, 1.0, 2.0, 4.0, 0.0}};
+  const std::vector<Time> arrivals = {1.0, 10.0, 10.0, 14.0, 20.0, 21.0, 30.0};
+  expect_matches_reference(instance, placement, actual, priority, arrivals);
+  // Tasks 0, 4 and 6 wake the machine with their instant to themselves
+  // and start directly. Task 1 wakes it too, but task 2 shares t = 10
+  // and outranks it.
+  EXPECT_EQ(direct_starts_of(instance, placement, actual, priority, arrivals), 3u);
+}
+
+TEST(ServeDirectStart, RandomLightLoadsMatchTheOracle) {
+  // Light Poisson loads on group, singleton and full placements with
+  // speeds and initial ready times: most tasks start directly.
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const MachineId m = static_cast<MachineId>(1 + seed % 5);
+    const MachineId groups = seed % 3 == 0   ? m
+                             : seed % 3 == 1 ? MachineId{1}
+                                             : static_cast<MachineId>(1 + (m - 1) / 2);
+    if (m % groups != 0) continue;
+    const ServeFixture fx = poisson_fixture(120, m, groups, 0.08 * m, seed);
+    std::vector<Time> initial_ready;
+    std::vector<double> speeds;
+    if (seed % 2 == 0) {
+      for (MachineId i = 0; i < m; ++i) {
+        initial_ready.push_back(static_cast<Time>((i * 3 + seed) % 4));
+        speeds.push_back(0.5 + 0.5 * static_cast<double>((i + seed) % 3));
+      }
+    }
+    SCOPED_TRACE(seed);
+    expect_matches_reference(fx.instance, fx.placement, fx.actual, fx.priority,
+                             fx.arrivals, initial_ready, speeds);
+  }
+}
+
+TEST(ServeDirectStart, CountedAtModerateLoadWithinWakes) {
+  // Poisson at rho = 0.7 on a group placement: direct starts happen, and
+  // each one is a wake.
+  const MachineId m = 8;
+  ServeFixture fx = poisson_fixture(4000, m, 4, 1.0, 31);
+  double mean_actual = 0.0;
+  for (const Time a : fx.actual.actual) mean_actual += a;
+  mean_actual /= static_cast<double>(fx.actual.size());
+  ArrivalParams params;
+  params.model = ArrivalModel::kPoisson;
+  params.rate = 0.7 * static_cast<double>(m) / mean_actual;
+  params.seed = 33;
+  fx.arrivals = generate_arrivals(params, fx.instance.num_tasks());
+  obs::MetricsRegistry registry;
+  {
+    obs::ObservabilityScope scope(&registry, nullptr);
+    (void)serve_stream(fx.instance, fx.placement, fx.actual, fx.priority, fx.arrivals);
+  }
+  const std::uint64_t direct = registry.counter("serve.stream.direct_starts").value();
+  EXPECT_GT(direct, 0u);
+  EXPECT_LE(direct, registry.counter("serve.stream.wakes").value());
+}
+
 // ---------------------------------------------------------------------------
 // Response-time stats and the service layer
 

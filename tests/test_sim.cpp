@@ -181,6 +181,8 @@ TEST(DispatchKernel, DrainModeMatchesEveryTaskReleasedAtZero) {
   EXPECT_EQ(zero.peak_backlog, inst.num_tasks());
   EXPECT_EQ(drain.parks, zero.parks);
   EXPECT_EQ(drain.wakes, 0u);
+  EXPECT_EQ(drain.direct_starts, 0u);
+  EXPECT_EQ(zero.direct_starts, 0u);
 }
 
 TEST(DispatchKernel, ErrorsNameTheCaller) {
@@ -292,6 +294,39 @@ TEST(Dispatcher, RejectsNegativeOrNonFiniteInitialReady) {
   const Time inf = std::numeric_limits<Time>::infinity();
   EXPECT_THROW((void)dispatch_online(inst, p, r, priority, std::vector<Time>{inf, 0.0}),
                std::invalid_argument);
+}
+
+// Bad durations and speeds are rejected by name before anything runs: a
+// NaN duration once came back as a schedule with makespan 70.5.
+TEST(Dispatcher, RejectsNonFiniteOrNegativeDurationsAndSpeeds) {
+  const Instance inst = five_tasks(2);
+  const Placement p = Placement::everywhere(5, 2);
+  const auto priority = make_priority(inst, PriorityRule::kInputOrder);
+  const auto expect_named = [](auto&& call, const char* what) {
+    try {
+      call();
+      ADD_FAILURE() << what << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("dispatch_online: ", 0), 0u) << e.what();
+    }
+  };
+  for (const Time bad : {std::numeric_limits<Time>::quiet_NaN(), Time{-1.0},
+                         std::numeric_limits<Time>::infinity()}) {
+    Realization r = exact_realization(inst);
+    r.actual[3] = bad;
+    expect_named([&] { (void)dispatch_online(inst, p, r, priority); },
+                 "a bad actual duration");
+  }
+  const Realization r = exact_realization(inst);
+  const double inf = std::numeric_limits<double>::infinity();
+  expect_named([&] { (void)dispatch_online(inst, p, r, priority, {}, {1.0, inf}); },
+               "an infinite speed");
+  expect_named(
+      [&] {
+        (void)dispatch_online(inst, p, r, priority, {},
+                              {std::numeric_limits<double>::quiet_NaN(), 1.0});
+      },
+      "a NaN speed");
 }
 
 TEST(Dispatcher, AcceptsZeroInitialReady) {
