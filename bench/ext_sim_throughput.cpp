@@ -1,33 +1,22 @@
 // Simulator-core throughput: the hot-path rewrite (struct-of-arrays
-// workspace, calendar event queue, arena allocation) vs the retained
-// pre-rewrite core (check/reference_dispatcher.*). Both cores run in the
-// same binary on the same instance, so the speedup is apples-to-apples
-// and the outputs double as a bit-exactness check.
+// workspace, arena allocation) vs the retained pre-rewrite core
+// (check/reference_dispatcher.*). Both cores run in the same binary on the
+// same instance, so the speedup is apples-to-apples and the outputs double
+// as a bit-exactness check.
 //
-// Two measurements:
-//
-//   dispatch -- dispatch_online vs reference_dispatch_online on the three
-//     canonical placements of one big workload: full replication
-//     (Placement::everywhere, the paper's replication upper bound and the
-//     headline instance), group replication, and singleton pinning. Each
-//     task is one scheduling event, so events/sec = n / seconds. The
-//     schedules must match bit-for-bit on every placement.
-//
-//   queue -- the classic hold model on the event queues alone: prime with
-//     q events, then ops times (pop the minimum, push it back at a later
-//     time). SimEventQueue, the calendar queue the failure and speculative
-//     loops use, vs the std::priority_queue binary heap (SimEventBefore
-//     inverted) they used before it; same deterministic SimEvent stream,
-//     popped-event checksums compared.
+// dispatch_online vs reference_dispatch_online runs on the three canonical
+// placements of one big workload: full replication (Placement::everywhere,
+// the paper's replication upper bound and the headline instance), group
+// replication, and singleton pinning. Each task is one scheduling event,
+// so events/sec = n / seconds. The schedules must match bit-for-bit on
+// every placement.
 //
 // The min over --reps repetitions is reported (steady-state figure; the
 // first rep pays page faults and arena growth).
 //
 // Usage: ext_sim_throughput [--n=1000000] [--m=64] [--groups=8]
-//        [--reps=3] [--hold-size=4096] [--hold-ops=2000000] [--seed=1]
-//        [--out=BENCH_sim_throughput.json]
+//        [--reps=3] [--seed=1] [--out=BENCH_sim_throughput.json]
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -38,7 +27,6 @@
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
-#include "binary_heap_queue.hpp"
 #include "check/reference_dispatcher.hpp"
 #include "cli/args.hpp"
 #include "core/instance.hpp"
@@ -60,44 +48,6 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// splitmix64: cheap deterministic stream for the hold-model increments.
-std::uint64_t mix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-/// Runs the hold model with finish events that carry their task id and a
-/// fresh seq per push, as the dispatchers stamp them. Returns an
-/// order-sensitive checksum of the popped (time, task) stream so both
-/// queues can be diffed.
-template <typename Queue>
-std::uint64_t run_hold(Queue& queue, std::size_t size, std::size_t ops,
-                       std::uint64_t seed) {
-  std::uint64_t rng = seed;
-  std::uint64_t seq = 0;
-  const auto push = [&](Time when, TaskId task) {
-    queue.push(SimEvent{when, kSimEventFinish, kNoMachine, task, 0, seq++});
-  };
-  for (std::size_t i = 0; i < size; ++i) {
-    const double t =
-        static_cast<double>(mix64(rng) >> 11) * 0x1.0p-53 * 1000.0;
-    push(t, static_cast<TaskId>(i));
-  }
-  std::uint64_t checksum = 14695981039346656037ull;
-  for (std::size_t i = 0; i < ops; ++i) {
-    const SimEvent event = pop_next(queue);
-    checksum = (checksum ^ event.task) * 1099511628211ull;
-    checksum = (checksum ^ std::bit_cast<std::uint64_t>(event.when)) *
-               1099511628211ull;
-    const double step =
-        static_cast<double>(mix64(rng) >> 11) * 0x1.0p-53 * 10.0;
-    push(event.when + step, event.task);
-  }
-  return checksum;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -107,10 +57,6 @@ int main(int argc, char** argv) {
   const auto groups =
       static_cast<MachineId>(args.get("groups", std::int64_t{8}));
   const auto reps = static_cast<std::size_t>(args.get("reps", std::int64_t{3}));
-  const auto hold_size =
-      static_cast<std::size_t>(args.get("hold-size", std::int64_t{4096}));
-  const auto hold_ops =
-      static_cast<std::size_t>(args.get("hold-ops", std::int64_t{2000000}));
   const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
   const std::string out_path = args.get("out", std::string{});
   if (reps == 0 || groups == 0 || m % groups != 0) {
@@ -187,36 +133,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- queue: hold model, binary heap vs calendar queue -----------------
-  double legacy_seconds = std::numeric_limits<double>::infinity();
-  double calendar_seconds = std::numeric_limits<double>::infinity();
-  std::uint64_t legacy_sum = 0;
-  std::uint64_t calendar_sum = 0;
-  for (std::size_t r = 0; r < reps; ++r) {
-    BinaryHeapQueue legacy;
-    const auto legacy_start = Clock::now();
-    legacy_sum = run_hold(legacy, hold_size, hold_ops, seed);
-    legacy_seconds = std::min(legacy_seconds, seconds_since(legacy_start));
-
-    SimEventQueue calendar;
-    const auto calendar_start = Clock::now();
-    calendar_sum = run_hold(calendar, hold_size, hold_ops, seed);
-    calendar_seconds = std::min(calendar_seconds, seconds_since(calendar_start));
-  }
-  if (legacy_sum != calendar_sum) {
-    std::cerr << "ext_sim_throughput: QUEUE DIVERGENCE -- hold-model "
-                 "checksums differ (legacy "
-              << legacy_sum << " vs calendar " << calendar_sum << ")\n";
-    return EXIT_FAILURE;
-  }
-
   const double nd = static_cast<double>(n);
   const DispatchCase& headline = cases[0];  // full replication
   const double ref_eps = nd / headline.ref_seconds;
   const double soa_eps = nd / headline.soa_seconds;
   const double dispatch_speedup = headline.ref_seconds / headline.soa_seconds;
-  const double od = static_cast<double>(hold_ops);
-  const double queue_speedup = legacy_seconds / calendar_seconds;
 
   TextTable table({"core", "seconds", "events/sec", "speedup"});
   for (const DispatchCase& c : cases) {
@@ -226,13 +147,8 @@ int main(int argc, char** argv) {
                    fmt(nd / c.soa_seconds, 0),
                    fmt(c.ref_seconds / c.soa_seconds, 2)});
   }
-  table.add_row({"queue legacy heap", fmt(legacy_seconds, 3),
-                 fmt(od / legacy_seconds, 0), "1.00"});
-  table.add_row({"queue calendar", fmt(calendar_seconds, 3),
-                 fmt(od / calendar_seconds, 0), fmt(queue_speedup, 2)});
   std::cout << "ext_sim_throughput: n=" << n << " m=" << m
             << " groups=" << groups << " reps=" << reps
-            << " hold=" << hold_size << "x" << hold_ops
             << " (schedules bit-exact)\n"
             << table.render();
 
@@ -240,8 +156,7 @@ int main(int argc, char** argv) {
     perf::BenchRecord record;
     record.name = "sim_throughput";
     record.set_params(JsonObject{{"tasks", n}, {"machines", m}, {"groups", groups},
-                                 {"reps", reps}, {"hold_size", hold_size},
-                                 {"hold_ops", hold_ops}});
+                                 {"reps", reps}});
     using perf::Direction, perf::Noise;
     const auto timing = [&](const char* name, double value, Direction direction) {
       record.add(name, value, direction, Noise::kTiming);
@@ -261,9 +176,6 @@ int main(int argc, char** argv) {
     timing("singleton_soa_seconds", cases[2].soa_seconds, Direction::kLower);
     timing("singleton_dispatch_speedup",
            cases[2].ref_seconds / cases[2].soa_seconds, Direction::kHigher);
-    timing("queue_legacy_seconds", legacy_seconds, Direction::kLower);
-    timing("queue_calendar_seconds", calendar_seconds, Direction::kLower);
-    timing("queue_speedup", queue_speedup, Direction::kHigher);
     // The bench exits non-zero on any divergence, so these are always zero
     // in a recorded file; gating them "exact" means a future run that
     // somehow emits a nonzero value trips the gate even if someone relaxes

@@ -14,7 +14,6 @@
 #include "algo/dispatch_policies.hpp"
 #include "algo/lpt.hpp"
 #include "algo/strategy.hpp"
-#include "binary_heap_queue.hpp"
 #include "check/reference_dispatcher.hpp"
 #include "core/instance.hpp"
 #include "core/realization.hpp"
@@ -320,15 +319,12 @@ void BM_HistogramSummary(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramSummary);
 
-// ----- sim-core rewrite: SoA workspace + calendar queue ----------------
+// ----- sim-core rewrite: SoA workspace ----------------------------------
 // BM_SimDispatchWorkspace is the rewritten hot path driven the way the
 // sweep drivers drive it: one thread-local workspace + result reused
 // across runs, zero steady-state allocation. BM_SimDispatchReference is
 // the retained pre-rewrite core (check/reference_dispatcher.*) on the
 // same inputs -- the pair documents the rewrite's speedup in-tree.
-// BM_SimEventQueueHold / BM_SimLegacyQueueHold do the same for the event
-// queue alone under the classic hold model: SimEventQueue against the
-// std::priority_queue binary heap it replaced.
 
 void BM_SimDispatchWorkspace(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -370,43 +366,6 @@ void BM_SimDispatchReference(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SimDispatchReference)->Args({10000, 16})->Args({100000, 64});
-
-template <typename Queue>
-void hold_model(benchmark::State& state, Queue& queue) {
-  constexpr std::size_t kQueueSize = 4096;
-  std::uint64_t x = 0x9e3779b97f4a7c15ull;
-  const auto next_step = [&x] {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return 1e-3 * static_cast<double>(x % 100000);
-  };
-  std::uint64_t seq = 0;
-  const auto push = [&](Time when, TaskId task) {
-    queue.push(SimEvent{when, kSimEventFinish, kNoMachine, task, 0, seq++});
-  };
-  for (std::size_t i = 0; i < kQueueSize; ++i) {
-    push(next_step(), static_cast<TaskId>(i));
-  }
-  for (auto _ : state) {
-    const SimEvent event = pop_next(queue);
-    benchmark::DoNotOptimize(event.task);
-    push(event.when + next_step(), event.task);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-
-void BM_SimEventQueueHold(benchmark::State& state) {
-  SimEventQueue queue;
-  hold_model(state, queue);
-}
-BENCHMARK(BM_SimEventQueueHold);
-
-void BM_SimLegacyQueueHold(benchmark::State& state) {
-  BinaryHeapQueue queue;
-  hold_model(state, queue);
-}
-BENCHMARK(BM_SimLegacyQueueHold);
 
 void BM_FullStrategyRun(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

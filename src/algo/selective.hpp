@@ -32,7 +32,6 @@ class CriticalTasksPlacement final : public PlacementPolicy {
 
   [[nodiscard]] Placement place(const Instance& instance) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] double critical_fraction() const noexcept { return fraction_; }
 
  private:
   double fraction_;

@@ -1,6 +1,6 @@
 // The pre-rewrite simulator core, retained verbatim as an oracle. When
-// the hot path moved to the calendar queue + struct-of-arrays workspace,
-// the old implementation (binary-heap event queues, AoS state, per-run
+// the hot path moved to the struct-of-arrays workspace, the old
+// implementation (std::priority_queue event queues, AoS state, per-run
 // allocation) was kept here so that
 //
 //  * the differential fuzzer can assert the rewritten dispatcher is

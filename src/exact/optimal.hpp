@@ -35,9 +35,6 @@ struct CertifiedCmax {
   bool exact = false;  ///< lower == upper == OPT
   Assignment assignment;  ///< schedule achieving `upper`
   CertifyBackend backend = CertifyBackend::kBnb;  ///< solver that produced this
-
-  /// Midpoint-free conservative value to divide by for ratios.
-  [[nodiscard]] Time ratio_denominator() const noexcept { return lower; }
 };
 
 /// Computes a certified optimum bracket. `node_budget` bounds the

@@ -122,10 +122,11 @@ ReproSummary run_repro(const ReproOptions& options) {
   ThreadPool pool(options.jobs);
 
   // Count checks/violations into the installed registry if the caller
-  // provided one (rdp_cli --metrics-out), else into a local scope.
+  // provided one (rdp_cli --metrics-out), else into a local scope that
+  // keeps the installed tracer (--trace-out alone still records spans).
   obs::MetricsRegistry local_registry;
   std::optional<obs::ObservabilityScope> scope;
-  if (obs::metrics() == nullptr) scope.emplace(&local_registry, nullptr);
+  if (obs::metrics() == nullptr) scope.emplace(&local_registry, obs::tracer());
   obs::MetricsRegistry& registry = *obs::metrics();
 
   ReproSummary summary;

@@ -1,7 +1,7 @@
 // Reusable per-run state for the simulator hot path. A SimWorkspace owns
 // the arena that backs every struct-of-arrays hot field (task state,
 // ranks, start/finish times, assignments, replica-set queues) plus the
-// calendar event queue and the failure loop's overflow heaps, so a sweep that
+// event heap and the failure loop's overflow heaps, so a sweep that
 // reuses one workspace per worker thread performs zero steady-state
 // allocation: the first trial at a given (n, m) sizes everything, later
 // trials only rewind cursors and clear vectors in place.
@@ -11,19 +11,21 @@
 // arrays at the end of a run) so nothing user-visible aliases the arena.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "core/types.hpp"
 #include "sim/arena.hpp"
-#include "sim/calendar_queue.hpp"
 
 namespace rdp {
 
 /// One POD event, shared by every event-driven dispatcher. `kind` values
-/// are ordered so the comparator resolves equal-time ties the same way
-/// the retired binary heaps did: finishes before failures before frees.
+/// are ordered so the comparator resolves equal-time ties as finishes
+/// before failures before frees.
 struct SimEvent {
   Time when = 0;
   std::uint8_t kind = 0;        ///< SimEventKind, stored small
@@ -39,13 +41,10 @@ enum : std::uint8_t {
   kSimEventFree = 2,
 };
 
-struct SimEventTime {
-  Time operator()(const SimEvent& e) const noexcept { return e.when; }
-};
-
 /// "a pops before b". Equal-time frees order by machine id (simultaneously
 /// freed machines grab work in id order, matching ReadyHeap's
-/// tie-break); everything else falls back to insertion sequence.
+/// tie-break); everything else falls back to insertion sequence, so the
+/// order is strict and total and the pop sequence is fully determined.
 struct SimEventBefore {
   bool operator()(const SimEvent& a, const SimEvent& b) const noexcept {
     if (a.when != b.when) return a.when < b.when;
@@ -57,7 +56,42 @@ struct SimEventBefore {
   }
 };
 
-using SimEventQueue = CalendarQueue<SimEvent, SimEventTime, SimEventBefore>;
+/// The failure and speculative loops' event queue: a binary min-heap (per
+/// SimEventBefore) over one vector. The loops hold about one pending event
+/// per machine plus the planned failures, so a sift is a few levels deep.
+class SimEventQueue {
+ public:
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+
+  void push(const SimEvent& event) {
+    heap_.push_back(event);
+    std::push_heap(heap_.begin(), heap_.end(), After{});
+  }
+
+  /// Removes and returns the SimEventBefore-minimum.
+  SimEvent pop() {
+    assert(!heap_.empty());
+    std::pop_heap(heap_.begin(), heap_.end(), After{});
+    const SimEvent out = heap_.back();
+    heap_.pop_back();
+    return out;
+  }
+
+  /// Drops every event but keeps the capacity (workspace reuse).
+  void reset() noexcept { heap_.clear(); }
+
+ private:
+  /// std::push_heap keeps the *largest* element at the front, so the
+  /// comparator is SimEventBefore inverted.
+  struct After {
+    bool operator()(const SimEvent& a, const SimEvent& b) const noexcept {
+      return SimEventBefore{}(b, a);
+    }
+  };
+
+  std::vector<SimEvent> heap_;
+};
 
 /// (priority rank, task) entry of the failure loop's overflow heaps;
 /// min-heap order on rank (ranks are a permutation, so ties are

@@ -10,6 +10,7 @@
 #include "core/realization.hpp"
 #include "sim/failures.hpp"
 #include "sim/online_dispatcher.hpp"
+#include "sim/workspace.hpp"
 
 namespace rdp {
 namespace {
@@ -171,6 +172,38 @@ TEST(Failures, AllMachinesDeadThrows) {
   EXPECT_THROW(
       (void)dispatch_with_failures(inst, p, r, identity_priority(2), plan),
       std::invalid_argument);
+}
+
+TEST(Failures, ReusedWorkspaceDropsTheLastRunsPendingEvents) {
+  // The first run ends with machine 0's failure at t=50 still queued; a
+  // second run on the same workspace must start from an empty queue, or
+  // that stale failure would kill machine 0 mid-task.
+  SimWorkspace ws;
+  FailureDispatchResult first;
+  const Instance short_tasks = Instance::from_estimates({1.0, 1.0}, 2, 1.0);
+  FailurePlan late_failure;
+  late_failure.failures = {{0, 50.0}};
+  dispatch_with_failures(short_tasks, Placement::everywhere(2, 2),
+                         exact_realization(short_tasks), identity_priority(2),
+                         late_failure, ws, first);
+  EXPECT_EQ(first.restarts, 0u);
+
+  const Instance long_tasks = Instance::from_estimates({200.0, 200.0}, 2, 1.0);
+  const Placement p = Placement::everywhere(2, 2);
+  const Realization r = exact_realization(long_tasks);
+  FailureDispatchResult reused;
+  dispatch_with_failures(long_tasks, p, r, identity_priority(2), FailurePlan{},
+                         ws, reused);
+  SimWorkspace fresh_ws;
+  FailureDispatchResult fresh;
+  dispatch_with_failures(long_tasks, p, r, identity_priority(2), FailurePlan{},
+                         fresh_ws, fresh);
+  EXPECT_EQ(reused.restarts, 0u);
+  EXPECT_EQ(reused.events_processed, fresh.events_processed);
+  EXPECT_EQ(reused.schedule.assignment.machine_of,
+            fresh.schedule.assignment.machine_of);
+  EXPECT_EQ(reused.schedule.finish, fresh.schedule.finish);
+  EXPECT_DOUBLE_EQ(reused.makespan, 200.0);
 }
 
 TEST(Failures, InvalidPlansRejected) {

@@ -14,6 +14,7 @@
 #include "io/table.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "repro/artifact.hpp"
 #include "repro/manifest.hpp"
 #include "repro/pipeline.hpp"
@@ -382,6 +383,23 @@ TEST(ReproPipeline, SearchCountersMatchAcrossThreadCounts) {
   EXPECT_GT(serial.first, 0u);
   EXPECT_GT(serial.second, 0u);
   EXPECT_EQ(serial, parallel);
+}
+
+TEST(ReproPipeline, TracerOnlyRunRecordsSpans) {
+  // rdp_cli repro --trace-out without --metrics-out: the pipeline counts
+  // into a local registry, and the scope that installs it must keep the
+  // caller's tracer rather than replace it with null.
+  TempDir dir("tracer");
+  ReproOptions options = smoke_options(dir.path(), 1);
+  options.filter = "fig1-adversary";
+  obs::Tracer tracer;
+  {
+    const obs::ObservabilityScope scope(nullptr, &tracer);
+    run_repro(options);
+    EXPECT_EQ(obs::tracer(), &tracer);
+    EXPECT_EQ(obs::metrics(), nullptr);
+  }
+  EXPECT_GT(tracer.size(), 0u);
 }
 
 TEST(ReproPipeline, SecondRunSkipsViaInputHash) {

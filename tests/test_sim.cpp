@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,12 +19,32 @@
 #include "core/placement.hpp"
 #include "core/realization.hpp"
 #include "core/validate.hpp"
+#include "rng/rng.hpp"
 #include "sim/arena.hpp"
 #include "sim/dispatch_kernel.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "sim/ready_heap.hpp"
 #include "sim/trace.hpp"
 #include "sim/workspace.hpp"
+
+// Counts global allocations while `g_count_allocations` is set, so a test
+// can assert that a warmed-up SimEventQueue pushes without allocating.
+namespace {
+bool g_count_allocations = false;
+std::size_t g_allocations = 0;
+}  // namespace
+
+// Kept out of line: inlined into a delete-expression, the free() would
+// trip GCC's -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_count_allocations) ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace rdp {
 namespace {
@@ -47,6 +70,115 @@ TEST(SimEventQueue, OrdersByTimeKindMachineThenSeq) {
     EXPECT_EQ(q.pop().task, expected);
   }
   EXPECT_TRUE(q.empty());
+}
+
+// Equal (time, kind) finishes pop in seq order: the FIFO guarantee the
+// failure and speculative loops rely on for simultaneous completions.
+TEST(SimEventQueue, EqualTimesPopInInsertionOrder) {
+  SimEventQueue queue;
+  std::uint64_t seq = 0;
+  for (TaskId task = 0; task < 100; ++task) {
+    queue.push(SimEvent{5.0, kSimEventFinish, 0, task, 0, seq++});
+  }
+  queue.push(SimEvent{1.0, kSimEventFinish, 0, 1000, 0, seq++});
+  EXPECT_EQ(queue.pop().task, 1000u);
+  for (TaskId task = 0; task < 100; ++task) {
+    EXPECT_EQ(queue.pop().task, task) << "FIFO order broken at " << task;
+  }
+  EXPECT_TRUE(queue.empty());
+}
+
+// At one instant every finish pops before every failure and every failure
+// before every free, whatever the push order; the frees then pop by
+// machine id, not by seq.
+TEST(SimEventQueue, EqualTimeKindsThenFreesByMachineId) {
+  SimEventQueue q;
+  std::uint64_t seq = 0;
+  for (const MachineId machine : {7u, 2u, 5u, 0u}) {
+    q.push(SimEvent{3.0, kSimEventFree, machine, kNoTask, 0, seq++});
+    q.push(SimEvent{3.0, kSimEventFailure, machine, kNoTask, 0, seq++});
+    q.push(SimEvent{3.0, kSimEventFinish, machine, machine, 0, seq++});
+  }
+  for (const MachineId machine : {7u, 2u, 5u, 0u}) {
+    const SimEvent e = q.pop();
+    EXPECT_EQ(e.kind, kSimEventFinish);
+    EXPECT_EQ(e.machine, machine) << "finishes keep push order";
+  }
+  for (const MachineId machine : {7u, 2u, 5u, 0u}) {
+    const SimEvent e = q.pop();
+    EXPECT_EQ(e.kind, kSimEventFailure);
+    EXPECT_EQ(e.machine, machine) << "failures keep push order";
+  }
+  for (const MachineId machine : {0u, 2u, 5u, 7u}) {
+    const SimEvent e = q.pop();
+    EXPECT_EQ(e.kind, kSimEventFree);
+    EXPECT_EQ(e.machine, machine) << "frees pop by machine id";
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+// Random interleavings of pushes and pops with quantized times, so every
+// tie rule fires often, against an ordered set under SimEventBefore.
+TEST(SimEventQueue, MatchesOrderedSetUnderInterleaving) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Xoshiro256 rng(seed);
+    SimEventQueue q;
+    std::set<SimEvent, SimEventBefore> oracle;
+    std::uint64_t seq = 0;
+    Time now = 0;
+    for (int op = 0; op < 2000; ++op) {
+      if (oracle.empty() || rng.next_below(100) < 55) {
+        const SimEvent e{now + static_cast<Time>(rng.next_below(4)),
+                         static_cast<std::uint8_t>(rng.next_below(3)),
+                         static_cast<MachineId>(rng.next_below(6)),
+                         static_cast<TaskId>(seq), 0, seq};
+        ++seq;
+        q.push(e);
+        oracle.insert(e);
+      } else {
+        const SimEvent got = q.pop();
+        ASSERT_EQ(got.seq, oracle.begin()->seq) << "seed " << seed << " op " << op;
+        oracle.erase(oracle.begin());
+        now = got.when;
+      }
+      ASSERT_EQ(q.size(), oracle.size());
+    }
+    for (const SimEvent& expected : oracle) {
+      ASSERT_EQ(q.pop().seq, expected.seq) << "seed " << seed << " (drain)";
+    }
+    EXPECT_TRUE(q.empty());
+  }
+}
+
+// reset() keeps the vector's capacity: a workspace reused across runs
+// queues its events without allocating once the first run sized it.
+TEST(SimEventQueue, ResetKeepsCapacity) {
+  SimEventQueue q;
+  const auto fill_and_drain = [&q] {
+    for (std::uint64_t s = 0; s < 100; ++s) {
+      q.push(SimEvent{static_cast<Time>(s % 7), kSimEventFinish, 0,
+                      static_cast<TaskId>(s), 0, s});
+    }
+    while (q.size() > 50) q.pop();
+  };
+  fill_and_drain();
+  q.reset();
+  EXPECT_TRUE(q.empty());
+  g_allocations = 0;
+  g_count_allocations = true;
+  fill_and_drain();
+  g_count_allocations = false;
+  EXPECT_EQ(g_allocations, 0u);
+  EXPECT_EQ(q.size(), 50u);
+}
+
+TEST(SimWorkspace, BeginRunEmptiesTheEventQueue) {
+  SimWorkspace ws;
+  ws.events.push(SimEvent{4.0, kSimEventFailure, 1, kNoTask, 0, 0});
+  ws.events.push(SimEvent{2.0, kSimEventFree, 0, kNoTask, 0, 1});
+  ws.begin_run(8, 2);
+  EXPECT_TRUE(ws.events.empty());
+  EXPECT_EQ(ws.events.size(), 0u);
 }
 
 TEST(ReadyHeap, TopPrefersEarliestThenLowestId) {
