@@ -115,6 +115,11 @@ FuzzCase make_fuzz_case(std::uint64_t seed, const FuzzCaseConfig& config) {
     out.plan.failures.push_back(MachineFailure{i, sample_uniform(rng, 0.0, horizon)});
   }
   out.plan.refetch_penalty = sample_uniform(rng, 0.0, 5.0);
+  if (config.scenario == FuzzScenario::kTies) {
+    for (Time& a : out.actual.actual) a = std::max(Time{1}, std::round(a));
+    for (MachineFailure& f : out.plan.failures) f.when = std::round(f.when);
+    out.plan.refetch_penalty = std::round(out.plan.refetch_penalty);
+  }
 
   out.transfer.bandwidth = sample_log_uniform(rng, 0.25, 8.0);
   out.transfer.latency = sample_uniform(rng, 0.0, 2.0);
@@ -804,8 +809,9 @@ void check_adaptive_bound(const CheckContext& ctx) {
 FuzzScenario fuzz_scenario_from_name(const std::string& name) {
   if (name == "default") return FuzzScenario::kDefault;
   if (name == "drifting-alpha") return FuzzScenario::kDriftingAlpha;
+  if (name == "ties") return FuzzScenario::kTies;
   throw std::invalid_argument("unknown fuzz scenario '" + name +
-                              "' (use default|drifting-alpha)");
+                              "' (use default|drifting-alpha|ties)");
 }
 
 std::size_t checks_per_case() noexcept { return kChecksPerCase; }

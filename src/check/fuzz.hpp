@@ -61,9 +61,14 @@ enum class FuzzScenario {
   /// -- the drifting/misreported-alpha regime the adaptive estimator
   /// must survive (its cross-check judges against the *realized* alpha).
   kDriftingAlpha,
+  /// Actuals (at least 1), failure times and the refetch penalty snapped
+  /// to integers after the default draws, so equal-time events --
+  /// finishes with finishes, failures and wake-ups -- are common and the
+  /// event loops' tie orders are exercised.
+  kTies,
 };
 
-/// Parses "default" / "drifting-alpha" (CLI --scenario flag); throws
+/// Parses "default" / "drifting-alpha" / "ties" (CLI --scenario flag); throws
 /// std::invalid_argument on anything else.
 [[nodiscard]] FuzzScenario fuzz_scenario_from_name(const std::string& name);
 

@@ -1,6 +1,7 @@
 #include "hetero/uniform_machines.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -18,8 +19,8 @@ SpeedProfile::SpeedProfile(std::vector<double> speeds) : speeds_(std::move(speed
     throw std::invalid_argument("SpeedProfile: need at least one machine");
   }
   for (double s : speeds_) {
-    if (!(s > 0.0)) {
-      throw std::invalid_argument("SpeedProfile: speeds must be positive");
+    if (!(s > 0.0) || !std::isfinite(s)) {
+      throw std::invalid_argument("SpeedProfile: speeds must be finite and positive");
     }
   }
 }

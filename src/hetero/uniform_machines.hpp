@@ -20,7 +20,7 @@ namespace rdp {
 class Instance;
 struct Realization;
 
-/// Per-machine speeds; validated positive on construction.
+/// Per-machine speeds; validated finite and positive on construction.
 class SpeedProfile {
  public:
   explicit SpeedProfile(std::vector<double> speeds);

@@ -172,9 +172,7 @@ DispatchKernelStats run_dispatch_kernel(
                    queue_slot_of[j] = (std::uint64_t{q} << 32) | (pos - queues.begin[q]);
                  }
                  const Time d = actual[j];
-                 if (!(d >= 0.0 && d <= std::numeric_limits<Time>::max())) {
-                   reject(who, "actual durations must be finite and non-negative");
-                 }
+                 SetQueues::require_duration(who, d);
                  queue_durations[pos] = d;
                });
   const std::uint32_t num_queues = queues.count;

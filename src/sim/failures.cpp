@@ -79,7 +79,10 @@ void dispatch_with_failures(const Instance& instance, const Placement& placement
   const std::span<std::uint32_t> rank = arena.allocate_span<std::uint32_t>(n);
   SetQueues queues;
   queues.build(arena, placement, priority, "dispatch_with_failures",
-               [&](std::uint32_t, TaskId j, std::uint32_t r) { rank[j] = r; });
+               [&](std::uint32_t, TaskId j, std::uint32_t r) {
+                 SetQueues::require_duration("dispatch_with_failures", actual[j]);
+                 rank[j] = r;
+               });
 
   obs::MetricsRegistry* const mx = obs::metrics();
   obs::Tracer* const tr = obs::tracer();
@@ -158,6 +161,43 @@ void dispatch_with_failures(const Instance& instance, const Placement& placement
     }
   };
 
+  // Machine i frees at t: it starts its best-ranked waiting task, or
+  // idles until the next requeue. Both a popped free event and the
+  // finish-time inline free run this.
+  auto on_free = [&](MachineId i, Time t) {
+    if (failed[i] || running_on[i] != kNoTask) return;
+    // Best-ranked waiting task runnable here: the best queue front,
+    // unless the overflow heap holds a better one. A restarted task is
+    // runnable from its failure time on, and events pop in time order,
+    // so every waiting task is runnable by the time a machine frees.
+    const std::uint32_t q = queues.best_queue(i);
+    const std::uint32_t queue_rank =
+        q == SetQueues::kNone ? UINT32_MAX : rank[queues.tasks[queues.head[q]]];
+    std::vector<RankedTask>& heap = ws.machine_heaps[i];
+    // Stale entries: dispatched or done since they were pushed.
+    while (!heap.empty() && status[heap.front().second] != kWaiting) heap_pop(heap);
+    TaskId j = kNoTask;
+    if (!heap.empty() && heap.front().first < queue_rank) {
+      j = heap.front().second;
+      heap_pop(heap);
+    } else if (q != SetQueues::kNone) {
+      j = queues.pop(q);
+    }
+    if (j == kNoTask) {
+      machine_idle[i] = 1;  // re-woken on the next requeue
+      return;
+    }
+    status[j] = kRunning;
+    running_on[i] = j;
+    const Time dur = duration_of(j);
+    out.schedule.assignment.machine_of[j] = i;
+    out.schedule.start[j] = t;
+    out.schedule.finish[j] = t + dur;
+    out.trace.events.push_back(DispatchEvent{t, j, i, dur});
+    events.push(SimEvent{t + dur, kSimEventFinish, i, j, epoch[j], seq++});
+  };
+  std::uint64_t inline_frees = 0;
+
   while (remaining > 0) {
     if (events.empty()) {
       throw std::invalid_argument(
@@ -176,7 +216,18 @@ void dispatch_with_failures(const Instance& instance, const Placement& placement
         status[j] = kDone;
         running_on[e.machine] = kNoTask;
         --remaining;
-        events.push(SimEvent{e.when, kSimEventFree, e.machine, kNoTask, 0, seq++});
+        // With no other event at e.when pending, the machine's free event
+        // would be the next pop: run it now, without the push and pop. It
+        // still counts as an event. Ties (a finish, failure or free at the
+        // same instant) keep the queued path and its order. The last
+        // task's free is never popped, so it is neither run nor counted.
+        if (remaining > 0 && (events.empty() || events.top().when > e.when)) {
+          ++out.events_processed;
+          ++inline_frees;
+          on_free(e.machine, e.when);
+        } else {
+          events.push(SimEvent{e.when, kSimEventFree, e.machine, kNoTask, 0, seq++});
+        }
         break;
       }
       case kSimEventFailure: {
@@ -239,41 +290,9 @@ void dispatch_with_failures(const Instance& instance, const Placement& placement
         wake_idle_machines(e.when);
         break;
       }
-      case kSimEventFree: {
-        const MachineId i = e.machine;
-        if (failed[i] || running_on[i] != kNoTask) break;
-        // Best-ranked waiting task runnable here: the best queue front,
-        // unless the overflow heap holds a better one. A restarted task is
-        // runnable from its failure time on, and events pop in time order,
-        // so every waiting task is runnable by the time a machine frees.
-        const std::uint32_t q = queues.best_queue(i);
-        const std::uint32_t queue_rank =
-            q == SetQueues::kNone ? UINT32_MAX : rank[queues.tasks[queues.head[q]]];
-        std::vector<RankedTask>& heap = ws.machine_heaps[i];
-        // Stale entries: dispatched or done since they were pushed.
-        while (!heap.empty() && status[heap.front().second] != kWaiting) heap_pop(heap);
-        TaskId best_now = kNoTask;
-        if (!heap.empty() && heap.front().first < queue_rank) {
-          best_now = heap.front().second;
-          heap_pop(heap);
-        } else if (q != SetQueues::kNone) {
-          best_now = queues.pop(q);
-        }
-        if (best_now != kNoTask) {
-          const TaskId j = best_now;
-          status[j] = kRunning;
-          running_on[i] = j;
-          const Time dur = duration_of(j);
-          out.schedule.assignment.machine_of[j] = i;
-          out.schedule.start[j] = e.when;
-          out.schedule.finish[j] = e.when + dur;
-          out.trace.events.push_back(DispatchEvent{e.when, j, i, dur});
-          events.push(SimEvent{e.when + dur, kSimEventFinish, i, j, epoch[j], seq++});
-        } else {
-          machine_idle[i] = 1;  // re-woken on the next requeue
-        }
+      case kSimEventFree:
+        on_free(e.machine, e.when);
         break;
-      }
     }
   }
 
@@ -283,6 +302,7 @@ void dispatch_with_failures(const Instance& instance, const Placement& placement
     mx->counter("sim.failures.tasks").add(n);
     mx->counter("sim.failures.restarts").add(out.restarts);
     mx->counter("sim.failures.refetches").add(out.refetches);
+    mx->counter("sim.failures.inline_frees").add(inline_frees);
   }
 
   // Flight recorder: failures/refetches were recorded inline at their

@@ -47,8 +47,11 @@ struct FailureDispatchResult {
   std::size_t restarts = 0; ///< dispatches that were killed by a failure
   std::size_t refetches = 0;///< tasks that lost every replica
   Time makespan = 0;
-  /// Simulation events popped from the queue (finishes + failures +
-  /// machine-free wakeups); the throughput bench divides by wall time.
+  /// Simulation events processed (finishes + failures + machine-free
+  /// wakeups); the throughput bench divides by wall time. A free run at
+  /// its finish without a queue round trip counts like a popped one, so
+  /// the count does not depend on that shortcut; the last task's free is
+  /// never processed and never counted.
   std::uint64_t events_processed = 0;
 };
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -125,6 +126,21 @@ struct SetQueues {
   /// best_queue for loops whose tasks only ever leave a queue at its front.
   [[nodiscard]] std::uint32_t best_queue(MachineId i) {
     return best_queue(i, [](TaskId) { return false; });
+  }
+
+  /// Throws std::invalid_argument naming `who` unless `d` is a finite,
+  /// non-negative duration. Loops call it from their build() fill, which
+  /// already visits every task; a NaN would also break the strict order
+  /// their event heaps rely on.
+  static void require_duration(const char* who, Time d) {
+    if (!(d >= 0.0 && d <= std::numeric_limits<Time>::max())) reject_duration(who);
+  }
+
+  /// Out of line, so the fill loops that call require_duration() per
+  /// task keep only a compare and a branch.
+  [[noreturn, gnu::cold, gnu::noinline]] static void reject_duration(const char* who) {
+    throw std::invalid_argument(std::string(who) +
+                                ": actual durations must be finite and non-negative");
   }
 
   /// Removes and returns set q's front task.

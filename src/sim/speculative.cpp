@@ -53,7 +53,10 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
   // forward and an idle machine's next task is the best front among its
   // sets.
   SetQueues queues;
-  queues.build(arena, placement, priority, "dispatch_speculative");
+  queues.build(arena, placement, priority, "dispatch_speculative",
+               [&](std::uint32_t, TaskId j, std::uint32_t) {
+                 SetQueues::require_duration("dispatch_speculative", actual[j]);
+               });
 
   obs::MetricsRegistry* const mx = obs::metrics();
   obs::Tracer* const tr = obs::tracer();
@@ -139,6 +142,63 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
     ws.parked.clear();
   };
 
+  // Machine i frees at t: it takes its best-ranked waiting task, else a
+  // backup copy of a running task, else parks. Both a popped free event
+  // and the finish-time inline free run this.
+  auto on_free = [&](MachineId i, Time t) {
+    if (machine_busy[i]) return;  // stale
+
+    // 1. Highest-priority waiting task with a replica here.
+    if (const std::uint32_t q = queues.best_queue(i); q != SetQueues::kNone) {
+      launch(queues.pop(q), i, t, /*is_backup=*/false);
+      return;
+    }
+
+    // 2. No waiting work: consider speculating on a running task of one
+    // of this machine's replica sets. Ties on the latest estimate go to
+    // the lowest task id.
+    if (speculation_on) {
+      TaskId candidate = kNoTask;
+      Time latest_estimate = -kNever;
+      for (std::uint32_t k = queues.machine_begin[i]; k < queues.machine_begin[i + 1];
+           ++k) {
+        for (TaskId j = running_head[queues.machine_queues[k]]; j != kNoTask;
+             j = running_next[j]) {
+          std::size_t live = 0;
+          Time earliest_est_finish = kNever;
+          for (std::size_t c = j * stride; c < j * stride + copy_count[j]; ++c) {
+            if (!copy_alive[c]) continue;
+            ++live;
+            const Time est =
+                copy_start[c] + instance.estimate(j) / speeds.speed(copy_machine[c]);
+            earliest_est_finish = std::min(earliest_est_finish, est);
+          }
+          if (live == 0 || live >= policy.max_copies) continue;
+          if (earliest_est_finish - t < policy.min_estimated_remaining) continue;
+          // Don't duplicate onto a machine that wouldn't even beat the
+          // current copy's *estimated* completion.
+          const Time my_est_finish = t + instance.estimate(j) / speeds.speed(i);
+          if (my_est_finish >= earliest_est_finish) continue;
+          if (earliest_est_finish > latest_estimate ||
+              (earliest_est_finish == latest_estimate && j < candidate)) {
+            latest_estimate = earliest_est_finish;
+            candidate = j;
+          }
+        }
+      }
+      if (candidate != kNoTask) {
+        launch(candidate, i, t, /*is_backup=*/true);
+        return;
+      }
+    }
+
+    if (!machine_parked[i]) {  // re-woken on the next completion
+      machine_parked[i] = 1;
+      ws.parked.push_back(i);
+    }
+  };
+  std::uint64_t inline_frees = 0;
+
   while (remaining > 0) {
     if (events.empty()) {
       throw std::logic_error("dispatch_speculative: event queue drained early");
@@ -163,6 +223,7 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
       result.schedule.finish[j] = copy_finish[c];
       if (e.aux > 0) ++result.duplicates_won;
       // Kill every other live copy; their machines free immediately.
+      bool killed = false;
       for (std::size_t k = j * stride; k < j * stride + copy_count[j]; ++k) {
         if (k == c || !copy_alive[k]) continue;
         copy_alive[k] = 0;
@@ -170,64 +231,24 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
         result.wasted_time += e.when - copy_start[k];
         events.push(
             SimEvent{e.when, kSimEventFree, copy_machine[k], kNoTask, 0, seq++});
+        killed = true;
+      }
+      // Alone at e.when -- no copy killed, no machine parked (both queue
+      // frees at e.when, ordered by machine id) and nothing else pending
+      // at that instant -- the winner's free would be the next pop: run
+      // it now, without the push and pop.
+      if (remaining > 0 && !killed && ws.parked.empty() &&
+          (events.empty() || events.top().when > e.when)) {
+        ++inline_frees;
+        on_free(copy_machine[c], e.when);
+        continue;
       }
       events.push(SimEvent{e.when, kSimEventFree, copy_machine[c], kNoTask, 0, seq++});
       wake_parked(e.when);
       continue;
     }
 
-    // Machine-free event.
-    const MachineId i = e.machine;
-    if (machine_busy[i]) continue;  // stale
-
-    // 1. Highest-priority waiting task with a replica here.
-    if (const std::uint32_t q = queues.best_queue(i); q != SetQueues::kNone) {
-      launch(queues.pop(q), i, e.when, /*is_backup=*/false);
-      continue;
-    }
-
-    // 2. No waiting work: consider speculating on a running task of one
-    // of this machine's replica sets. Ties on the latest estimate go to
-    // the lowest task id.
-    if (speculation_on) {
-      TaskId candidate = kNoTask;
-      Time latest_estimate = -kNever;
-      for (std::uint32_t k = queues.machine_begin[i]; k < queues.machine_begin[i + 1];
-           ++k) {
-        for (TaskId j = running_head[queues.machine_queues[k]]; j != kNoTask;
-             j = running_next[j]) {
-          std::size_t live = 0;
-          Time earliest_est_finish = kNever;
-          for (std::size_t c = j * stride; c < j * stride + copy_count[j]; ++c) {
-            if (!copy_alive[c]) continue;
-            ++live;
-            const Time est =
-                copy_start[c] + instance.estimate(j) / speeds.speed(copy_machine[c]);
-            earliest_est_finish = std::min(earliest_est_finish, est);
-          }
-          if (live == 0 || live >= policy.max_copies) continue;
-          if (earliest_est_finish - e.when < policy.min_estimated_remaining) continue;
-          // Don't duplicate onto a machine that wouldn't even beat the
-          // current copy's *estimated* completion.
-          const Time my_est_finish = e.when + instance.estimate(j) / speeds.speed(i);
-          if (my_est_finish >= earliest_est_finish) continue;
-          if (earliest_est_finish > latest_estimate ||
-              (earliest_est_finish == latest_estimate && j < candidate)) {
-            latest_estimate = earliest_est_finish;
-            candidate = j;
-          }
-        }
-      }
-      if (candidate != kNoTask) {
-        launch(candidate, i, e.when, /*is_backup=*/true);
-        continue;
-      }
-    }
-
-    if (!machine_parked[i]) {  // re-woken on the next completion
-      machine_parked[i] = 1;
-      ws.parked.push_back(i);
-    }
+    on_free(e.machine, e.when);  // machine-free event
   }
 
   result.makespan = result.schedule.makespan();
@@ -236,6 +257,7 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
     mx->counter("sim.speculative.tasks").add(n);
     mx->counter("sim.speculative.duplicates_launched").add(result.duplicates_launched);
     mx->counter("sim.speculative.duplicates_won").add(result.duplicates_won);
+    mx->counter("sim.speculative.inline_frees").add(inline_frees);
     mx->histogram("sim.speculative.wasted_time").observe(result.wasted_time);
   }
   return result;

@@ -46,7 +46,10 @@ TransferDispatchResult dispatch_with_transfers(const Instance& instance,
   // is remote for it, so the globally best-ranked waiting task -- found
   // by a cursor over the priority permutation -- is the remote pick.
   SetQueues queues;
-  queues.build(arena, placement, priority, "dispatch_with_transfers");
+  queues.build(arena, placement, priority, "dispatch_with_transfers",
+               [&](std::uint32_t, TaskId j, std::uint32_t) {
+                 SetQueues::require_duration("dispatch_with_transfers", actual[j]);
+               });
   const std::span<std::uint8_t> scheduled = arena.make_span<std::uint8_t>(n, 0);
   const auto is_scheduled = [&](TaskId j) { return scheduled[j] != 0; };
   std::size_t head = 0;  // first maybe-unscheduled rank in priority order

@@ -69,6 +69,12 @@ class SimEventQueue {
     std::push_heap(heap_.begin(), heap_.end(), After{});
   }
 
+  /// The SimEventBefore-minimum, i.e. what the next pop() returns.
+  [[nodiscard]] const SimEvent& top() const noexcept {
+    assert(!heap_.empty());
+    return heap_.front();
+  }
+
   /// Removes and returns the SimEventBefore-minimum.
   SimEvent pop() {
     assert(!heap_.empty());

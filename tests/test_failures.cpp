@@ -2,15 +2,23 @@
 // data refetch).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
+#include "check/reference_dispatcher.hpp"
 #include "core/instance.hpp"
 #include "core/realization.hpp"
+#include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
+#include "perturb/stochastic.hpp"
 #include "sim/failures.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "sim/workspace.hpp"
+#include "workload/generators.hpp"
 
 namespace rdp {
 namespace {
@@ -273,6 +281,157 @@ TEST(Failures, MultipleFailuresCascade) {
     EXPECT_EQ(result.schedule.assignment[j], 2u);
   }
   EXPECT_DOUBLE_EQ(result.makespan, 18.0);
+}
+
+TEST(Failures, RejectsNonFiniteOrNegativeDurations) {
+  // A NaN duration once came back as a schedule with makespan 53.79.
+  const Instance inst = Instance::from_estimates({1.0, 2.0, 3.0, 4.0, 5.0}, 2, 1.5);
+  const Placement p = Placement::everywhere(5, 2);
+  for (const Time bad : {std::numeric_limits<Time>::quiet_NaN(), Time{-1.0},
+                         std::numeric_limits<Time>::infinity()}) {
+    Realization r = exact_realization(inst);
+    r.actual[3] = bad;
+    try {
+      (void)dispatch_with_failures(inst, p, r, identity_priority(5), FailurePlan{});
+      ADD_FAILURE() << "duration " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "dispatch_with_failures: actual durations must be finite and "
+                "non-negative");
+    }
+  }
+}
+
+// A finish whose machine's free event would be the queue's next pop runs
+// that free inline. Where another event shares the instant the loop
+// declines and queues the free; each case below forces one such path and
+// must match the queue-only reference bit for bit.
+
+struct TracedFailureRun {
+  FailureDispatchResult result;
+  std::uint64_t inline_frees = 0;
+};
+
+TracedFailureRun run_against_reference(const Instance& inst, const Placement& p,
+                                       const Realization& r, const FailurePlan& plan) {
+  const std::vector<TaskId> priority = identity_priority(inst.num_tasks());
+  obs::MetricsRegistry registry;
+  TracedFailureRun run;
+  {
+    obs::ObservabilityScope scope(&registry, nullptr);
+    run.result = dispatch_with_failures(inst, p, r, priority, plan);
+  }
+  run.inline_frees = registry.counter("sim.failures.inline_frees").value();
+  const FailureDispatchResult want =
+      check::reference_dispatch_with_failures(inst, p, r, priority, plan);
+  const FailureDispatchResult& got = run.result;
+  EXPECT_EQ(got.schedule.assignment.machine_of, want.schedule.assignment.machine_of);
+  EXPECT_EQ(got.schedule.start, want.schedule.start);
+  EXPECT_EQ(got.schedule.finish, want.schedule.finish);
+  EXPECT_EQ(got.restarts, want.restarts);
+  EXPECT_EQ(got.refetches, want.refetches);
+  EXPECT_EQ(got.makespan, want.makespan);
+  EXPECT_EQ(got.trace.size(), want.trace.size());
+  for (std::size_t k = 0; k < std::min(got.trace.size(), want.trace.size()); ++k) {
+    const DispatchEvent& a = got.trace.events[k];
+    const DispatchEvent& b = want.trace.events[k];
+    EXPECT_EQ(a.when, b.when) << "event " << k;
+    EXPECT_EQ(a.task, b.task) << "event " << k;
+    EXPECT_EQ(a.machine, b.machine) << "event " << k;
+    EXPECT_EQ(a.actual, b.actual) << "event " << k;
+  }
+  return run;
+}
+
+TEST(FailuresInlineFree, TwoMachinesFinishingTogetherQueueTheirFrees) {
+  // t=0: m0 <- T0 (0-1), m1 <- T1 (0-3). t=1: m0 runs alone, so its free
+  // is inline: T2 (1-3). t=3: T1's finish (pushed first) pops before
+  // T2's; both frees queue, and the queue hands T3 to m0 by machine id.
+  // An inline free would have handed it to m1.
+  const Instance inst = Instance::from_estimates({1.0, 3.0, 2.0, 1.0, 2.0}, 2, 1.0);
+  const TracedFailureRun run = run_against_reference(
+      inst, Placement::everywhere(5, 2), exact_realization(inst), FailurePlan{});
+  EXPECT_EQ(run.result.schedule.assignment[3], 0u);
+  EXPECT_EQ(run.result.schedule.assignment[4], 1u);
+  // Inline: m0's free at t=1 and at t=4 (T3 done, T4 still running).
+  EXPECT_EQ(run.inline_frees, 2u);
+}
+
+TEST(FailuresInlineFree, FinishAtTheInstantOfAFailureQueuesItsFree) {
+  // m0 finishes T0 at t=2 just as m1 fails and loses T1. The failure pops
+  // before m0's queued free, so m0 restarts T1 (rank 1), not T2 (rank 2).
+  const Instance inst = Instance::from_estimates({2.0, 5.0, 1.0}, 2, 1.0);
+  FailurePlan plan;
+  plan.failures = {{1, 2.0}};
+  const TracedFailureRun run = run_against_reference(
+      inst, Placement::everywhere(3, 2), exact_realization(inst), plan);
+  EXPECT_EQ(run.result.restarts, 1u);
+  EXPECT_EQ(run.result.schedule.assignment[1], 0u);
+  EXPECT_DOUBLE_EQ(run.result.schedule.start[1], 2.0);
+  EXPECT_DOUBLE_EQ(run.result.makespan, 8.0);
+  EXPECT_EQ(run.inline_frees, 1u);  // T1's finish at 7 frees m0 for T2
+}
+
+TEST(FailuresInlineFree, ZeroLengthTasksMatchTheReference) {
+  // Zero-length tasks finish at their start instant, ahead of the other
+  // machines' pending frees there.
+  const Instance inst = Instance::from_estimates({1.0, 1.0, 2.0, 1.0, 1.0}, 2, 1.0);
+  Realization r;
+  r.actual = {0.0, 0.0, 2.0, 1.0, 0.0};
+  (void)run_against_reference(inst, Placement::everywhere(5, 2), r, FailurePlan{});
+  const Instance one = Instance::from_estimates({1.0, 1.0, 1.0}, 1, 1.0);
+  Realization chain;
+  chain.actual = {0.0, 0.0, 1.0};
+  // One machine: every free but the last task's is inline.
+  EXPECT_EQ(run_against_reference(one, Placement::everywhere(3, 1), chain,
+                                  FailurePlan{})
+                .inline_frees,
+            2u);
+}
+
+TEST(FailuresInlineFree, IntegerTimesMatchTheReference) {
+  // Integer actuals and failure times make equal-time events the rule.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    WorkloadParams params;
+    params.num_tasks = 40;
+    params.num_machines = 5;
+    params.alpha = 2.0;
+    params.seed = seed;
+    const Instance inst = uniform_workload(params);
+    Realization r = realize(inst, NoiseModel::kUniform, seed + 100);
+    for (Time& a : r.actual) a = std::max(Time{1}, std::round(a));
+    std::vector<MachineId> group(40);
+    for (TaskId j = 0; j < 40; ++j) group[j] = j % 5;
+    FailurePlan plan;
+    plan.failures = {{static_cast<MachineId>(seed % 5), static_cast<Time>(seed % 7)},
+                     {static_cast<MachineId>((seed + 2) % 5), 10.0}};
+    plan.refetch_penalty = 2.0;
+    SCOPED_TRACE(seed);
+    (void)run_against_reference(inst, Placement::everywhere(40, 5), r, plan);
+    (void)run_against_reference(inst, Placement::singleton(group, 5), r, plan);
+  }
+}
+
+TEST(FailuresInlineFree, TheLastTasksFreeIsNotCounted) {
+  // Without failures and with distinct finish times every finish but the
+  // last frees its machine once: m initial frees + n finishes + n - 1
+  // frees, however many of those frees ran inline.
+  WorkloadParams params;
+  params.num_tasks = 200;
+  params.num_machines = 7;
+  params.seed = 4;
+  const Instance inst = uniform_workload(params);
+  const Realization r = realize(inst, NoiseModel::kUniform, 5);
+  const TracedFailureRun run =
+      run_against_reference(inst, Placement::everywhere(200, 7), r, FailurePlan{});
+  EXPECT_EQ(run.result.events_processed, 7u + 2u * 200u - 1u);
+  EXPECT_GT(run.inline_frees, 0u);
+
+  const Instance three = Instance::from_estimates({1.0, 2.0, 3.0}, 1, 1.0);
+  const TracedFailureRun serial = run_against_reference(
+      three, Placement::everywhere(3, 1), exact_realization(three), FailurePlan{});
+  EXPECT_EQ(serial.result.events_processed, 6u);  // free, 3 finishes, 2 frees
+  EXPECT_EQ(serial.inline_frees, 2u);
 }
 
 }  // namespace

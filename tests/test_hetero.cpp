@@ -1,6 +1,8 @@
 // Tests for the uniform-machines (Q||Cmax) extension.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
@@ -18,6 +20,8 @@ namespace {
 TEST(SpeedProfile, ValidationAndFactories) {
   EXPECT_THROW(SpeedProfile({}), std::invalid_argument);
   EXPECT_THROW(SpeedProfile({1.0, 0.0}), std::invalid_argument);
+  EXPECT_THROW(SpeedProfile({1.0, std::numeric_limits<double>::quiet_NaN()}),
+               std::invalid_argument);
   EXPECT_THROW(SpeedProfile::with_stragglers(2, 3, 0.5), std::invalid_argument);
 
   const SpeedProfile p = SpeedProfile::with_stragglers(4, 1, 0.5);
@@ -25,6 +29,17 @@ TEST(SpeedProfile, ValidationAndFactories) {
   EXPECT_DOUBLE_EQ(p.speed(3), 1.0);
   EXPECT_DOUBLE_EQ(p.total_speed(), 3.5);
   EXPECT_DOUBLE_EQ(p.max_speed(), 1.0);
+}
+
+TEST(SpeedProfile, RejectsInfiniteSpeeds) {
+  // An infinite speed makes every duration on that machine 0 (or NaN for
+  // a zero-work task).
+  try {
+    (void)SpeedProfile({1.0, std::numeric_limits<double>::infinity()});
+    ADD_FAILURE() << "an infinite speed was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "SpeedProfile: speeds must be finite and positive");
+  }
 }
 
 TEST(UniformMakespan, ScalesBySpeed) {

@@ -150,6 +150,32 @@ TEST(SimEventQueue, MatchesOrderedSetUnderInterleaving) {
   }
 }
 
+// top() is what the next pop() returns, under every tie rule; the
+// failure and speculative loops read it to decide whether a finish's free
+// event would be popped next.
+TEST(SimEventQueue, TopIsTheNextPop) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Xoshiro256 rng(seed);
+    SimEventQueue q;
+    std::uint64_t seq = 0;
+    for (int op = 0; op < 1000; ++op) {
+      if (q.empty() || rng.next_below(100) < 55) {
+        q.push(SimEvent{static_cast<Time>(rng.next_below(4)),
+                        static_cast<std::uint8_t>(rng.next_below(3)),
+                        static_cast<MachineId>(rng.next_below(6)),
+                        static_cast<TaskId>(seq), 0, seq});
+        ++seq;
+      } else {
+        const SimEvent top = q.top();
+        const std::size_t size = q.size();
+        const SimEvent popped = q.pop();
+        ASSERT_EQ(top.seq, popped.seq) << "seed " << seed << " op " << op;
+        ASSERT_EQ(q.size(), size - 1);
+      }
+    }
+  }
+}
+
 // reset() keeps the vector's capacity: a workspace reused across runs
 // queues its events without allocating once the first run sized it.
 TEST(SimEventQueue, ResetKeepsCapacity) {

@@ -1,11 +1,19 @@
 // Tests for speculative execution (backup copies on uniform machines).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
+#include "check/reference_dispatcher.hpp"
 #include "core/instance.hpp"
 #include "core/realization.hpp"
+#include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
 #include "perturb/stochastic.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "sim/speculative.hpp"
@@ -242,6 +250,146 @@ TEST(Speculative, StochasticRunStaysFeasible) {
     EXPECT_GT(spec.schedule.finish[j], spec.schedule.start[j]);
   }
   EXPECT_GT(spec.makespan, 0.0);
+}
+
+TEST(Speculative, RejectsNonFiniteOrNegativeDurations) {
+  // A NaN duration once came back as a schedule with makespan 45.16.
+  const Instance inst = Instance::from_estimates({1.0, 2.0, 3.0, 4.0, 5.0}, 2, 1.5);
+  const Placement p = Placement::everywhere(5, 2);
+  for (const Time bad : {std::numeric_limits<Time>::quiet_NaN(), Time{-1.0},
+                         std::numeric_limits<Time>::infinity()}) {
+    Realization r = exact_realization(inst);
+    r.actual[3] = bad;
+    try {
+      (void)dispatch_speculative(inst, p, r, identity(5), SpeedProfile::identical(2),
+                                 SpeculationPolicy{});
+      ADD_FAILURE() << "duration " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "dispatch_speculative: actual durations must be finite and "
+                "non-negative");
+    }
+  }
+}
+
+// A winning finish alone at its instant -- no copy killed, no machine
+// parked, nothing else pending then -- runs its machine's free inline.
+// Each case below forces a declining path (or a zero-length chain) and
+// must match the queue-only reference bit for bit.
+
+struct TracedSpeculativeRun {
+  SpeculativeResult result;
+  std::uint64_t inline_frees = 0;
+};
+
+TracedSpeculativeRun run_against_reference(const Instance& inst, const Placement& p,
+                                           const Realization& r,
+                                           const SpeedProfile& speeds) {
+  const std::vector<TaskId> priority = identity(inst.num_tasks());
+  const SpeculationPolicy policy;
+  obs::MetricsRegistry registry;
+  TracedSpeculativeRun run;
+  {
+    obs::ObservabilityScope scope(&registry, nullptr);
+    run.result = dispatch_speculative(inst, p, r, priority, speeds, policy);
+  }
+  run.inline_frees = registry.counter("sim.speculative.inline_frees").value();
+  const SpeculativeResult want =
+      check::reference_dispatch_speculative(inst, p, r, priority, speeds, policy);
+  const SpeculativeResult& got = run.result;
+  EXPECT_EQ(got.schedule.assignment.machine_of, want.schedule.assignment.machine_of);
+  EXPECT_EQ(got.schedule.start, want.schedule.start);
+  EXPECT_EQ(got.schedule.finish, want.schedule.finish);
+  EXPECT_EQ(got.duplicates_launched, want.duplicates_launched);
+  EXPECT_EQ(got.duplicates_won, want.duplicates_won);
+  EXPECT_EQ(got.wasted_time, want.wasted_time);
+  EXPECT_EQ(got.makespan, want.makespan);
+  EXPECT_EQ(got.trace.size(), want.trace.size());
+  for (std::size_t k = 0; k < std::min(got.trace.size(), want.trace.size()); ++k) {
+    const DispatchEvent& a = got.trace.events[k];
+    const DispatchEvent& b = want.trace.events[k];
+    EXPECT_EQ(a.when, b.when) << "event " << k;
+    EXPECT_EQ(a.task, b.task) << "event " << k;
+    EXPECT_EQ(a.machine, b.machine) << "event " << k;
+    EXPECT_EQ(a.actual, b.actual) << "event " << k;
+  }
+  return run;
+}
+
+TEST(SpeculativeInlineFree, TwoMachinesFinishingTogetherQueueTheirFrees) {
+  // t=1: m0 alone, inline: T2 (1-3). t=3: m1's and m0's finishes tie;
+  // both frees queue and hand T3 to m0 by machine id. t=4: m0 alone
+  // again, inline; it finds nothing worth a backup and parks.
+  const Instance inst = Instance::from_estimates({1.0, 3.0, 2.0, 1.0, 2.0}, 2, 1.0);
+  const TracedSpeculativeRun run =
+      run_against_reference(inst, Placement::everywhere(5, 2), exact_realization(inst),
+                            SpeedProfile::identical(2));
+  EXPECT_EQ(run.result.schedule.assignment[3], 0u);
+  EXPECT_EQ(run.result.schedule.assignment[4], 1u);
+  EXPECT_EQ(run.inline_frees, 2u);
+}
+
+TEST(SpeculativeInlineFree, WinningBackupThatKillsTheOriginalQueuesItsFree) {
+  // m0 (speed 0.2) runs T0 from 0 to 50. m1 runs T1 and T2 (inline frees
+  // at 3 and 6), then backs T0 up at 6 (inline) and wins at 16. The win
+  // kills m0's copy: both frees queue, m0 takes T3 (pinned to it) and
+  // m1 parks.
+  const Instance inst = Instance::from_estimates({10.0, 3.0, 3.0, 2.0}, 2, 1.0);
+  const Placement p({{0, 1}, {1}, {1}, {0}}, 2);
+  const TracedSpeculativeRun run =
+      run_against_reference(inst, p, exact_realization(inst), SpeedProfile({0.2, 1.0}));
+  EXPECT_EQ(run.result.duplicates_won, 1u);
+  EXPECT_DOUBLE_EQ(run.result.wasted_time, 16.0);
+  EXPECT_DOUBLE_EQ(run.result.schedule.start[3], 16.0);
+  EXPECT_DOUBLE_EQ(run.result.makespan, 26.0);
+  EXPECT_EQ(run.inline_frees, 2u);
+}
+
+TEST(SpeculativeInlineFree, FinishWhileMachinesAreParkedQueuesItsFree) {
+  // m2 holds no replica and parks at t=0; m1 parks once T2 is done. Each
+  // finish then wakes the parked machines, so none runs inline.
+  const Instance inst = Instance::from_estimates({4.0, 2.0, 1.0}, 3, 1.0);
+  const Placement p({{0}, {0}, {1}}, 3);
+  const TracedSpeculativeRun run = run_against_reference(
+      inst, p, exact_realization(inst), SpeedProfile::identical(3));
+  EXPECT_DOUBLE_EQ(run.result.schedule.start[1], 4.0);
+  EXPECT_EQ(run.inline_frees, 0u);
+}
+
+TEST(SpeculativeInlineFree, ZeroLengthTasksMatchTheReference) {
+  const Instance inst = Instance::from_estimates({1.0, 1.0, 2.0, 1.0, 1.0}, 2, 1.0);
+  Realization r;
+  r.actual = {0.0, 0.0, 2.0, 1.0, 0.0};
+  (void)run_against_reference(inst, Placement::everywhere(5, 2), r,
+                              SpeedProfile({1.0, 0.25}));
+  const Instance one = Instance::from_estimates({1.0, 1.0, 1.0}, 1, 1.0);
+  Realization chain;
+  chain.actual = {0.0, 0.0, 1.0};
+  EXPECT_EQ(run_against_reference(one, Placement::everywhere(3, 1), chain,
+                                  SpeedProfile::identical(1))
+                .inline_frees,
+            2u);
+}
+
+TEST(SpeculativeInlineFree, IntegerTimesWithStragglersMatchTheReference) {
+  // Integer actuals over speeds 1 and 0.25 keep every copy's finish on a
+  // quarter grid, so finishes, kills and wakes share instants often.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    WorkloadParams params;
+    params.num_tasks = 40;
+    params.num_machines = 6;
+    params.alpha = 2.0;
+    params.seed = seed;
+    const Instance inst = uniform_workload(params);
+    Realization r = realize(inst, NoiseModel::kUniform, seed + 100);
+    for (Time& a : r.actual) a = std::max(Time{1}, std::round(a));
+    std::vector<MachineId> group(40);
+    for (TaskId j = 0; j < 40; ++j) group[j] = j % 3;
+    SCOPED_TRACE(seed);
+    const SpeedProfile speeds = SpeedProfile::with_stragglers(6, 2, 0.25);
+    (void)run_against_reference(inst, Placement::everywhere(40, 6), r, speeds);
+    (void)run_against_reference(inst, Placement::in_groups(group, 3, 6), r, speeds);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for the locality-aware transfer-cost dispatcher.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
@@ -144,6 +146,25 @@ TEST(TransferDispatch, ValidatesInputs) {
   EXPECT_THROW((void)dispatch_with_transfers(inst, Placement::singleton({0}, 2), r,
                                              identity(1), ok),
                std::invalid_argument);
+}
+
+TEST(TransferDispatch, RejectsNonFiniteOrNegativeDurations) {
+  // A NaN duration once came back as a schedule with makespan 7.23.
+  const Instance inst = Instance::from_estimates({1.0, 2.0, 3.0, 4.0, 5.0}, 2, 1.5);
+  const Placement p = Placement::everywhere(5, 2);
+  for (const Time bad : {std::numeric_limits<Time>::quiet_NaN(), Time{-1.0},
+                         std::numeric_limits<Time>::infinity()}) {
+    Realization r = exact_realization(inst);
+    r.actual[3] = bad;
+    try {
+      (void)dispatch_with_transfers(inst, p, r, identity(5), TransferModel{});
+      ADD_FAILURE() << "duration " << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "dispatch_with_transfers: actual durations must be finite and "
+                "non-negative");
+    }
+  }
 }
 
 TEST(TransferDispatch, TraceCoversAllTasks) {

@@ -94,7 +94,7 @@ int usage(const char* program) {
          "            e.g. --filter=smoke or --filter=table,fig1)\n"
          "  fuzz     [--seeds=N] [--jobs=K] [--start-seed=S]\n"
          "           [--max-n=N] [--max-m=M] [--report=FILE.jsonl]\n"
-         "           [--no-shrink] [--scenario=default|drifting-alpha]\n"
+         "           [--no-shrink] [--scenario=default|drifting-alpha|ties]\n"
          "           (differential fuzzing of every sim/ dispatcher against\n"
          "            the schedule invariants in src/check/; failing seeds\n"
          "            are shrunk and written one JSONL line each)\n"
