@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/types.hpp"
@@ -78,6 +79,9 @@ class Placement {
 
   /// Canonical id of task j's replica set, in [0, num_distinct_sets()).
   [[nodiscard]] std::uint32_t set_id(TaskId j) const { return set_id_.at(j); }
+
+  /// Every task's set id, indexed by task: set_id(j) == set_ids()[j].
+  [[nodiscard]] std::span<const std::uint32_t> set_ids() const noexcept { return set_id_; }
 
   /// The shared replica set with canonical id `s`.
   [[nodiscard]] const std::vector<MachineId>& distinct_set(std::uint32_t s) const {

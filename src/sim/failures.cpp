@@ -78,11 +78,8 @@ void dispatch_with_failures(const Instance& instance, const Placement& placement
   // Tasks never dispatched are served from the replica-set queues.
   const std::span<std::uint32_t> rank = arena.allocate_span<std::uint32_t>(n);
   SetQueues queues;
-  queues.build(arena, placement, priority, "dispatch_with_failures",
-               [&](std::uint32_t, TaskId j, std::uint32_t r) {
-                 SetQueues::require_duration("dispatch_with_failures", actual[j]);
-                 rank[j] = r;
-               });
+  queues.build(arena, placement, priority, actual.actual, "dispatch_with_failures",
+               [&](std::uint32_t, TaskId j, std::uint32_t r, Time) { rank[j] = r; });
 
   obs::MetricsRegistry* const mx = obs::metrics();
   obs::Tracer* const tr = obs::tracer();

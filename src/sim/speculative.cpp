@@ -53,10 +53,7 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
   // forward and an idle machine's next task is the best front among its
   // sets.
   SetQueues queues;
-  queues.build(arena, placement, priority, "dispatch_speculative",
-               [&](std::uint32_t, TaskId j, std::uint32_t) {
-                 SetQueues::require_duration("dispatch_speculative", actual[j]);
-               });
+  queues.build(arena, placement, priority, actual.actual, "dispatch_speculative");
 
   obs::MetricsRegistry* const mx = obs::metrics();
   obs::Tracer* const tr = obs::tracer();

@@ -1,5 +1,6 @@
 #include "sim/transfer_dispatcher.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 
@@ -27,8 +28,11 @@ TransferDispatchResult dispatch_with_transfers(const Instance& instance,
   if (!(model.bandwidth > 0.0)) {
     throw std::invalid_argument("dispatch_with_transfers: bandwidth must be > 0");
   }
-  if (model.latency < 0.0) {
-    throw std::invalid_argument("dispatch_with_transfers: negative latency");
+  // `latency < 0` alone lets NaN through, and a NaN or infinite latency
+  // makes every remote run's length meaningless.
+  if (!(model.latency >= 0.0) || !std::isfinite(model.latency)) {
+    throw std::invalid_argument(
+        "dispatch_with_transfers: latency must be finite and non-negative");
   }
   if (placement.num_machines() != m) {
     throw std::invalid_argument(
@@ -46,10 +50,7 @@ TransferDispatchResult dispatch_with_transfers(const Instance& instance,
   // is remote for it, so the globally best-ranked waiting task -- found
   // by a cursor over the priority permutation -- is the remote pick.
   SetQueues queues;
-  queues.build(arena, placement, priority, "dispatch_with_transfers",
-               [&](std::uint32_t, TaskId j, std::uint32_t) {
-                 SetQueues::require_duration("dispatch_with_transfers", actual[j]);
-               });
+  queues.build(arena, placement, priority, actual.actual, "dispatch_with_transfers");
   const std::span<std::uint8_t> scheduled = arena.make_span<std::uint8_t>(n, 0);
   const auto is_scheduled = [&](TaskId j) { return scheduled[j] != 0; };
   std::size_t head = 0;  // first maybe-unscheduled rank in priority order

@@ -28,7 +28,8 @@ struct TransferModel {
   /// Size units transferred per time unit; must be > 0. Infinite
   /// bandwidth makes every task local-equivalent.
   double bandwidth = 1.0;
-  /// Fixed per-fetch latency added on top of size/bandwidth.
+  /// Fixed per-fetch latency added on top of size/bandwidth; must be
+  /// finite and >= 0.
   Time latency = 0.0;
 };
 

@@ -819,6 +819,84 @@ TEST(ServeDirectStart, CountedAtModerateLoadWithinWakes) {
   EXPECT_LE(direct, registry.counter("serve.stream.wakes").value());
 }
 
+TEST(ServeStream, LptRankedDeepBacklogMatchesOracle) {
+  // An LPT priority ranks a queue's slots at random with respect to
+  // arrival order, so admission scatters bits over the whole bitmap and
+  // every pop walks up the levels. Here one queue holds more than 4096
+  // slots (three bitmap levels, which the fuzzer's --max-n=200 never
+  // reaches) and MMPP bursts push the backlog past 1500 tasks; full
+  // replication (one queue) and LS-Group (two) must match the naive
+  // oracle bit for bit, streamed and drained. Task 0's estimate exceeds
+  // all the others together, so LS-Group's list scheduling puts it alone
+  // in the first group and every other task in the second: the deep
+  // queue without the O(n^2 m) oracle's cost for a larger n.
+  const std::size_t n = 4401;
+  const MachineId m = 4;
+  WorkloadParams wp;
+  wp.num_tasks = n - 1;
+  wp.num_machines = m;
+  wp.alpha = 1.5;
+  wp.seed = 61;
+  std::vector<Time> estimates = uniform_workload(wp, 1.0, 10.0).estimates();
+  Time rest = 0.0;
+  for (const Time e : estimates) rest += e;
+  estimates.insert(estimates.begin(), 2.0 * rest);
+  const Instance instance = Instance::from_estimates(estimates, m, wp.alpha);
+  const Realization actual = realize(instance, NoiseModel::kUniform, 62);
+  const std::vector<TaskId> priority =
+      make_priority(instance, PriorityRule::kLongestEstimateFirst);
+  double mean_actual = 0.0;
+  for (TaskId j = 1; j < n; ++j) mean_actual += actual.actual[j];
+  mean_actual /= static_cast<double>(n - 1);
+  ArrivalParams params;
+  params.model = ArrivalModel::kBurst;
+  params.rate = 0.95 * 2.0 / mean_actual;
+  params.burst_boost = 3.0;
+  params.burst_on = 3000.0;
+  params.burst_off = 6000.0;
+  params.seed = 63;
+  const std::vector<Time> arrivals = generate_arrivals(params, n);
+
+  for (const Placement& placement :
+       {make_lpt_no_restriction().place(instance), make_ls_group(2).place(instance)}) {
+    SCOPED_TRACE(placement.num_distinct_sets());
+    std::uint32_t largest = 0;
+    for (std::uint32_t q = 0; q < placement.num_distinct_sets(); ++q) {
+      largest = std::max(largest, placement.set_population(q));
+    }
+    ASSERT_GT(largest, 4096u);
+
+    const StreamingDispatchResult got =
+        serve_stream(instance, placement, actual, priority, arrivals);
+    const StreamingDispatchResult want =
+        check::reference_serve_stream(instance, placement, actual, priority, arrivals);
+    EXPECT_EQ(got.peak_backlog, want.peak_backlog);
+    EXPECT_GE(got.peak_backlog, 1500u);
+    ASSERT_EQ(got.trace.size(), want.trace.size());
+    // One failure line at the first divergence, not one per later task.
+    for (TaskId j = 0; j < n; ++j) {
+      ASSERT_TRUE(got.schedule.assignment.machine_of[j] ==
+                      want.schedule.assignment.machine_of[j] &&
+                  got.schedule.start[j] == want.schedule.start[j] &&
+                  got.schedule.finish[j] == want.schedule.finish[j])
+          << "schedule diverges at task " << j;
+    }
+    for (std::size_t e = 0; e < got.trace.size(); ++e) {
+      const DispatchEvent& a = got.trace.events[e];
+      const DispatchEvent& b = want.trace.events[e];
+      ASSERT_TRUE(a.when == b.when && a.task == b.task && a.machine == b.machine &&
+                  a.actual == b.actual)
+          << "trace diverges at event " << e;
+    }
+
+    const std::vector<Time> zeros(n, Time{0});
+    expect_bit_identical(serve_stream(instance, placement, actual, priority, zeros),
+                         check::reference_dispatch_online(instance, placement, actual,
+                                                          priority),
+                         n);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Response-time stats and the service layer
 
