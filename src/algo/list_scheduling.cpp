@@ -1,61 +1,15 @@
 #include "algo/list_scheduling.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "core/prefetch.hpp"
+#include "core/winner_tree.hpp"
 
 namespace rdp {
 
 namespace {
-
-// Winner tree over machine loads: `bit_ceil(m)` leaves, padded with +inf,
-// and every internal node holding the load and id of its subtree's
-// least-loaded machine. A tie keeps the left child, whose ids are all
-// smaller, so the root is the lexicographic (load, id) minimum -- the
-// machine a (load, id) min-heap would pop. Padding ids are >= m and sit
-// right of every real leaf, so a real machine wins any tie with them.
-class WinnerTree {
- public:
-  explicit WinnerTree(std::span<const Time> loads)
-      : leaves_(std::bit_ceil(loads.size())),
-        load_(2 * leaves_, std::numeric_limits<Time>::infinity()),
-        id_(2 * leaves_) {
-    for (std::size_t i = 0; i < leaves_; ++i) id_[leaves_ + i] = static_cast<MachineId>(i);
-    std::copy(loads.begin(), loads.end(), load_.begin() + static_cast<std::ptrdiff_t>(leaves_));
-    for (std::size_t node = leaves_ - 1; node >= 1; --node) play(node);
-  }
-
-  [[nodiscard]] MachineId min_id() const noexcept { return id_[1]; }
-
-  /// Adds `w` to the root's machine, replays its leaf-to-root path and
-  /// returns the machine's new load.
-  Time add_to_min(Time w) noexcept {
-    std::size_t node = leaves_ + id_[1];
-    load_[node] += w;
-    const Time load = load_[node];
-    for (node /= 2; node >= 1; node /= 2) play(node);
-    return load;
-  }
-
- private:
-  // Picks the winner by index and copies it up: selecting an index keeps
-  // the compare branch-free (a conditional move), where selecting the
-  // doubles themselves compiles to a branch on every level.
-  void play(std::size_t node) noexcept {
-    const std::size_t left = 2 * node;
-    const std::size_t winner = load_[left + 1] < load_[left] ? left + 1 : left;
-    load_[node] = load_[winner];
-    id_[node] = id_[winner];
-  }
-
-  std::size_t leaves_;
-  std::vector<Time> load_;     // index 1 = root, [leaves_, 2 * leaves_) = leaves
-  std::vector<MachineId> id_;  // winner id per node
-};
 
 // An LPT order visits the weights and the assignment at random. Asking
 // for a task's entries this many tasks ahead overlaps those cache misses
@@ -72,7 +26,9 @@ GreedyScheduleResult greedy_over(std::span<const Time> weights,
   result.assignment = Assignment(weights.size());
   result.loads = std::move(initial_loads);
 
-  WinnerTree tree(result.loads);
+  std::vector<Time> tree_load(WinnerTree::nodes(m));
+  std::vector<MachineId> tree_id(tree_load.size());
+  WinnerTree tree(m, result.loads, tree_load.data(), tree_id.data());
   for (std::size_t k = 0; k < order.size(); ++k) {
     if (k + kPrefetchAhead < order.size()) {
       if (const TaskId ahead = order[k + kPrefetchAhead]; ahead < weights.size()) {

@@ -164,7 +164,7 @@ FuzzCase restrict_tasks(const FuzzCase& fuzz_case, std::size_t num_tasks) {
 
 namespace {
 
-constexpr std::size_t kChecksPerCase = 16;
+constexpr std::size_t kChecksPerCase = 17;
 constexpr double kTol = 1e-9;
 
 struct CheckContext {
@@ -605,12 +605,13 @@ void check_certify_ptas_lb(const CheckContext& ctx) {
 
 void check_serve_drain_parity(const CheckContext& ctx) {
   // Drain mode: every task arrives at t = 0. serve_stream and
-  // dispatch_online run the same loop there, so comparing them would be
-  // a tautology; instead drain mode must reproduce the retained offline
-  // oracle -- bit-identical schedule bytes AND chronological trace, with
-  // all n tasks backlogged at once -- with the case's speeds, on
-  // identical machines, and from non-zero initial ready times (ABO's
-  // path). This is the serve/ equivalence contract in docs/SERVING.md.
+  // dispatch_online run the same loop there on this case's overlapping
+  // placement, so comparing them would be a tautology; instead drain
+  // mode must reproduce the retained offline oracle -- bit-identical
+  // schedule bytes AND chronological trace, with all n tasks backlogged
+  // at once -- with the case's speeds, on identical machines, and from
+  // non-zero initial ready times (ABO's path). This is the serve/
+  // equivalence contract in docs/SERVING.md.
   const FuzzCase& c = ctx.c;
   const MachineId m = c.instance.num_machines();
   const std::vector<Time> arrivals(c.instance.num_tasks(), Time{0});
@@ -768,6 +769,74 @@ void check_serve_stream_parity(const CheckContext& ctx) {
   }
 }
 
+void check_online_shape_parity(const CheckContext& ctx) {
+  // dispatch_online serves disjoint replica sets on identical machines by
+  // per-set list scheduling and derives the trace from the schedule
+  // (sim/shape_dispatch). The drawn placements overlap, so this check
+  // builds the shapes that take that path from the case -- singletons, a
+  // grouping of uneven contiguous blocks that leaves one machine in no
+  // set, and full replication -- and holds each to the retained oracle
+  // bit for bit, schedule and trace. A second realization rounds the
+  // actuals to integers and zeroes every fifth task, so starts tie
+  // across machines and a machine runs zero-length tasks back to back.
+  const FuzzCase& c = ctx.c;
+  const std::size_t n = c.instance.num_tasks();
+  const MachineId m = c.instance.num_machines();
+
+  std::vector<MachineId> first(n);
+  for (TaskId j = 0; j < n; ++j) first[j] = c.placement.machines_for(j).front();
+  // Blocks of 1 to 5 machines over every machine but `idle` (kept only
+  // when m = 1, since a set cannot be empty).
+  const MachineId idle = static_cast<MachineId>(c.seed % m);
+  std::vector<MachineId> used;
+  for (MachineId i = 0; i < m; ++i) {
+    if (i != idle || m == 1) used.push_back(i);
+  }
+  const std::size_t block = 1 + c.seed % 5;
+  std::vector<std::vector<MachineId>> grouped(n);
+  for (TaskId j = 0; j < n; ++j) {
+    const std::size_t b = (first[j] % used.size()) / block * block;
+    grouped[j].assign(used.begin() + static_cast<std::ptrdiff_t>(b),
+                      used.begin() + static_cast<std::ptrdiff_t>(
+                                         std::min(b + block, used.size())));
+  }
+  struct NamedPlacement {
+    Placement placement;
+    const char* name;
+  };
+  const NamedPlacement placements[] = {
+      {Placement::singleton(first, m), "singleton"},
+      {Placement(std::move(grouped), m), "uneven groups"},
+      {Placement::everywhere(n, m), "everywhere"},
+  };
+
+  Realization tied;
+  tied.actual.resize(n);
+  for (TaskId j = 0; j < n; ++j) {
+    tied.actual[j] = j % 5 == 0 ? Time{0} : std::round(c.actual[j]);
+  }
+  struct NamedRealization {
+    const Realization& actual;
+    const char* name;
+  };
+  const NamedRealization realizations[] = {{c.actual, "drawn actuals"},
+                                           {tied, "integer actuals"}};
+
+  for (const NamedPlacement& p : placements) {
+    for (const NamedRealization& r : realizations) {
+      const DispatchResult fast =
+          dispatch_online(c.instance, p.placement, r.actual, c.priority);
+      const DispatchResult reference =
+          reference_dispatch_online(c.instance, p.placement, r.actual, c.priority);
+      if (const std::string diff = diff_runs(fast, reference); !diff.empty()) {
+        ctx.fail("online-shape-parity",
+                 diff + " (" + p.name + ", " + r.name + ")");
+        return;
+      }
+    }
+  }
+}
+
 void check_adaptive_bound(const CheckContext& ctx) {
   // Adaptive-degree soundness: warm an estimator on the case's own
   // (estimate, actual) history, let the adaptive policy pick per-class
@@ -837,6 +906,7 @@ std::vector<FuzzFailure> run_fuzz_case(const FuzzCase& fuzz_case) {
   check_transfer_reference_differential(ctx);
   check_speculative_reference_differential(ctx);
   check_serve_stream_parity(ctx);
+  check_online_shape_parity(ctx);
   return failures;
 }
 

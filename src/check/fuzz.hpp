@@ -25,6 +25,10 @@
 //     makespan on the same realization, and must match a naive O(n)-scan
 //     reference bit-for-bit (schedule, trace, launched/won/wasted) under
 //     drawn speeds, stragglers, and tied estimates;
+//   * dispatch_online's shape path (disjoint replica sets on identical
+//     machines) must match the retained offline oracle bit-for-bit on
+//     singleton, uneven-group and full-replication placements built from
+//     the case;
 //   * serve_stream in drain mode must be bit-identical to dispatch_online,
 //     and under staggered arrivals (grid-snapped and integer, so arrivals
 //     tie with each other and with machines coming free) must match a

@@ -6,10 +6,11 @@
 // idle it takes the highest-priority *admitted* task whose replica set
 // contains it, or parks until an arrival makes one eligible. The loop
 // itself is sim/dispatch_kernel.hpp, which dispatch_online runs in drain
-// mode (every task released at t = 0), so with every arrival at t = 0
-// the schedule and trace equal dispatch_online's by construction. Fuzz
-// check 12 holds drain mode to the retained offline oracle, and check 16
-// holds staggered streams to a naive streaming oracle (check/fuzz.cpp,
+// mode (every task released at t = 0) unless its shape path serves the
+// call, so with every arrival at t = 0 the schedule and trace equal
+// dispatch_online's. Fuzz check 12 holds drain mode, and check 17 the
+// shape path, to the retained offline oracle, and check 16 holds
+// staggered streams to a naive streaming oracle (check/fuzz.cpp,
 // docs/SERVING.md).
 #pragma once
 

@@ -3,8 +3,10 @@
 // Whenever a machine is idle it takes the highest-priority *released*
 // task whose replica set contains it, or parks until a release makes one
 // eligible. Offline dispatch is the drain mode of this loop: every task
-// released at t = 0. Decisions never look at actual durations -- releases
-// and machine frees are the only sources of "now".
+// released at t = 0 (dispatch_online serves disjoint replica sets on
+// idle unit-speed machines by its shape path, sim/shape_dispatch.hpp).
+// Decisions never look at actual durations -- releases and machine frees
+// are the only sources of "now".
 //
 // Layout: replica-set queues are priority-sorted CSR slices
 // (sim/set_queues.hpp); admission flips a bit in a hierarchical bitmap

@@ -8,6 +8,7 @@
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "sim/dispatch_kernel.hpp"
+#include "sim/shape_dispatch.hpp"
 #include "sim/workspace.hpp"
 
 namespace rdp {
@@ -22,14 +23,23 @@ void dispatch_online(const Instance& instance, const Placement& placement,
   obs::MetricsRegistry* const mx = obs::metrics();
   obs::ScopedSpan span(obs::tracer(), "dispatch_online", "sim");
 
-  // Drain mode of the shared loop: every task released at t = 0.
-  run_dispatch_kernel("dispatch_online", instance, placement, actual, priority, {},
-                      initial_ready, speeds, ws, out.schedule, out.trace);
+  // Drain mode: every task released at t = 0. Disjoint replica sets on
+  // unit-speed machines all idle at 0 take the shape path; everything
+  // else runs the shared loop. Both write the same schedule and trace.
+  const bool by_shape =
+      initial_ready.empty() && speeds.empty() &&
+      dispatch_drain_by_shape("dispatch_online", instance, placement, actual, priority,
+                              ws, out.schedule, out.trace);
+  if (!by_shape) {
+    run_dispatch_kernel("dispatch_online", instance, placement, actual, priority, {},
+                        initial_ready, speeds, ws, out.schedule, out.trace);
+  }
 
   const std::size_t n = instance.num_tasks();
   const MachineId m = instance.num_machines();
   if (mx) {
     mx->counter("sim.dispatch.calls").add(1);
+    mx->counter("sim.dispatch.by_shape").add(by_shape ? 1 : 0);
     mx->counter("sim.dispatch.tasks").add(n);
     // Per-machine busy time is recovered from the finished schedule, so
     // the dispatch loop itself carries no instrumentation.

@@ -40,10 +40,15 @@ struct DispatchResult {
 ///                  (Q||Cmax) extension: task j occupies machine i for
 ///                  actual[j] / speeds[i]; empty = identical machines.
 ///
-/// Runs the shared phase-2 loop (sim/dispatch_kernel.hpp) in drain mode:
-/// every task released at t = 0. Tasks sharing a replica set share one
-/// priority-sorted queue, so replicate-everywhere and group placements
-/// dispatch in O((n + m) log m) regardless of replica counts.
+/// Drain mode: every task released at t = 0. With unit speeds, no
+/// initial_ready and every machine in at most one distinct replica set
+/// (the paper's singleton, group and full-replication placements), the
+/// shape path (sim/shape_dispatch.hpp) list-schedules each set in
+/// priority order and derives the trace from the schedule, in
+/// O(n log m). Every other call runs the shared phase-2 loop
+/// (sim/dispatch_kernel.hpp), where tasks sharing a replica set share one
+/// priority-sorted queue, in O((n + m) log m) regardless of replica
+/// counts. Both paths write the same schedule, trace and errors.
 [[nodiscard]] DispatchResult dispatch_online(const Instance& instance,
                                              const Placement& placement,
                                              const Realization& actual,

@@ -21,6 +21,16 @@ struct DispatchEvent {
   Time actual;     ///< actual processing time (known only at when+actual)
 };
 
+/// The chronological record of one dispatch: events in the order machines
+/// took them, equal times in machine-id order.
+///
+/// In drain mode the trace is a function of the schedule: every task,
+/// taken in priority order, stably sorted by (start, machine). A machine
+/// runs its tasks in priority order (it always takes the best-ranked task
+/// it holds that is still waiting), and the stable sort keeps a machine's
+/// zero-length tasks at one instant in that order. dispatch_online's shape
+/// path (sim/shape_dispatch) derives the trace this way after scheduling;
+/// the streaming loop (sim/dispatch_kernel) emits it as it dispatches.
 struct DispatchTrace {
   std::vector<DispatchEvent> events;
 

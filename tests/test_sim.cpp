@@ -2,23 +2,31 @@
 // dispatch kernel and the online semi-clairvoyant dispatcher.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <new>
 #include <optional>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
 #include "algo/lpt.hpp"
+#include "check/reference_dispatcher.hpp"
 #include "core/instance.hpp"
 #include "core/metrics.hpp"
 #include "core/placement.hpp"
 #include "core/realization.hpp"
 #include "core/validate.hpp"
+#include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
 #include "rng/rng.hpp"
 #include "sim/arena.hpp"
 #include "sim/dispatch_kernel.hpp"
@@ -41,8 +49,18 @@ std::size_t g_allocations = 0;
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc{};
 }
+// std::stable_sort's temporary buffer comes from the nothrow form and goes
+// back through operator delete, so that form must use malloc too: under
+// AddressSanitizer its own nothrow new would not match the free() below.
+[[gnu::noinline]] void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_count_allocations) ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -540,6 +558,256 @@ TEST(Dispatcher, GanttRendersOneRowPerMachine) {
   const std::string gantt = render_gantt(inst, d.schedule, 40);
   EXPECT_NE(gantt.find("m0 |"), std::string::npos);
   EXPECT_NE(gantt.find("m2 |"), std::string::npos);
+}
+
+// --- Drain dispatch by placement shape -------------------------------------
+// Disjoint replica sets on identical machines, all idle at 0, take the
+// shape path (sim/shape_dispatch): per-set list scheduling, then the
+// trace derived from the schedule. It must write what the retained
+// oracle writes, bit for bit.
+
+/// The three disjoint shapes: singletons; contiguous blocks of 3, 1, 5,
+/// 2 and 7 machines in turn over machines 1..m-1, so machine 0 is in no
+/// set when m > 1; and full replication.
+std::vector<std::pair<const char*, Placement>> disjoint_shapes(std::size_t n,
+                                                               MachineId m) {
+  std::vector<MachineId> machine_of(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    machine_of[j] = static_cast<MachineId>((j * 7 + 3) % m);
+  }
+  std::vector<std::vector<MachineId>> blocks;
+  const MachineId sizes[] = {3, 1, 5, 2, 7};
+  for (MachineId first = m > 1 ? 1 : 0, k = 0; first < m; ++k) {
+    const MachineId last = std::min<MachineId>(m, first + sizes[k % 5]);
+    std::vector<MachineId>& block = blocks.emplace_back();
+    for (MachineId i = first; i < last; ++i) block.push_back(i);
+    first = last;
+  }
+  std::vector<std::vector<MachineId>> grouped(n);
+  for (std::size_t j = 0; j < n; ++j) grouped[j] = blocks[(j * 5 + 1) % blocks.size()];
+  std::vector<std::pair<const char*, Placement>> shapes;
+  shapes.emplace_back("singleton", Placement::singleton(machine_of, m));
+  shapes.emplace_back("uneven groups", Placement(std::move(grouped), m));
+  shapes.emplace_back("everywhere", Placement::everywhere(n, m));
+  return shapes;
+}
+
+/// Schedule bytes and every trace event's bytes.
+void expect_bit_identical(const DispatchResult& a, const DispatchResult& b,
+                          const std::string& where) {
+  const auto same_bytes = [](const auto& x, const auto& y) {
+    // memcmp's pointers must not be null, even for zero bytes.
+    return x.size() == y.size() &&
+           (x.empty() || std::memcmp(x.data(), y.data(), x.size() * sizeof(x[0])) == 0);
+  };
+  EXPECT_TRUE(same_bytes(a.schedule.assignment.machine_of,
+                         b.schedule.assignment.machine_of))
+      << where;
+  EXPECT_TRUE(same_bytes(a.schedule.start, b.schedule.start)) << where;
+  EXPECT_TRUE(same_bytes(a.schedule.finish, b.schedule.finish)) << where;
+  ASSERT_EQ(a.trace.size(), b.trace.size()) << where;
+  for (std::size_t k = 0; k < a.trace.size(); ++k) {
+    const DispatchEvent& x = a.trace.events[k];
+    const DispatchEvent& y = b.trace.events[k];
+    ASSERT_TRUE(std::memcmp(&x.when, &y.when, sizeof(Time)) == 0 && x.task == y.task &&
+                x.machine == y.machine &&
+                std::memcmp(&x.actual, &y.actual, sizeof(Time)) == 0)
+        << where << ": trace event " << k;
+  }
+}
+
+/// dispatch_online on one realization, recording whether a shape path
+/// served it.
+DispatchResult dispatch_counting_shape(const Instance& inst, const Placement& p,
+                                       const Realization& r,
+                                       const std::vector<TaskId>& priority,
+                                       std::uint64_t& by_shape) {
+  obs::MetricsRegistry registry;
+  DispatchResult result;
+  {
+    obs::ObservabilityScope scope(&registry, nullptr);
+    result = dispatch_online(inst, p, r, priority);
+  }
+  by_shape = registry.counter("sim.dispatch.by_shape").value();
+  return result;
+}
+
+struct ShapeCase {
+  const char* name;
+  std::size_t n;
+  MachineId m;
+  /// Actual duration of task j given a uniform draw u in [0, 1).
+  Time (*duration)(std::size_t j, double u);
+};
+
+class DispatchShape : public ::testing::TestWithParam<ShapeCase> {};
+
+TEST_P(DispatchShape, MatchesTheOracleOnEveryShape) {
+  const ShapeCase& c = GetParam();
+  Xoshiro256 rng(c.n * 131 + c.m);
+  std::vector<Time> estimates(c.n);
+  for (Time& e : estimates) e = 1.0 + 9.0 * rng.next_double();
+  const Instance inst = Instance::from_estimates(estimates, c.m, 2.0);
+  Realization r;
+  for (std::size_t j = 0; j < c.n; ++j) {
+    r.actual.push_back(c.duration(j, rng.next_double()));
+  }
+  for (const PriorityRule rule :
+       {PriorityRule::kLongestEstimateFirst, PriorityRule::kInputOrder}) {
+    const auto priority = make_priority(inst, rule);
+    for (const auto& [name, p] : disjoint_shapes(c.n, c.m)) {
+      const std::string where = std::string(c.name) + ", " + name;
+      std::uint64_t by_shape = 0;
+      const DispatchResult fast = dispatch_counting_shape(inst, p, r, priority, by_shape);
+      EXPECT_EQ(by_shape, 1u) << where;
+      expect_bit_identical(fast, check::reference_dispatch_online(inst, p, r, priority),
+                           where);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, DispatchShape,
+    ::testing::Values(
+        // A machine runs zero-length tasks back to back at one instant.
+        ShapeCase{"zero-length tasks", 300, 12,
+                  [](std::size_t j, double u) {
+                    return j % 3 == 0 ? 0.0 : std::floor(1 + 5 * u);
+                  }},
+        // Buckets of far more than 32 events at one start.
+        ShapeCase{"mostly zero-length", 2000, 6,
+                  [](std::size_t j, double u) { return j % 10 == 0 ? 1 + u : 0.0; }},
+        // Starts tie across machines.
+        ShapeCase{"all-equal durations", 257, 10,
+                  [](std::size_t, double) { return 2.0; }},
+        ShapeCase{"one machine", 50, 1,
+                  [](std::size_t j, double u) { return j % 4 == 0 ? 0.0 : 1 + u; }},
+        // Sets of 3, 5 and 7 machines, and 129 under full replication.
+        ShapeCase{"130 machines", 1000, 130,
+                  [](std::size_t, double u) { return 0.5 + 4 * u; }},
+        ShapeCase{"no tasks", 0, 4, [](std::size_t, double u) { return u; }},
+        ShapeCase{"one task", 1, 5, [](std::size_t, double u) { return 1 + u; }}),
+    [](const ::testing::TestParamInfo<ShapeCase>& shape_case) {
+      std::string name = shape_case.param.name;
+      for (char& ch : name) {
+        if (!std::isalnum(static_cast<unsigned char>(ch))) ch = '_';
+      }
+      return name;
+    });
+
+// All-zero durations put every start at 0: one bucket of n events, which
+// must cost one stable sort, not an insertion pass per event.
+TEST(DispatchShapePath, AllZeroDurationsAtScaleStayFast) {
+  const std::size_t n = 200'000;
+  const MachineId m = 16;
+  const Instance inst = Instance::from_estimates(std::vector<Time>(n, 1.0), m, 1.0);
+  const Realization r{std::vector<Time>(n, 0.0)};
+  std::vector<TaskId> priority(n);
+  for (std::size_t j = 0; j < n; ++j) priority[j] = static_cast<TaskId>((j * 7919) % n);
+  for (const auto& [name, p] : disjoint_shapes(n, m)) {
+    const auto begin = std::chrono::steady_clock::now();
+    const DispatchResult d = dispatch_online(inst, p, r, priority);
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+    EXPECT_LT(seconds, 5.0) << name;
+    // Each task runs on its set's lowest machine at 0; the trace lists them
+    // by machine, each machine's in priority order.
+    ASSERT_EQ(d.trace.size(), n) << name;
+    for (std::size_t k = 1; k < n; ++k) {
+      const DispatchEvent& prev = d.trace.events[k - 1];
+      const DispatchEvent& cur = d.trace.events[k];
+      ASSERT_EQ(cur.when, 0.0) << name;
+      ASSERT_LE(prev.machine, cur.machine) << name << ": event " << k;
+    }
+    std::vector<std::size_t> rank(n);
+    for (std::size_t k = 0; k < n; ++k) rank[priority[k]] = k;
+    for (std::size_t k = 1; k < n; ++k) {
+      const DispatchEvent& prev = d.trace.events[k - 1];
+      const DispatchEvent& cur = d.trace.events[k];
+      if (prev.machine == cur.machine) {
+        ASSERT_LT(rank[prev.task], rank[cur.task]) << name << ": event " << k;
+      }
+    }
+  }
+}
+
+// Every rejection the shape path can meet throws the kernel path's message.
+TEST(DispatchShapePath, RejectsWithTheKernelMessages) {
+  const Instance inst = five_tasks(2);
+  const Placement p = Placement::in_groups({0, 1, 0, 1, 0}, 2, 2);
+  const Realization r = exact_realization(inst);
+  const std::vector<TaskId> priority{0, 1, 2, 3, 4};
+  const auto message = [](auto&& call) {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("(accepted)");
+  };
+  struct Bad {
+    const char* what;
+    Placement placement;
+    Realization actual;
+    std::vector<TaskId> priority;
+  };
+  Realization nan = r, negative = r, inf = r;
+  nan.actual[2] = std::numeric_limits<Time>::quiet_NaN();
+  negative.actual[4] = -1.0;
+  inf.actual[0] = std::numeric_limits<Time>::infinity();
+  const Bad cases[] = {
+      {"placement size mismatch", Placement::singleton({0, 1, 0}, 2), r, priority},
+      {"different machine count", Placement::everywhere(5, 3), r, priority},
+      {"realization size mismatch", p, Realization{{1.0, 2.0}}, priority},
+      {"priority must cover every task", p, r, {0, 1, 2}},
+      {"priority is not a permutation", p, r, {0, 1, 2, 3, 7}},
+      {"priority is not a permutation", p, r, {0, 1, 2, 1, 4}},
+      {"NaN duration", p, nan, priority},
+      {"negative duration", p, negative, priority},
+      {"infinite duration", p, inf, priority},
+  };
+  for (const Bad& bad : cases) {
+    std::uint64_t by_shape = 0;
+    const std::string shape = message([&] {
+      (void)dispatch_counting_shape(inst, bad.placement, bad.actual, bad.priority,
+                                    by_shape);
+    });
+    const std::string kernel = message([&] {
+      SimWorkspace ws;
+      Schedule schedule;
+      DispatchTrace trace;
+      (void)run_dispatch_kernel("dispatch_online", inst, bad.placement, bad.actual,
+                                bad.priority, {}, {}, {}, ws, schedule, trace);
+    });
+    EXPECT_EQ(shape, kernel) << bad.what;
+    EXPECT_EQ(shape.rfind("dispatch_online: ", 0), 0u) << bad.what << ": " << shape;
+  }
+  // Both duration and permutation faults: the first bad rank decides, as
+  // in the kernel's build pass.
+  EXPECT_NE(message([&] { (void)dispatch_online(inst, p, nan, {2, 2, 1, 3, 4}); })
+                .find("actual durations"),
+            std::string::npos);
+}
+
+// Overlapping sets, speeds and initial loads keep the kernel.
+TEST(DispatchShapePath, OnlyDisjointUnitSpeedIdleStartsTakeTheShapePath) {
+  const Instance inst = five_tasks(3);
+  const Realization r = exact_realization(inst);
+  const auto priority = make_priority(inst, PriorityRule::kLongestEstimateFirst);
+  const Placement everywhere = Placement::everywhere(5, 3);
+  const Placement overlapping({{0, 1}, {1, 2}, {0, 1}, {2}, {0}}, 3);
+  const auto served_by_shape = [&](const Placement& p, std::vector<Time> initial,
+                                   std::vector<double> speeds) {
+    obs::MetricsRegistry registry;
+    obs::ObservabilityScope scope(&registry, nullptr);
+    (void)dispatch_online(inst, p, r, priority, std::move(initial), std::move(speeds));
+    EXPECT_EQ(registry.counter("sim.dispatch.calls").value(), 1u);
+    return registry.counter("sim.dispatch.by_shape").value();
+  };
+  EXPECT_EQ(served_by_shape(everywhere, {}, {}), 1u);
+  EXPECT_EQ(served_by_shape(overlapping, {}, {}), 0u);
+  EXPECT_EQ(served_by_shape(everywhere, {0.0, 1.0, 0.0}, {}), 0u);
+  EXPECT_EQ(served_by_shape(everywhere, {}, {1.0, 2.0, 1.0}), 0u);
 }
 
 // Property: for every placement shape, the dispatched schedule is feasible
