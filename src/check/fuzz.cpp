@@ -5,6 +5,7 @@
 #include <fstream>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 
 #include "adapt/adaptive_strategy.hpp"
@@ -26,6 +27,7 @@
 #include "sim/online_dispatcher.hpp"
 #include "sim/speculative.hpp"
 #include "sim/trace.hpp"
+#include "sim/workspace.hpp"
 
 namespace rdp::check {
 
@@ -779,6 +781,9 @@ void check_online_shape_parity(const CheckContext& ctx) {
   // bit for bit, schedule and trace. A second realization rounds the
   // actuals to integers and zeroes every fifth task, so starts tie
   // across machines and a machine runs zero-length tasks back to back.
+  // The schedule-only entry is held to the same oracle schedule on every
+  // shape, and through the kernel fallback on the drawn placement, with
+  // and without the case's speeds.
   const FuzzCase& c = ctx.c;
   const std::size_t n = c.instance.num_tasks();
   const MachineId m = c.instance.num_machines();
@@ -822,17 +827,45 @@ void check_online_shape_parity(const CheckContext& ctx) {
   const NamedRealization realizations[] = {{c.actual, "drawn actuals"},
                                            {tied, "integer actuals"}};
 
+  Schedule bare;
+  const auto schedule_only_diff = [&](const Placement& placement,
+                                      const Realization& actual,
+                                      std::span<const double> speeds,
+                                      const Schedule& reference) {
+    dispatch_online_schedule(c.instance, placement, actual, c.priority, {}, speeds,
+                             thread_workspace(), bare);
+    return diff_schedules(bare, reference);
+  };
   for (const NamedPlacement& p : placements) {
     for (const NamedRealization& r : realizations) {
       const DispatchResult fast =
           dispatch_online(c.instance, p.placement, r.actual, c.priority);
       const DispatchResult reference =
           reference_dispatch_online(c.instance, p.placement, r.actual, c.priority);
-      if (const std::string diff = diff_runs(fast, reference); !diff.empty()) {
+      std::string diff = diff_runs(fast, reference);
+      if (diff.empty()) {
+        diff = schedule_only_diff(p.placement, r.actual, {}, reference.schedule);
+        if (!diff.empty()) diff = "schedule-only: " + diff;
+      }
+      if (!diff.empty()) {
         ctx.fail("online-shape-parity",
                  diff + " (" + p.name + ", " + r.name + ")");
         return;
       }
+    }
+  }
+  // The drawn placement overlaps, so there the kernel fallback runs.
+  const std::vector<double> unit_speeds;
+  for (const std::vector<double>* speeds : {&unit_speeds, &c.speeds}) {
+    const DispatchResult reference = reference_dispatch_online(
+        c.instance, c.placement, c.actual, c.priority, {}, *speeds);
+    if (const std::string diff =
+            schedule_only_diff(c.placement, c.actual, *speeds, reference.schedule);
+        !diff.empty()) {
+      ctx.fail("online-shape-parity",
+               "schedule-only: " + diff + " (drawn placement" +
+                   (speeds->empty() ? ")" : ", with speeds)"));
+      return;
     }
   }
 }

@@ -245,17 +245,18 @@ std::vector<CertifiedCmax> CertifyEngine::certify_batch(
   }
 
   // Warm-start seeds: per (n, m) shape, the first slot of that shape in
-  // first-occurrence order. A seed that is a miss is solved inline (cold)
-  // before the fan-out, so every remaining solve has a deterministic seed
-  // regardless of thread count.
+  // first-occurrence order. A branch-and-bound seed that is a miss is
+  // solved inline (cold) before the fan-out, so every remaining solve has
+  // a deterministic seed regardless of thread count.
   std::map<std::pair<std::size_t, MachineId>, std::size_t> seed_slot;
   for (std::size_t s = 0; s < slots.size(); ++s) {
     seed_slot.try_emplace({slots[s].key.values.size(), slots[s].key.m}, s);
   }
   // Size routing: instances past the PTAS threshold go to the
   // Hochbaum-Shmoys dual-approximation backend, which is a pure function
-  // of (values, m, ptas_precision) -- no warm start needed, and batch
-  // results stay bit-identical across thread counts by construction.
+  // of (values, m, ptas_precision) -- no warm start needed, so even a
+  // shape's first slot joins the fan-out, and batch results stay
+  // bit-identical across thread counts by construction.
   const auto routes_to_ptas = [&](const Slot& slot) {
     return options.ptas_threshold > 0 &&
            slot.key.values.size() > options.ptas_threshold;
@@ -287,7 +288,7 @@ std::vector<CertifiedCmax> CertifyEngine::certify_batch(
     if (slots[s].resolved) continue;
     ++solves;
     const auto shape = std::make_pair(slots[s].key.values.size(), slots[s].key.m);
-    if (seed_slot.at(shape) == s) {
+    if (seed_slot.at(shape) == s && !routes_to_ptas(slots[s])) {
       solve_slot(s);
       slots[s].resolved = true;
     } else {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,12 +69,31 @@ struct RatioTrial {
     std::size_t trials, std::uint64_t seed,
     const RatioExperimentConfig& config = {});
 
+/// measure_ratio_trials for several strategies and noise models on one
+/// shared realization set: result[s][k] is strategies[s] under noises[k],
+/// bit-identical to measure_ratio_trials(strategies[s], ..., noises[k],
+/// ...). Each strategy places and prioritises once. For each noise model
+/// in order, the realizations are drawn once and certified in one batch
+/// (the batch a single strategy would send), and every (strategy, trial)
+/// pair is dispatched schedule-only, on `config.pool` when set. Throws
+/// std::invalid_argument when `trials == 0`.
+[[nodiscard]] std::vector<std::vector<std::vector<RatioTrial>>> measure_ratio_trials(
+    std::span<const TwoPhaseStrategy> strategies, const Instance& instance,
+    std::span<const NoiseModel> noises, std::size_t trials, std::uint64_t seed,
+    const RatioExperimentConfig& config = {});
+
 struct RatioAggregate {
   std::string strategy_name;
   std::string noise_name;
   Welford ratios;
   RatioTrial worst;  ///< the trial with the largest ratio
 };
+
+/// Aggregates one series in trial order: the Welford stream, and the
+/// first trial with the largest ratio as `worst`.
+[[nodiscard]] RatioAggregate aggregate_ratio_trials(std::string strategy_name,
+                                                    NoiseModel noise,
+                                                    std::span<const RatioTrial> series);
 
 /// Aggregate over measure_ratio_trials; the Welford stream is fed in
 /// trial order after the (possibly parallel) batch completes, so the

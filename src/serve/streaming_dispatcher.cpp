@@ -33,7 +33,7 @@ void serve_stream(const Instance& instance, const Placement& placement,
 
   const DispatchKernelStats stats =
       run_dispatch_kernel("serve_stream", instance, placement, actual, priority,
-                          arrivals, initial_ready, speeds, ws, out.schedule, out.trace);
+                          arrivals, initial_ready, speeds, ws, out.schedule, &out.trace);
   out.peak_backlog = stats.peak_backlog;
 
   if (mx) {

@@ -105,7 +105,7 @@ DispatchKernelStats run_dispatch_kernel(
     const Realization& actual, const std::vector<TaskId>& priority,
     std::span<const Time> arrivals, std::span<const Time> initial_ready,
     std::span<const double> speeds, SimWorkspace& ws, Schedule& schedule,
-    DispatchTrace& trace) {
+    DispatchTrace* trace) {
   const std::size_t n = instance.num_tasks();
   const MachineId m = instance.num_machines();
   if (placement.num_tasks() != n) reject(who, "placement size mismatch");
@@ -285,9 +285,12 @@ DispatchKernelStats run_dispatch_kernel(
   schedule.start.resize(n);
   schedule.finish.resize(n);
   // The chronological trace is written with raw indexed stores into a
-  // pre-sized vector: every task is dispatched exactly once.
-  trace.events.resize(n);
-  DispatchEvent* const trace_out = trace.events.data();
+  // pre-sized buffer: every task is dispatched exactly once. With no
+  // trace to return, the buffer is workspace scratch.
+  if (trace != nullptr) trace->events.resize(n);
+  DispatchEvent* const trace_out = trace != nullptr
+                                       ? trace->events.data()
+                                       : arena.allocate<DispatchEvent>(n);
   std::size_t emitted = 0;
 
   ReadyHeap pool;
@@ -555,11 +558,12 @@ DispatchKernelStats run_dispatch_kernel(
   // One pass per output array: each pass's random stores then span one
   // array's pages instead of three, which measures ~20% faster than a
   // fused scatter.
-  for (const DispatchEvent& e : trace.events) {
+  const std::span<const DispatchEvent> events(trace_out, n);
+  for (const DispatchEvent& e : events) {
     schedule.assignment.machine_of[e.task] = e.machine;
   }
-  for (const DispatchEvent& e : trace.events) schedule.start[e.task] = e.when;
-  for (const DispatchEvent& e : trace.events) {
+  for (const DispatchEvent& e : events) schedule.start[e.task] = e.when;
+  for (const DispatchEvent& e : events) {
     schedule.finish[e.task] = e.when + e.actual;
   }
   return stats;

@@ -53,7 +53,8 @@ struct DispatchKernelStats {
 
 /// Runs the loop until every task is served, writing the task-indexed
 /// schedule and the chronological trace (n events) into `schedule` and
-/// `trace`, reusing their capacity.
+/// `*trace`, reusing their capacity. A null `trace` keeps the events in
+/// workspace scratch and returns the schedule alone.
 ///
 /// \param who       names the caller in every error message.
 /// \param arrivals  one release time per task (finite, >= 0; equal times
@@ -67,6 +68,6 @@ DispatchKernelStats run_dispatch_kernel(
     const Realization& actual, const std::vector<TaskId>& priority,
     std::span<const Time> arrivals, std::span<const Time> initial_ready,
     std::span<const double> speeds, SimWorkspace& ws, Schedule& schedule,
-    DispatchTrace& trace);
+    DispatchTrace* trace);
 
 }  // namespace rdp

@@ -2,15 +2,21 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "algo/overlap.hpp"
 #include "algo/strategy.hpp"
 #include "core/instance.hpp"
+#include "core/placement.hpp"
 #include "core/realization.hpp"
 #include "exact/certify.hpp"
 #include "exp/memaware_experiment.hpp"
 #include "exp/ratio_experiment.hpp"
 #include "exp/sweep.hpp"
+#include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
 #include "parallel/thread_pool.hpp"
 #include "perturb/stochastic.hpp"
 #include "workload/generators.hpp"
@@ -151,6 +157,118 @@ TEST(RatioExperiment, SharedEngineCachesAcrossStrategies) {
   const CertifyCacheStats second = engine.cache_stats();
   EXPECT_EQ(second.misses, first.misses);       // all denominators reused
   EXPECT_EQ(second.hits, first.hits + 8);
+}
+
+// The multi-strategy call scores every strategy on one shared realization
+// set per noise model, certified once, and must equal one call per
+// (strategy, noise) bit for bit: with no pool and 1, 2 and 8 threads, on a
+// fresh engine and on one that the per-strategy calls already warmed. The
+// random-subset placement overlaps, so its trials run the kernel.
+TEST(RatioExperiment, MultiStrategyEqualsPerStrategyBatchesBitwise) {
+  WorkloadParams params;
+  params.num_tasks = 14;
+  params.num_machines = 6;
+  params.alpha = 1.8;
+  params.seed = 12;
+  const Instance inst = uniform_workload(params, 1.0, 9.0);
+  const std::vector<TwoPhaseStrategy> strategies = {
+      make_lpt_no_choice(), make_ls_group(3), make_lpt_no_restriction(),
+      make_random_subset(2, 5)};
+  const Placement overlapping = strategies[3].place(inst);
+  std::size_t set_sizes = 0;
+  for (std::uint32_t q = 0; q < overlapping.num_distinct_sets(); ++q) {
+    set_sizes += overlapping.distinct_set(q).size();
+  }
+  ASSERT_GT(set_sizes, std::size_t{inst.num_machines()});
+  const std::vector<NoiseModel> noises = {NoiseModel::kUniform, NoiseModel::kTwoPoint};
+  constexpr std::size_t kTrials = 5;
+  constexpr std::uint64_t kSeed = 31;
+
+  const auto same = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    for (const bool shared : {false, true}) {
+      const std::string where = std::to_string(threads) + " threads, " +
+                                (shared ? "shared" : "fresh") + " engine";
+      CertifyEngine reference_engine;
+      RatioExperimentConfig config;
+      config.engine = &reference_engine;
+      if (threads > 0) config.pool = &pool;
+      std::vector<std::vector<std::vector<RatioTrial>>> reference(strategies.size());
+      std::vector<std::vector<RatioAggregate>> batches(strategies.size());
+      for (std::size_t s = 0; s < strategies.size(); ++s) {
+        for (const NoiseModel noise : noises) {
+          reference[s].push_back(
+              measure_ratio_trials(strategies[s], inst, noise, kTrials, kSeed, config));
+          batches[s].push_back(
+              measure_ratio_batch(strategies[s], inst, noise, kTrials, kSeed, config));
+        }
+      }
+
+      CertifyEngine fresh_engine;
+      if (!shared) config.engine = &fresh_engine;
+      obs::MetricsRegistry registry;
+      std::vector<std::vector<std::vector<RatioTrial>>> grid;
+      {
+        obs::ObservabilityScope scope(&registry, nullptr);
+        grid = measure_ratio_trials(strategies, inst, noises, kTrials, kSeed, config);
+      }
+      EXPECT_EQ(registry.counter("exp.ratio.trials").value(),
+                strategies.size() * noises.size() * kTrials)
+          << where;
+      ASSERT_EQ(grid.size(), strategies.size()) << where;
+      for (std::size_t s = 0; s < strategies.size(); ++s) {
+        ASSERT_EQ(grid[s].size(), noises.size()) << where;
+        for (std::size_t k = 0; k < noises.size(); ++k) {
+          const std::string cell = where + ", " + strategies[s].name() + ", " +
+                                   to_string(noises[k]);
+          ASSERT_EQ(grid[s][k].size(), kTrials) << cell;
+          for (std::size_t t = 0; t < kTrials; ++t) {
+            const RatioTrial& a = grid[s][k][t];
+            const RatioTrial& b = reference[s][k][t];
+            EXPECT_TRUE(same(a.algorithm_makespan, b.algorithm_makespan) &&
+                        same(a.optimal_lower_bound, b.optimal_lower_bound) &&
+                        same(a.ratio, b.ratio) && a.exact_optimum == b.exact_optimum)
+                << cell << ", trial " << t;
+          }
+          const RatioAggregate agg =
+              aggregate_ratio_trials(strategies[s].name(), noises[k], grid[s][k]);
+          const RatioAggregate& batch = batches[s][k];
+          EXPECT_EQ(agg.strategy_name, batch.strategy_name) << cell;
+          EXPECT_EQ(agg.noise_name, batch.noise_name) << cell;
+          EXPECT_EQ(agg.ratios.count(), batch.ratios.count()) << cell;
+          EXPECT_TRUE(same(agg.ratios.mean(), batch.ratios.mean())) << cell;
+          EXPECT_TRUE(same(agg.ratios.m2(), batch.ratios.m2())) << cell;
+          EXPECT_TRUE(same(agg.ratios.min(), batch.ratios.min())) << cell;
+          EXPECT_TRUE(same(agg.ratios.max(), batch.ratios.max())) << cell;
+          EXPECT_TRUE(same(agg.worst.ratio, batch.worst.ratio)) << cell;
+          EXPECT_TRUE(same(agg.worst.optimal_lower_bound,
+                           batch.worst.optimal_lower_bound))
+              << cell;
+          EXPECT_EQ(agg.worst.exact_optimum, batch.worst.exact_optimum) << cell;
+        }
+      }
+    }
+  }
+}
+
+TEST(RatioExperiment, MultiStrategyCertifiesEachNoiseOnce) {
+  // One batch per noise model: the fresh engine solves each distinct
+  // realization once and serves no other strategy from its cache.
+  const Instance inst = small_instance();
+  const std::vector<TwoPhaseStrategy> strategies = {make_lpt_no_choice(),
+                                                    make_lpt_no_restriction()};
+  const std::vector<NoiseModel> noises = {NoiseModel::kUniform, NoiseModel::kTwoPoint};
+  CertifyEngine engine;
+  RatioExperimentConfig config;
+  config.engine = &engine;
+  (void)measure_ratio_trials(strategies, inst, noises, 4, 42, config);
+  const CertifyCacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, noises.size() * 4);
+  EXPECT_THROW((void)measure_ratio_trials(strategies, inst, noises, 0, 1, config),
+               std::invalid_argument);
 }
 
 TEST(MemAwareExperiment, TrialFieldsConsistent) {

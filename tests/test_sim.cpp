@@ -1,6 +1,7 @@
 // Tests for the SimEvent queue order, the machine ready heap, the shared
 // dispatch kernel and the online semi-clairvoyant dispatcher.
 #include <gtest/gtest.h>
+#include <algorithm>
 
 #include <cctype>
 #include <chrono>
@@ -27,6 +28,7 @@
 #include "core/validate.hpp"
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
+#include "obs/timeline.hpp"
 #include "rng/rng.hpp"
 #include "sim/arena.hpp"
 #include "sim/dispatch_kernel.hpp"
@@ -336,12 +338,12 @@ TEST(DispatchKernel, DrainModeMatchesEveryTaskReleasedAtZero) {
   DispatchTrace drain_trace;
   const DispatchKernelStats drain =
       run_dispatch_kernel("test", inst, p, r, priority, {}, initial, speeds, ws,
-                          drain_schedule, drain_trace);
+                          drain_schedule, &drain_trace);
   Schedule zero_schedule;
   DispatchTrace zero_trace;
   const DispatchKernelStats zero =
       run_dispatch_kernel("test", inst, p, r, priority, zeros, initial, speeds, ws,
-                          zero_schedule, zero_trace);
+                          zero_schedule, &zero_trace);
 
   EXPECT_EQ(drain_schedule.assignment.machine_of, zero_schedule.assignment.machine_of);
   EXPECT_EQ(drain_schedule.start, zero_schedule.start);
@@ -370,7 +372,7 @@ TEST(DispatchKernel, ErrorsNameTheCaller) {
   DispatchTrace trace;
   try {
     (void)run_dispatch_kernel("some_caller", inst, p, r, {0, 0}, {}, {}, {}, ws,
-                              schedule, trace);
+                              schedule, &trace);
     FAIL() << "a repeated task in the priority was accepted";
   } catch (const std::invalid_argument& e) {
     EXPECT_EQ(std::string(e.what()).rfind("some_caller: ", 0), 0u) << e.what();
@@ -777,7 +779,7 @@ TEST(DispatchShapePath, RejectsWithTheKernelMessages) {
       Schedule schedule;
       DispatchTrace trace;
       (void)run_dispatch_kernel("dispatch_online", inst, bad.placement, bad.actual,
-                                bad.priority, {}, {}, {}, ws, schedule, trace);
+                                bad.priority, {}, {}, {}, ws, schedule, &trace);
     });
     EXPECT_EQ(shape, kernel) << bad.what;
     EXPECT_EQ(shape.rfind("dispatch_online: ", 0), 0u) << bad.what << ": " << shape;
@@ -808,6 +810,153 @@ TEST(DispatchShapePath, OnlyDisjointUnitSpeedIdleStartsTakeTheShapePath) {
   EXPECT_EQ(served_by_shape(overlapping, {}, {}), 0u);
   EXPECT_EQ(served_by_shape(everywhere, {0.0, 1.0, 0.0}, {}), 0u);
   EXPECT_EQ(served_by_shape(everywhere, {}, {1.0, 2.0, 1.0}), 0u);
+}
+
+// --- Schedule-only dispatch ----------------------------------------------
+
+/// What one call leaves behind: the schedule, every sim.dispatch.* metric
+/// and the flight recording.
+struct ObservedDispatch {
+  Schedule schedule;
+  std::string metrics;
+  std::vector<obs::TimelineEvent> timeline;
+};
+
+template <typename Dispatch>
+ObservedDispatch observe_dispatch(std::size_t n, Dispatch&& dispatch) {
+  obs::MetricsRegistry registry;
+  obs::TimelineRecorder recorder(2 * n + 1);
+  ObservedDispatch out;
+  {
+    obs::ObservabilityScope scope(&registry, nullptr);
+    obs::TimelineScope timeline(&recorder);
+    out.schedule = dispatch();
+  }
+  out.metrics = registry.snapshot().to_json();
+  for (std::size_t i = 0; i < recorder.size(); ++i) {
+    out.timeline.push_back(recorder.event(i));
+  }
+  return out;
+}
+
+// dispatch_online_schedule is dispatch_online without the trace: the same
+// schedule bytes on the shape path and on the kernel (overlapping sets,
+// initial loads, speeds), the same metrics, and under a recorder the same
+// events, derived from the schedule. Tied starts and zero-length tasks
+// test the derivation's (start, machine, priority) order.
+TEST(DispatchScheduleOnly, MatchesDispatchOnlineOnEveryPath) {
+  constexpr std::size_t kN = 200;
+  constexpr MachineId kM = 9;
+  Xoshiro256 rng(77);
+  std::vector<Time> estimates(kN);
+  for (Time& e : estimates) e = 1.0 + 9.0 * rng.next_double();
+  const Instance inst = Instance::from_estimates(estimates, kM, 2.0);
+  Realization tied;
+  for (std::size_t j = 0; j < kN; ++j) {
+    tied.actual.push_back(j % 4 == 0 ? 0.0 : std::floor(1 + 4 * rng.next_double()));
+  }
+  Realization drawn;
+  for (std::size_t j = 0; j < kN; ++j) {
+    drawn.actual.push_back(estimates[j] * (0.6 + rng.next_double()));
+  }
+  std::vector<std::vector<MachineId>> pairs(kN);
+  for (std::size_t j = 0; j < kN; ++j) {
+    const auto i = static_cast<MachineId>(j % kM);
+    pairs[j] = {i, static_cast<MachineId>((i + 1) % kM)};
+    std::sort(pairs[j].begin(), pairs[j].end());
+  }
+  auto shapes = disjoint_shapes(kN, kM);
+  shapes.emplace_back("overlapping pairs", Placement(std::move(pairs), kM));
+  const std::vector<Time> initial{0.0, 2.0, 0.0, 1.0, 0.0, 0.0, 3.0, 0.0, 0.5};
+  const std::vector<double> speeds{1.0, 2.0, 1.0, 0.5, 1.0, 1.0, 4.0, 1.0, 1.5};
+  struct Machines {
+    const char* name;
+    std::span<const Time> initial;
+    std::span<const double> speeds;
+  };
+  const Machines machine_cases[] = {{"idle unit-speed", {}, {}},
+                                    {"initial loads", initial, {}},
+                                    {"speeds", {}, speeds}};
+  for (const PriorityRule rule :
+       {PriorityRule::kLongestEstimateFirst, PriorityRule::kInputOrder}) {
+    const auto priority = make_priority(inst, rule);
+    for (const auto& [name, p] : shapes) {
+      for (const Realization* r : {&tied, &drawn}) {
+        for (const Machines& machines : machine_cases) {
+          const std::string where = std::string(name) + ", " + machines.name;
+          const ObservedDispatch full = observe_dispatch(kN, [&] {
+            SimWorkspace ws;
+            DispatchResult result;
+            dispatch_online(inst, p, *r, priority, machines.initial, machines.speeds,
+                            ws, result);
+            return result.schedule;
+          });
+          const ObservedDispatch bare = observe_dispatch(kN, [&] {
+            SimWorkspace ws;
+            Schedule schedule;
+            dispatch_online_schedule(inst, p, *r, priority, machines.initial,
+                                     machines.speeds, ws, schedule);
+            return schedule;
+          });
+          EXPECT_EQ(full.schedule.assignment.machine_of,
+                    bare.schedule.assignment.machine_of)
+              << where;
+          EXPECT_EQ(0, std::memcmp(full.schedule.start.data(), bare.schedule.start.data(),
+                                   kN * sizeof(Time)))
+              << where;
+          EXPECT_EQ(0, std::memcmp(full.schedule.finish.data(),
+                                   bare.schedule.finish.data(), kN * sizeof(Time)))
+              << where;
+          EXPECT_EQ(full.metrics, bare.metrics) << where;
+          ASSERT_EQ(full.timeline.size(), 2 * kN) << where;
+          ASSERT_EQ(bare.timeline.size(), full.timeline.size()) << where;
+          for (std::size_t k = 0; k < full.timeline.size(); ++k) {
+            const obs::TimelineEvent& x = full.timeline[k];
+            const obs::TimelineEvent& y = bare.timeline[k];
+            ASSERT_TRUE(std::memcmp(&x.when, &y.when, sizeof(double)) == 0 &&
+                        x.task == y.task && x.machine == y.machine && x.kind == y.kind)
+                << where << ": timeline event " << k;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DispatchScheduleOnly, ThrowsTheDispatchOnlineMessages) {
+  const Instance inst = five_tasks(3);
+  const Realization r = exact_realization(inst);
+  Realization nan = r;
+  nan.actual[2] = std::numeric_limits<Time>::quiet_NaN();
+  const auto priority = make_priority(inst, PriorityRule::kLongestEstimateFirst);
+  const std::vector<TaskId> repeated{0, 1, 2, 1, 4};
+  const auto message = [](auto&& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "(no throw)";
+  };
+  // The shape path and the kernel fallback.
+  for (const Placement& p :
+       {Placement::everywhere(5, 3), Placement({{0, 1}, {1, 2}, {0, 1}, {2}, {0}}, 3)}) {
+    using Bad = std::pair<const Realization*, const std::vector<TaskId>*>;
+    for (const auto& [actual, order] : {Bad{&r, &repeated}, Bad{&nan, &priority}}) {
+      const std::string full = message([&] {
+        SimWorkspace ws;
+        DispatchResult result;
+        dispatch_online(inst, p, *actual, *order, {}, {}, ws, result);
+      });
+      const std::string bare = message([&] {
+        SimWorkspace ws;
+        Schedule schedule;
+        dispatch_online_schedule(inst, p, *actual, *order, {}, {}, ws, schedule);
+      });
+      EXPECT_EQ(bare, full);
+      EXPECT_EQ(bare.rfind("dispatch_online: ", 0), 0u) << bare;
+    }
+  }
 }
 
 // Property: for every placement shape, the dispatched schedule is feasible
