@@ -17,7 +17,7 @@ struct BnbResult {
   Time best = 0;           ///< best makespan found (upper bound on OPT)
   Time lower_bound = 0;    ///< certified lower bound on OPT
   bool proven = false;     ///< true when best == OPT is certified
-  std::uint64_t nodes = 0; ///< search nodes expanded
+  std::uint64_t nodes = 0; ///< search nodes reached, as counted against the budget
   Assignment assignment;   ///< assignment achieving `best`
 };
 

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -20,6 +22,8 @@
 #include "exact/dual_approx.hpp"
 #include "exact/lower_bounds.hpp"
 #include "exact/optimal.hpp"
+#include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
 #include "rng/distributions.hpp"
 #include "rng/rng.hpp"
 
@@ -409,6 +413,32 @@ TEST(BranchAndBound, MatchesSortPerNodeReferenceBitwise) {
   std::uint64_t cases = 0;
   std::uint64_t exhausted = 0;
   std::uint64_t k = 0;
+  // Budget edges: a search that proves in N nodes also runs at budgets
+  // N - 1 and N, so the budget runs out on its last node or just covers
+  // it. The kernel counts a child whose bound fails at its parent, with no
+  // call, unless that child would exhaust the budget; budget N records one
+  // more such child than budget N - 1 exactly when the last node is one.
+  std::map<MachineId, std::uint64_t> edges_on_counted_child;
+  const auto check_budget_edges = [&](std::span<const Time> p, MachineId m,
+                                      const BnbWarmStart& warm, std::uint64_t nodes,
+                                      const std::string& where) {
+    if (nodes == 0) return;  // closed before the root: nothing to stop
+    std::array<std::uint64_t, 2> pruned{};
+    for (const std::uint64_t budget : {nodes - 1, nodes}) {
+      const BnbResult want = oracle::branch_and_bound_cmax(p, m, budget, warm);
+      obs::MetricsRegistry registry;
+      BnbResult got;
+      {
+        const obs::ObservabilityScope scope(&registry, nullptr);
+        got = branch_and_bound_cmax(p, m, budget, warm);
+      }
+      expect_bitwise_equal(got, want, where + " edge budget=" + std::to_string(budget));
+      EXPECT_EQ(want.proven, budget == nodes) << where << " edge budget=" << budget;
+      pruned[budget - (nodes - 1)] =
+          registry.snapshot().counter_or("exp.certify.bnb_bound_pruned");
+    }
+    edges_on_counted_child[m] += pruned[1] - pruned[0];
+  };
   for (std::size_t n = 0; n <= 26; ++n) {
     for (const MachineId m : kMachines) {
       for (const Family family : kFamilies) {
@@ -421,6 +451,9 @@ TEST(BranchAndBound, MatchesSortPerNodeReferenceBitwise) {
           expect_bitwise_equal(got, want, where + " budget=" + std::to_string(budget));
           ++cases;
           exhausted += want.proven ? 0 : 1;
+          if (budget == kBudgets.back() && want.proven) {
+            check_budget_edges(p, m, {}, want.nodes, where);
+          }
         }
         // Warm starts: valid (random), invalid machine, wrong size, poor
         // (everything on machine 0) and optimal (the cold search's best,
@@ -447,6 +480,7 @@ TEST(BranchAndBound, MatchesSortPerNodeReferenceBitwise) {
           expect_bitwise_equal(got, want, where + " warm budget=" + std::to_string(budget));
           ++cases;
           exhausted += want.proven ? 0 : 1;
+          if (want.proven) check_budget_edges(p, m, warm, want.nodes, where + " warm");
         }
       }
     }
@@ -454,6 +488,37 @@ TEST(BranchAndBound, MatchesSortPerNodeReferenceBitwise) {
   // The sweep must exercise both outcomes, not just trivially proven roots.
   EXPECT_GT(exhausted, cases / 10) << cases << " cases";
   EXPECT_LT(exhausted, cases) << cases << " cases";
+
+  // The child bound's fallbacks. With m = 1 the LPT incumbent is the sum
+  // of the times, so a search starts only when rounding leaves it above
+  // the root bound: times near 2^52 make the two summation orders differ
+  // by whole units. Each child's bound then takes the one-machine branch,
+  // as every node holding only the last task (j + 1 == n) does. m = 2 has
+  // no third slot to read the child's second-smallest load from.
+  Xoshiro256 wide(7);
+  std::uint64_t one_machine_searches = 0;
+  for (int t = 0; t < 60; ++t) {
+    const std::size_t n = 2 + static_cast<std::size_t>(wide.next_below(13));
+    std::vector<Time> p(n);
+    for (Time& v : p) v = std::ldexp(sample_uniform(wide, 1.0, 2.0), 52);
+    for (const MachineId m : {MachineId{1}, MachineId{2}, MachineId{3}}) {
+      const std::string where =
+          "wide t=" + std::to_string(t) + " n=" + std::to_string(n) + " m=" + std::to_string(m);
+      for (const std::uint64_t budget : kBudgets) {
+        const BnbResult want = oracle::branch_and_bound_cmax(p, m, budget, {});
+        expect_bitwise_equal(branch_and_bound_cmax(p, m, budget), want,
+                             where + " budget=" + std::to_string(budget));
+        if (budget == kBudgets.back() && want.proven) {
+          check_budget_edges(p, m, {}, want.nodes, where);
+          one_machine_searches += m == 1 && want.nodes > 1 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(one_machine_searches, 0u);
+  for (const MachineId m : {MachineId{1}, MachineId{2}, MachineId{3}, MachineId{8}}) {
+    EXPECT_GT(edges_on_counted_child[m], 0u) << "m=" << m;
+  }
 }
 
 TEST(CertifiedCmax, RejectsNonFiniteTimesOnEveryRoute) {

@@ -385,6 +385,32 @@ TEST(ReproPipeline, SearchCountersMatchAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
 }
 
+TEST(ReproPipeline, Table1SearchCountersPinned) {
+  // table1-summary at seed 1 and the default 400k budget is most of
+  // repro's search: 42 solves, 32 of them stopped by the budget. Its node
+  // counts are pinned, so any change to which nodes the kernel visits or
+  // how it counts them shows here at full scale, at both thread counts.
+  ASSERT_EQ(ReproOptions{}.node_budget, 400'000u);
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{2}}) {
+    TempDir dir("table1counters" + std::to_string(jobs));
+    ReproOptions options = smoke_options(dir.path(), jobs);
+    options.filter = "table1-summary";
+    options.node_budget = ReproOptions{}.node_budget;
+    obs::MetricsRegistry registry;
+    {
+      const obs::ObservabilityScope scope(&registry, nullptr);
+      run_repro(options);
+    }
+    const obs::MetricsSnapshot snap = registry.snapshot();
+    const std::uint64_t nodes = snap.counter_or("exp.certify.bnb_nodes");
+    const std::uint64_t pruned = snap.counter_or("exp.certify.bnb_bound_pruned");
+    EXPECT_EQ(nodes, 13'535'963u) << "jobs=" << jobs;
+    EXPECT_EQ(snap.counter_or("exp.certify.bnb_budget_exhausted"), 32u) << "jobs=" << jobs;
+    EXPECT_GT(pruned, 0u) << "jobs=" << jobs;
+    EXPECT_LT(pruned, nodes) << "jobs=" << jobs;
+  }
+}
+
 TEST(ReproPipeline, TracerOnlyRunRecordsSpans) {
   // rdp_cli repro --trace-out without --metrics-out: the pipeline counts
   // into a local registry, and the scope that installs it must keep the
