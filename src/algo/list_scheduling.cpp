@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "core/prefetch.hpp"
 #include "core/winner_tree.hpp"
@@ -16,15 +15,13 @@ namespace {
 // with the tree walks in between.
 constexpr std::size_t kPrefetchAhead = 16;
 
-GreedyScheduleResult greedy_over(std::span<const Time> weights,
-                                 std::span<const TaskId> order,
-                                 std::vector<Time> initial_loads) {
-  const auto m = static_cast<MachineId>(initial_loads.size());
+GreedyScheduleResult greedy_over(std::span<const Time> weights, MachineId m,
+                                 std::span<const TaskId> order) {
   if (m == 0) throw std::invalid_argument("list_schedule: need at least one machine");
 
   GreedyScheduleResult result;
   result.assignment = Assignment(weights.size());
-  result.loads = std::move(initial_loads);
+  result.loads.assign(m, 0);
 
   std::vector<Time> tree_load(WinnerTree::nodes(m));
   std::vector<MachineId> tree_id(tree_load.size());
@@ -58,18 +55,12 @@ GreedyScheduleResult list_schedule(std::span<const Time> weights,
                                    MachineId num_machines) {
   std::vector<TaskId> order(weights.size());
   for (TaskId j = 0; j < weights.size(); ++j) order[j] = j;
-  return greedy_over(weights, order, std::vector<Time>(num_machines, 0));
+  return greedy_over(weights, num_machines, order);
 }
 
 GreedyScheduleResult list_schedule(std::span<const Time> weights, MachineId num_machines,
                                    std::span<const TaskId> order) {
-  return greedy_over(weights, order, std::vector<Time>(num_machines, 0));
-}
-
-GreedyScheduleResult list_schedule_onto(std::span<const Time> weights,
-                                        std::span<const TaskId> order,
-                                        std::vector<Time> initial_loads) {
-  return greedy_over(weights, order, std::move(initial_loads));
+  return greedy_over(weights, num_machines, order);
 }
 
 }  // namespace rdp

@@ -31,11 +31,4 @@ struct GreedyScheduleResult {
                                                  MachineId num_machines,
                                                  std::span<const TaskId> order);
 
-/// List Scheduling that starts from pre-existing machine loads (used by
-/// ABO phase 2, where replicated tasks are dispatched after the pinned
-/// memory-intensive tasks).
-[[nodiscard]] GreedyScheduleResult list_schedule_onto(std::span<const Time> weights,
-                                                      std::span<const TaskId> order,
-                                                      std::vector<Time> initial_loads);
-
 }  // namespace rdp

@@ -19,9 +19,4 @@ double lpt_guarantee(MachineId num_machines) {
   return 4.0 / 3.0 - 1.0 / (3.0 * m);
 }
 
-double list_scheduling_guarantee(MachineId num_machines) {
-  const double m = static_cast<double>(num_machines);
-  return 2.0 - 1.0 / m;
-}
-
 }  // namespace rdp

@@ -22,7 +22,4 @@ namespace rdp {
 /// Graham's offline LPT approximation guarantee, 4/3 - 1/(3m).
 [[nodiscard]] double lpt_guarantee(MachineId num_machines);
 
-/// Graham's List Scheduling guarantee, 2 - 1/m.
-[[nodiscard]] double list_scheduling_guarantee(MachineId num_machines);
-
 }  // namespace rdp

@@ -1,7 +1,6 @@
 #include "bounds/replication_bounds.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace rdp {
@@ -20,11 +19,6 @@ double thm1_no_replication_lower_bound(double alpha, MachineId m) {
   return a2 * dm / (a2 + dm - 1.0);
 }
 
-double thm1_limit_lower_bound(double alpha) {
-  if (!(alpha >= 1.0)) throw std::invalid_argument("bounds: alpha must be >= 1");
-  return alpha * alpha;
-}
-
 double thm2_lpt_no_choice(double alpha, MachineId m) {
   require_model(alpha, m);
   const double a2 = alpha * alpha;
@@ -32,12 +26,17 @@ double thm2_lpt_no_choice(double alpha, MachineId m) {
   return 2.0 * a2 * dm / (2.0 * a2 + dm - 1.0);
 }
 
+namespace {
+
+// Theorem 3 (raw form): 1 + (m-1)/m * alpha^2 / 2.
 double thm3_lpt_no_restriction_raw(double alpha, MachineId m) {
   require_model(alpha, m);
   const double a2 = alpha * alpha;
   const double dm = static_cast<double>(m);
   return 1.0 + (dm - 1.0) / dm * a2 / 2.0;
 }
+
+}  // namespace
 
 double thm3_lpt_no_restriction(double alpha, MachineId m) {
   return std::min(thm3_lpt_no_restriction_raw(alpha, m), graham_list_scheduling(m));
@@ -55,11 +54,6 @@ double thm4_ls_group(double alpha, MachineId m, MachineId k) {
 double graham_list_scheduling(MachineId m) {
   if (m == 0) throw std::invalid_argument("bounds: m must be >= 1");
   return 2.0 - 1.0 / static_cast<double>(m);
-}
-
-double graham_lpt(MachineId m) {
-  if (m == 0) throw std::invalid_argument("bounds: m must be >= 1");
-  return 4.0 / 3.0 - 1.0 / (3.0 * static_cast<double>(m));
 }
 
 double ratio_for_replication_degree(double alpha, MachineId m, MachineId replication) {
@@ -81,8 +75,6 @@ std::vector<MachineId> feasible_replication_degrees(MachineId m) {
   }
   return divisors;
 }
-
-double thm3_graham_crossover_alpha() { return std::sqrt(2.0); }
 
 MachineId min_replication_beating_lower_bound(double alpha, MachineId m) {
   const double lb = thm1_no_replication_lower_bound(alpha, m);

@@ -14,17 +14,12 @@ namespace rdp {
 /// alpha^2 m / (alpha^2 + m - 1).
 [[nodiscard]] double thm1_no_replication_lower_bound(double alpha, MachineId m);
 
-/// Corollary of Theorem 1: the m -> infinity limit, alpha^2.
-[[nodiscard]] double thm1_limit_lower_bound(double alpha);
-
 /// Theorem 2: LPT-NoChoice is 2 alpha^2 m / (2 alpha^2 + m - 1) competitive.
 [[nodiscard]] double thm2_lpt_no_choice(double alpha, MachineId m);
 
-/// Theorem 3 (raw form): 1 + (m-1)/m * alpha^2 / 2.
-[[nodiscard]] double thm3_lpt_no_restriction_raw(double alpha, MachineId m);
-
-/// Theorem 3 combined with Graham: min(raw, 2 - 1/m), the guarantee the
-/// paper states for LPT-NoRestriction.
+/// Theorem 3 combined with Graham: min(1 + (m-1)/m * alpha^2 / 2,
+/// 2 - 1/m), the guarantee the paper states for LPT-NoRestriction. The
+/// second term wins once alpha exceeds sqrt(2).
 [[nodiscard]] double thm3_lpt_no_restriction(double alpha, MachineId m);
 
 /// Theorem 4: LS-Group with k groups is
@@ -35,9 +30,6 @@ namespace rdp {
 /// amount of replication >= everywhere, independent of alpha).
 [[nodiscard]] double graham_list_scheduling(MachineId m);
 
-/// Graham's offline LPT ratio 4/3 - 1/(3m) (certain processing times).
-[[nodiscard]] double graham_lpt(MachineId m);
-
 /// One point of the paper's Figure 3: the guarantee attached to a given
 /// replication degree r = m/k on m machines (r = 1 -> Theorem 2;
 /// r = m -> Theorem 3; otherwise Theorem 4 with k = m/r groups).
@@ -47,12 +39,6 @@ namespace rdp {
 /// All divisors of m in increasing order: the feasible replication
 /// degrees for equal-size groups (the x-axis of Figure 3).
 [[nodiscard]] std::vector<MachineId> feasible_replication_degrees(MachineId m);
-
-/// The alpha above which Graham's 2-1/m guarantee beats the paper's
-/// Theorem 3 bound for LPT-NoRestriction: sqrt(2), independent of m
-/// asymptotically; this returns the exact crossover for finite m
-/// (1 + (m-1)/m * a^2/2 = 2 - 1/m  =>  a = sqrt(2)).
-[[nodiscard]] double thm3_graham_crossover_alpha();
 
 /// The smallest feasible replication degree r > 1 whose LS-Group
 /// guarantee beats the Theorem 1 *lower bound* of the no-replication

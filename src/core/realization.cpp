@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/instance.hpp"
-#include "core/scan.hpp"
 
 namespace rdp {
 
@@ -51,7 +50,5 @@ Time total_actual(const Realization& r) {
   for (Time p : r.actual) sum += p;
   return sum;
 }
-
-Time max_actual(const Realization& r) { return max_scan(r.actual); }
 
 }  // namespace rdp

@@ -34,7 +34,4 @@ struct Realization {
 /// Sum of actual processing times.
 [[nodiscard]] Time total_actual(const Realization& r);
 
-/// Largest actual processing time (0 when empty).
-[[nodiscard]] Time max_actual(const Realization& r);
-
 }  // namespace rdp

@@ -40,44 +40,6 @@ std::string check_placement(const Instance& instance, const Placement& placement
   return {};
 }
 
-std::string check_assignment(const Instance& instance, const Placement& placement,
-                             const Assignment& assignment) {
-  std::ostringstream os;
-  if (auto d = check_placement(instance, placement); !d.empty()) return d;
-  if (assignment.num_tasks() != instance.num_tasks()) {
-    os << "assignment covers " << assignment.num_tasks() << " tasks, expected "
-       << instance.num_tasks();
-    return os.str();
-  }
-  for (TaskId j = 0; j < assignment.num_tasks(); ++j) {
-    const MachineId i = assignment[j];
-    if (i == kNoMachine) {
-      os << "task " << j << " is unassigned";
-      return os.str();
-    }
-    if (!placement.allows(j, i)) {
-      os << "task " << j << " assigned to machine " << i
-         << " which holds no replica of its data";
-      return os.str();
-    }
-  }
-  return {};
-}
-
-std::string check_realization(const Instance& instance, const Realization& realization) {
-  std::ostringstream os;
-  if (realization.size() != instance.num_tasks()) {
-    os << "realization covers " << realization.size() << " tasks, expected "
-       << instance.num_tasks();
-    return os.str();
-  }
-  if (!respects_uncertainty(instance, realization)) {
-    os << "realization violates the alpha=" << instance.alpha() << " band";
-    return os.str();
-  }
-  return {};
-}
-
 std::string check_schedule(const Instance& instance, const Realization& realization,
                            const Schedule& schedule, bool require_no_idle) {
   std::ostringstream os;

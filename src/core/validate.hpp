@@ -11,22 +11,12 @@ namespace rdp {
 
 class Instance;
 class Placement;
-struct Assignment;
 struct Realization;
 struct Schedule;
 
 /// Placement matches the instance: one set per task, machine ids < m.
 [[nodiscard]] std::string check_placement(const Instance& instance,
                                           const Placement& placement);
-
-/// Assignment is complete and every task runs on a machine of its M_j.
-[[nodiscard]] std::string check_assignment(const Instance& instance,
-                                           const Placement& placement,
-                                           const Assignment& assignment);
-
-/// Realization has one actual time per task, all within the alpha band.
-[[nodiscard]] std::string check_realization(const Instance& instance,
-                                            const Realization& realization);
 
 /// Schedule is internally consistent: finish = start + actual, no two
 /// tasks overlap on a machine, start times are non-negative, and the

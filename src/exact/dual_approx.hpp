@@ -47,8 +47,8 @@ inline constexpr double kFfdRelativeSlack = 1e-12;
 /// Hot-path FFD: the caller supplies the non-increasing `order` (computed
 /// once, reused across every bisection iteration) and a FirstFitTree used
 /// as scratch, making the check O(n log m) with no allocation in the
-/// steady state. Bin selection is bit-identical to the linear-scan
-/// `ffd_fits`. On failure the contents of `out` are unspecified.
+/// steady state; `ffd_fits` is this check with the order built per
+/// call. On failure the contents of `out` are unspecified.
 [[nodiscard]] bool ffd_fits_ordered(std::span<const Time> p,
                                     std::span<const TaskId> order, MachineId m,
                                     Time cap, FirstFitTree& bins,

@@ -8,6 +8,8 @@
 
 namespace rdp {
 
+namespace {
+
 Time avg_load_bound(std::span<const Time> p, MachineId m) {
   if (m == 0) throw std::invalid_argument("avg_load_bound: m must be >= 1");
   return sum_scan(p) / static_cast<double>(m);
@@ -27,6 +29,8 @@ Time pairing_bound(std::span<const Time> p, MachineId m) {
   std::sort(top.begin(), top.end());
   return top[0] + top[1];
 }
+
+}  // namespace
 
 Time makespan_lower_bound(std::span<const Time> p, MachineId m) {
   return std::max({avg_load_bound(p, m), longest_task_bound(p), pairing_bound(p, m)});

@@ -9,17 +9,9 @@
 
 namespace rdp {
 
-/// Average-load bound: sum(p) / m.
-[[nodiscard]] Time avg_load_bound(std::span<const Time> p, MachineId m);
-
-/// Longest-task bound: max(p).
-[[nodiscard]] Time longest_task_bound(std::span<const Time> p);
-
-/// Pairing bound: when n > m, some machine runs two tasks, so OPT is at
-/// least the sum of the two smallest among the m+1 largest tasks.
-[[nodiscard]] Time pairing_bound(std::span<const Time> p, MachineId m);
-
-/// Best of the above three.
+/// Best of three bounds: the average load sum(p) / m; the longest task
+/// max(p); and, when n > m, the pairing bound -- some machine runs two
+/// of the m+1 largest tasks, so OPT is at least the two smallest of them.
 [[nodiscard]] Time makespan_lower_bound(std::span<const Time> p, MachineId m);
 
 }  // namespace rdp

@@ -32,7 +32,7 @@ RatioTrial make_trial(Time algo_makespan, const CertifiedCmax& opt) {
   trial.optimal_lower_bound = opt.lower;
   trial.exact_optimum = opt.exact;
   if (opt.lower <= 0) {
-    throw std::logic_error("measure_ratio: degenerate optimum");
+    throw std::logic_error("ratio experiment: degenerate optimum");
   }
   trial.ratio = algo_makespan / opt.lower;
   return trial;
@@ -68,15 +68,6 @@ RatioTrial finish_trial(Time algo_makespan, const Realization& actual,
 }
 
 }  // namespace
-
-RatioTrial measure_ratio(const TwoPhaseStrategy& strategy, const Instance& instance,
-                         const Realization& actual,
-                         const RatioExperimentConfig& config) {
-  const StrategyResult result = strategy.run(instance, actual);
-  debug_validate(instance, result.placement, actual, result.schedule,
-                 "measure_ratio");
-  return finish_trial(result.makespan, actual, instance, config);
-}
 
 RatioTrial measure_adversarial_ratio(const TwoPhaseStrategy& strategy,
                                      const Instance& instance,

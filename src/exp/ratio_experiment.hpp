@@ -27,7 +27,6 @@ namespace rdp {
 class CertifyEngine;
 class Instance;
 class ThreadPool;
-struct Realization;
 
 struct RatioExperimentConfig {
   /// Branch-and-bound node budget for the optimum (0 = analytic LB only).
@@ -46,12 +45,6 @@ struct RatioTrial {
   bool exact_optimum = false;
   double ratio = 0;              ///< algorithm_makespan / optimal_lower_bound
 };
-
-/// One strategy run against one realization.
-[[nodiscard]] RatioTrial measure_ratio(const TwoPhaseStrategy& strategy,
-                                       const Instance& instance,
-                                       const Realization& actual,
-                                       const RatioExperimentConfig& config = {});
 
 /// The strategy against the placement-aware adversary (the worst case the
 /// paper's proofs construct).

@@ -146,11 +146,4 @@ void ExperimentReport::save_json(const std::string& path) const {
   if (!out) throw std::runtime_error("save_json: write failed for " + path);
 }
 
-void ExperimentReport::save_csv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("save_csv: cannot open " + path);
-  write_csv(out);
-  if (!out) throw std::runtime_error("save_csv: write failed for " + path);
-}
-
 }  // namespace rdp

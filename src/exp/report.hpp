@@ -68,9 +68,8 @@ class ExperimentReport {
   /// `precision` digits.
   [[nodiscard]] std::string to_markdown(int precision = 4) const;
 
-  /// Convenience file writers (throw std::runtime_error on I/O failure).
+  /// Convenience file writer (throws std::runtime_error on I/O failure).
   void save_json(const std::string& path) const;
-  void save_csv(const std::string& path) const;
 
   [[nodiscard]] const std::string& id() const noexcept { return id_; }
 

@@ -12,20 +12,11 @@
 #include "exact/certify.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
+#include "perturb/stochastic.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "sim/workspace.hpp"
 
 namespace rdp {
-
-ScenarioSet make_scenarios(const Instance& instance, NoiseModel noise,
-                           std::size_t count, std::uint64_t seed) {
-  ScenarioSet set;
-  set.scenarios.reserve(count);
-  for (std::size_t s = 0; s < count; ++s) {
-    set.scenarios.push_back(realize(instance, noise, seed + s));
-  }
-  return set;
-}
 
 ScenarioSet make_mixed_scenarios(const Instance& instance, std::size_t count,
                                  std::uint64_t seed) {

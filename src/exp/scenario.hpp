@@ -12,7 +12,6 @@
 #include "algo/strategy.hpp"
 #include "core/realization.hpp"
 #include "core/types.hpp"
-#include "perturb/stochastic.hpp"
 
 namespace rdp {
 
@@ -27,12 +26,9 @@ struct ScenarioSet {
   [[nodiscard]] std::size_t size() const noexcept { return scenarios.size(); }
 };
 
-/// Scenario set from a noise model: `count` independent draws (seeds
-/// seed, seed+1, ...), each respecting the instance's alpha band.
-[[nodiscard]] ScenarioSet make_scenarios(const Instance& instance, NoiseModel noise,
-                                         std::size_t count, std::uint64_t seed);
-
-/// Mixed scenario set covering several noise models round-robin.
+/// Mixed scenario set covering several noise models round-robin: `count`
+/// draws (seeds seed, seed+1, ...), each respecting the instance's alpha
+/// band.
 [[nodiscard]] ScenarioSet make_mixed_scenarios(const Instance& instance,
                                                std::size_t count, std::uint64_t seed);
 

@@ -76,20 +76,6 @@ std::vector<SweepCell> make_grid(const std::vector<MachineId>& machines,
   return grid;
 }
 
-void run_sweep(const std::vector<SweepCell>& grid,
-               const std::function<void(const SweepCell&)>& body) {
-  obs::MetricsRegistry* const mx = obs::metrics();
-  obs::Tracer* const tr = obs::tracer();
-  if (mx == nullptr && tr == nullptr) {
-    // The first body exception propagates immediately: no later cell runs.
-    for (const SweepCell& cell : grid) body(cell);
-    return;
-  }
-  obs::ScopedSpan span(tr, "run_sweep", "exp");
-  SweepRateScope rate(mx, grid.size());
-  for (const SweepCell& cell : grid) run_cell(cell, body, mx, tr);
-}
-
 void run_sweep_parallel(ThreadPool& pool, const std::vector<SweepCell>& grid,
                         const std::function<void(const SweepCell&)>& body) {
   obs::MetricsRegistry* const mx = obs::metrics();

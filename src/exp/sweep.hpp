@@ -1,6 +1,6 @@
-// Cartesian parameter sweeps over (m, alpha, workload seed) cells, with
-// optional thread-pool parallelism. Results land in a caller-indexed
-// vector so parallel execution stays deterministic.
+// Cartesian parameter sweeps over (m, alpha, workload seed) cells, run
+// on a thread pool. Results land in a caller-indexed vector so parallel
+// execution stays deterministic.
 #pragma once
 
 #include <cstdint>
@@ -27,17 +27,11 @@ struct SweepCell {
                                                const std::vector<double>& alphas,
                                                const std::vector<std::uint64_t>& seeds);
 
-/// Runs `body` for every cell sequentially. If the body throws, the
-/// exception propagates immediately and no later cell runs.
-void run_sweep(const std::vector<SweepCell>& grid,
-               const std::function<void(const SweepCell&)>& body);
-
 /// Runs `body` for every cell on `pool`. The body must only write to
 /// per-cell state (e.g. results[cell.index]). If a body throws, cells
-/// that have not started are cancelled (under the pool's default
-/// ErrorPolicy::kCancelPending) and their result slots are left in
-/// whatever state the caller initialized them to; the first exception is
-/// rethrown, matching run_sweep.
+/// that have not started are cancelled and their result slots are left
+/// in whatever state the caller initialized them to; the first exception
+/// is rethrown. A one-thread pool runs the cells in grid order.
 void run_sweep_parallel(ThreadPool& pool, const std::vector<SweepCell>& grid,
                         const std::function<void(const SweepCell&)>& body);
 

@@ -44,23 +44,6 @@ double SpeedProfile::total_speed() const noexcept {
   return std::accumulate(speeds_.begin(), speeds_.end(), 0.0);
 }
 
-double SpeedProfile::max_speed() const noexcept {
-  return *std::max_element(speeds_.begin(), speeds_.end());
-}
-
-Time makespan_uniform(const Assignment& assignment, const Realization& actual,
-                      const SpeedProfile& profile) {
-  std::vector<Time> finish(profile.size(), 0);
-  for (TaskId j = 0; j < assignment.num_tasks(); ++j) {
-    const MachineId i = assignment[j];
-    if (i == kNoMachine) {
-      throw std::invalid_argument("makespan_uniform: incomplete assignment");
-    }
-    finish.at(i) += actual[j] / profile.speed(i);
-  }
-  return max_scan(finish);
-}
-
 Time makespan_lower_bound_uniform(std::span<const Time> work,
                                   const SpeedProfile& profile) {
   if (work.empty()) return 0;

@@ -39,16 +39,10 @@ class SpeedProfile {
   [[nodiscard]] double speed(MachineId i) const { return speeds_.at(i); }
   [[nodiscard]] const std::vector<double>& speeds() const noexcept { return speeds_; }
   [[nodiscard]] double total_speed() const noexcept;
-  [[nodiscard]] double max_speed() const noexcept;
 
  private:
   std::vector<double> speeds_;
 };
-
-/// Makespan of an assignment under speeds: max_i (sum of work on i)/s_i.
-[[nodiscard]] Time makespan_uniform(const Assignment& assignment,
-                                    const Realization& actual,
-                                    const SpeedProfile& profile);
 
 /// Analytic lower bound on OPT for Q||Cmax: max over the k largest jobs
 /// of (their total work) / (total speed of the k fastest machines), for

@@ -25,8 +25,6 @@ class TextTable {
   /// pipeline when assembling docs/RESULTS.md). Pipe characters inside
   /// cells are escaped as "\|".
   [[nodiscard]] std::string render_markdown() const;
-
-  [[nodiscard]] std::size_t num_rows() const noexcept { return rows_.size(); }
   [[nodiscard]] const std::vector<std::string>& header() const noexcept {
     return header_;
   }

@@ -43,10 +43,6 @@ std::vector<TaskId> build_priority(const Instance& instance,
 
 }  // namespace
 
-Placement abo_placement(const Instance& instance, double delta) {
-  return build_placement(instance, run_sbo(instance, delta));
-}
-
 AboResult run_abo(const Instance& instance, const Realization& actual, double delta) {
   const SboResult sbo = run_sbo(instance, delta);
 

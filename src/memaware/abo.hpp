@@ -34,8 +34,4 @@ struct AboResult {
 [[nodiscard]] AboResult run_abo(const Instance& instance, const Realization& actual,
                                 double delta);
 
-/// Phase 1 only: the ABO placement (for memory accounting without a
-/// realization).
-[[nodiscard]] Placement abo_placement(const Instance& instance, double delta);
-
 }  // namespace rdp

@@ -70,13 +70,4 @@ std::vector<ParetoPoint> measure_tradeoff_sweep(const Instance& instance,
   return points;
 }
 
-std::vector<ParetoPoint> empirical_pareto_front(const Instance& instance,
-                                                const Realization& actual,
-                                                double delta_min, double delta_max,
-                                                int points_per_algorithm) {
-  return pareto_filter(
-      measure_tradeoff_sweep(instance, actual, delta_min, delta_max,
-                             points_per_algorithm));
-}
-
 }  // namespace rdp

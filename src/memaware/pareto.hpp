@@ -33,9 +33,4 @@ struct ParetoPoint {
     const Instance& instance, const Realization& actual, double delta_min,
     double delta_max, int points_per_algorithm);
 
-/// The measured front: measure_tradeoff_sweep + pareto_filter.
-[[nodiscard]] std::vector<ParetoPoint> empirical_pareto_front(
-    const Instance& instance, const Realization& actual, double delta_min = 0.05,
-    double delta_max = 20.0, int points_per_algorithm = 17);
-
 }  // namespace rdp

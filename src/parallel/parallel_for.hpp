@@ -12,9 +12,9 @@ class ThreadPool;
 
 /// Runs body(begin, end) over `count` indices split into blocks of at
 /// most `block` (0 = pick count/4T, minimum 1). Blocks run on `pool`;
-/// the call returns when all finished. Task exceptions propagate; under
-/// the pool's default ErrorPolicy::kCancelPending, blocks not yet started
-/// when the first exception is recorded are dropped, not executed.
+/// the call returns when all finished. Task exceptions propagate; blocks
+/// not yet started when the first exception is recorded are dropped, not
+/// executed.
 void parallel_for_blocked(ThreadPool& pool, std::size_t count,
                           const std::function<void(std::size_t, std::size_t)>& body,
                           std::size_t block = 0);

@@ -22,7 +22,7 @@ std::uint64_t steady_now_ns() noexcept {
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads, ErrorPolicy policy) : policy_(policy) {
+ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
@@ -50,7 +50,7 @@ void ThreadPool::submit(std::function<void()> task) {
     if (shutting_down_) {
       throw std::runtime_error("ThreadPool: submit after shutdown");
     }
-    if (policy_ == ErrorPolicy::kCancelPending && first_error_) {
+    if (first_error_) {
       ++cancelled_;
       if (queue_.empty() && in_flight_ == 0) idle_.notify_all();
       return;
@@ -82,8 +82,8 @@ std::uint64_t ThreadPool::cancelled_count() const {
   return cancelled_;
 }
 
-// Caller holds mutex_. Drops every queued task (kCancelPending after the
-// first error) and wakes waiters if that made the pool idle.
+// Caller holds mutex_. Drops every queued task (after the first error)
+// and wakes waiters if that made the pool idle.
 void ThreadPool::drop_pending_locked() {
   cancelled_ += queue_.size();
   queue_.clear();
@@ -97,7 +97,7 @@ void ThreadPool::worker_loop() {
       std::unique_lock lock(mutex_);
       work_available_.wait(lock, [this] { return shutting_down_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutting down
-      if (policy_ == ErrorPolicy::kCancelPending && first_error_) {
+      if (first_error_) {
         drop_pending_locked();
         continue;
       }
@@ -120,7 +120,7 @@ void ThreadPool::worker_loop() {
     } catch (...) {
       std::unique_lock lock(mutex_);
       if (!first_error_) first_error_ = std::current_exception();
-      if (policy_ == ErrorPolicy::kCancelPending) drop_pending_locked();
+      drop_pending_locked();
     }
 
     if (mx || tr) {

@@ -1,11 +1,9 @@
 // A fixed-size worker pool for the experiment harness. Tasks are
 // arbitrary void() callables; submit() returns immediately and wait_idle()
 // blocks until the queue drains. Exceptions thrown by tasks are captured
-// and rethrown from wait_idle() (first one wins). Under the default
-// ErrorPolicy::kCancelPending, tasks that have not started when the first
-// error is recorded are dropped instead of executed, so a failing
-// parallel sweep stops scheduling new cells (matching the serial path);
-// ErrorPolicy::kRunAll keeps the old run-everything behaviour.
+// and rethrown from wait_idle() (first one wins). Tasks that have not
+// started when the first error is recorded are dropped instead of
+// executed, so a failing parallel sweep stops scheduling new cells.
 #pragma once
 
 #include <condition_variable>
@@ -22,14 +20,8 @@ namespace rdp {
 
 class ThreadPool {
  public:
-  enum class ErrorPolicy {
-    kCancelPending,  ///< drop not-yet-started tasks once a task has thrown
-    kRunAll,         ///< run every submitted task regardless of errors
-  };
-
   /// `threads == 0` selects hardware_concurrency (minimum 1).
-  explicit ThreadPool(std::size_t threads = 0,
-                      ErrorPolicy policy = ErrorPolicy::kCancelPending);
+  explicit ThreadPool(std::size_t threads = 0);
 
   /// Drains outstanding work, then joins the workers.
   ~ThreadPool();
@@ -38,8 +30,8 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Enqueues a task. Throws std::runtime_error after shutdown began.
-  /// Under kCancelPending, a task submitted while an unconsumed error is
-  /// pending is silently dropped (wait_idle() will rethrow the error).
+  /// A task submitted while an unconsumed error is pending is silently
+  /// dropped (wait_idle() will rethrow the error).
   void submit(std::function<void()> task);
 
   /// Blocks until every submitted task finished or was cancelled;
@@ -48,9 +40,8 @@ class ThreadPool {
   void wait_idle();
 
   [[nodiscard]] std::size_t num_threads() const noexcept { return workers_.size(); }
-  [[nodiscard]] ErrorPolicy error_policy() const noexcept { return policy_; }
 
-  /// Tasks dropped by kCancelPending since construction (observability).
+  /// Tasks dropped after an error since construction (observability).
   [[nodiscard]] std::uint64_t cancelled_count() const;
 
  private:
@@ -67,7 +58,6 @@ class ThreadPool {
   std::condition_variable idle_;
   std::deque<Task> queue_;
   std::vector<std::thread> workers_;
-  ErrorPolicy policy_;
   std::size_t in_flight_ = 0;
   std::uint64_t cancelled_ = 0;
   bool shutting_down_ = false;

@@ -1,6 +1,7 @@
 #include "sim/speculative.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -43,6 +44,11 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
   if (policy.max_copies == 0) {
     throw std::invalid_argument("dispatch_speculative: max_copies must be >= 1");
   }
+  if (std::isnan(policy.min_estimated_remaining)) {
+    // x < NaN is always false: NaN would silently speculate on everything.
+    throw std::invalid_argument(
+        "dispatch_speculative: min_estimated_remaining must not be NaN");
+  }
 
   SimWorkspace& ws = thread_workspace();
   ws.begin_run(n, m);
@@ -61,7 +67,6 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
 
   const std::span<std::uint8_t> state = arena.make_span<std::uint8_t>(n, kWaiting);
   const std::span<std::uint8_t> machine_busy = arena.make_span<std::uint8_t>(m, 0);
-  const std::span<std::uint8_t> machine_parked = arena.make_span<std::uint8_t>(m, 0);
 
   // Copies, struct-of-arrays with a fixed per-task stride. Live copies of
   // one task occupy distinct busy machines and none dies before the task
@@ -128,20 +133,9 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
     ++copy_count[j];
   };
 
-  // Machines idle with no work to take park on an explicit list instead
-  // of a parked flag rescan: a completion used to walk all m machines to
-  // find the (typically few) parked ones.
-  auto wake_parked = [&](Time now) {
-    for (MachineId i : ws.parked) {
-      machine_parked[i] = 0;
-      events.push(SimEvent{now, kSimEventFree, i, kNoTask, 0, seq++});
-    }
-    ws.parked.clear();
-  };
-
   // Machine i frees at t: it takes its best-ranked waiting task, else a
-  // backup copy of a running task, else parks. Both a popped free event
-  // and the finish-time inline free run this.
+  // backup copy of a running task, else retires for the rest of the run.
+  // Both a popped free event and the finish-time inline free run this.
   auto on_free = [&](MachineId i, Time t) {
     if (machine_busy[i]) return;  // stale
 
@@ -189,10 +183,19 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
       }
     }
 
-    if (!machine_parked[i]) {  // re-woken on the next completion
-      machine_parked[i] = 1;
-      ws.parked.push_back(i);
-    }
+    // Nothing to launch: the machine retires, and no event names it
+    // again. Waking it later could not launch anything either:
+    // - None of its sets has a waiting task now, and no task becomes
+    //   waiting again, because this loop has no failures. So step 1 stays
+    //   empty, and no new task starts running in its sets.
+    // - Every backup condition only gets stricter as t grows: a running
+    //   task's live copies only grow until it completes (live <
+    //   max_copies), its earliest estimated finish only falls, so the
+    //   remaining estimate falls (min_estimated_remaining), and
+    //   t + estimate / speed grows (beating the earliest estimate).
+    // check::reference_dispatch_speculative still wakes every idle
+    // machine on each completion; fuzz check 15 holds this loop to it
+    // bit for bit.
   };
   std::uint64_t inline_frees = 0;
 
@@ -230,18 +233,16 @@ SpeculativeResult dispatch_speculative(const Instance& instance,
             SimEvent{e.when, kSimEventFree, copy_machine[k], kNoTask, 0, seq++});
         killed = true;
       }
-      // Alone at e.when -- no copy killed, no machine parked (both queue
-      // frees at e.when, ordered by machine id) and nothing else pending
-      // at that instant -- the winner's free would be the next pop: run
-      // it now, without the push and pop.
-      if (remaining > 0 && !killed && ws.parked.empty() &&
-          (events.empty() || events.top().when > e.when)) {
+      // Alone at e.when -- no copy killed (its free queues at e.when,
+      // ordered by machine id) and nothing else pending at that instant
+      // -- the winner's free would be the next pop: run it now, without
+      // the push and pop.
+      if (remaining > 0 && !killed && (events.empty() || events.top().when > e.when)) {
         ++inline_frees;
         on_free(copy_machine[c], e.when);
         continue;
       }
       events.push(SimEvent{e.when, kSimEventFree, copy_machine[c], kNoTask, 0, seq++});
-      wake_parked(e.when);
       continue;
     }
 

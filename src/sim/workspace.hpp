@@ -122,10 +122,6 @@ class SimWorkspace {
   /// refetched tasks go here; every other waiting task is served from the
   /// replica-set queues. Sized to the largest m seen; inner capacity sticks.
   std::vector<std::vector<RankedTask>> machine_heaps;
-
-  /// dispatch_speculative's machines idle with no eligible work, woken by
-  /// the next completion.
-  std::vector<MachineId> parked;
 };
 
 /// The calling thread's lazily-created workspace. The by-value dispatcher

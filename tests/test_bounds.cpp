@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "algo/lpt.hpp"
 #include "bounds/memaware_bounds.hpp"
 #include "bounds/replication_bounds.hpp"
 
@@ -27,8 +28,9 @@ TEST(Thm1LowerBound, ApproachesAlphaSquaredAsMGrows) {
     EXPECT_GT(v, prev);  // increasing in m
     prev = v;
   }
-  EXPECT_NEAR(prev, thm1_limit_lower_bound(a), 1e-3);
-  EXPECT_LT(prev, thm1_limit_lower_bound(a));
+  // Corollary of Theorem 1: the m -> infinity limit is alpha^2.
+  EXPECT_NEAR(prev, a * a, 1e-3);
+  EXPECT_LT(prev, a * a);
 }
 
 TEST(Thm2LptNoChoice, ClosedFormValues) {
@@ -48,17 +50,17 @@ TEST(Thm2LptNoChoice, AlwaysAtLeastTheLowerBound) {
 }
 
 TEST(Thm3LptNoRestriction, RawFormula) {
-  // alpha=1.2, m=4: 1 + (3/4)*1.44/2 = 1.54.
-  EXPECT_NEAR(thm3_lpt_no_restriction_raw(1.2, 4), 1.54, kTol);
+  // alpha=1.2, m=4: 1 + (3/4)*1.44/2 = 1.54, below Graham's 1.75.
+  EXPECT_NEAR(thm3_lpt_no_restriction(1.2, 4), 1.54, kTol);
 }
 
 TEST(Thm3LptNoRestriction, CombinedTakesGrahamWhenAlphaLarge) {
   // alpha^2 > 2 => Graham 2-1/m is the better guarantee.
   const MachineId m = 8;
   EXPECT_NEAR(thm3_lpt_no_restriction(2.0, m), graham_list_scheduling(m), kTol);
-  // alpha^2 < 2 => the paper's bound is better.
-  EXPECT_NEAR(thm3_lpt_no_restriction(1.1, m), thm3_lpt_no_restriction_raw(1.1, m),
-              kTol);
+  // alpha^2 < 2 => the paper's bound is better: 1 + (7/8)*1.21/2.
+  EXPECT_NEAR(thm3_lpt_no_restriction(1.1, m), 1.0 + 7.0 / 8.0 * 1.21 / 2.0, kTol);
+  EXPECT_LT(thm3_lpt_no_restriction(1.1, m), graham_list_scheduling(m));
 }
 
 TEST(Thm4LsGroup, EndpointsBehaveSensibly) {
@@ -79,7 +81,7 @@ TEST(Thm4LsGroup, RejectsBadK) {
 
 TEST(GrahamBounds, Formulas) {
   EXPECT_NEAR(graham_list_scheduling(4), 1.75, kTol);
-  EXPECT_NEAR(graham_lpt(4), 4.0 / 3.0 - 1.0 / 12.0, kTol);
+  EXPECT_NEAR(lpt_guarantee(4), 4.0 / 3.0 - 1.0 / 12.0, kTol);
 }
 
 TEST(ReplicationDegrees, DivisorsOf210) {
@@ -137,14 +139,12 @@ TEST(Figure3, Alpha2QuickDropWithThreeReplicas) {
 }
 
 TEST(CrossoverHelpers, GrahamCrossoverIsSqrtTwo) {
-  const double a = thm3_graham_crossover_alpha();
-  EXPECT_NEAR(a, std::sqrt(2.0), 1e-12);
-  // Just below the crossover the paper's bound wins; just above, Graham.
+  // 1 + (m-1)/m * a^2/2 = 2 - 1/m  =>  a = sqrt(2), for every m. Just
+  // below the crossover the paper's bound wins; just above, Graham.
+  const double a = std::sqrt(2.0);
   for (MachineId m : {2u, 8u, 210u}) {
-    EXPECT_LT(thm3_lpt_no_restriction_raw(a - 0.01, m),
-              graham_list_scheduling(m));
-    EXPECT_GT(thm3_lpt_no_restriction_raw(a + 0.01, m),
-              graham_list_scheduling(m));
+    EXPECT_LT(thm3_lpt_no_restriction(a - 0.01, m), graham_list_scheduling(m));
+    EXPECT_DOUBLE_EQ(thm3_lpt_no_restriction(a + 0.01, m), graham_list_scheduling(m));
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "check/invariants.hpp"
 #include "core/instance.hpp"
 #include "core/metrics.hpp"
 #include "core/placement.hpp"
@@ -39,20 +40,25 @@ TEST(EdgeCases, ValidatorDiagnosticsAreSpecific) {
   Instance inst = Instance::from_estimates({2.0, 3.0}, 2, 1.5);
   const Placement p = Placement::singleton({0, 1}, 2);
 
-  Assignment unassigned(2);
-  const std::string d1 = check_assignment(inst, p, unassigned);
-  EXPECT_NE(d1.find("unassigned"), std::string::npos);
+  const Realization r = exact_realization(inst);
+  Schedule s;
+  s.assignment = Assignment(2);  // every task unassigned
+  s.start = {0.0, 2.0};
+  s.finish = {2.0, 5.0};
+  const auto d1 = check::check_invariants(inst, p, r, s);
+  ASSERT_FALSE(d1.empty());
+  EXPECT_NE(d1.front().detail.find("unassigned"), std::string::npos);
 
-  Assignment wrong(2);
-  wrong.machine_of = {1, 1};
-  const std::string d2 = check_assignment(inst, p, wrong);
-  EXPECT_NE(d2.find("no replica"), std::string::npos);
+  s.assignment.machine_of = {1, 1};
+  const auto d2 = check::check_invariants(inst, p, r, s);
+  ASSERT_FALSE(d2.empty());
+  EXPECT_NE(d2.front().detail.find("no replica"), std::string::npos);
 
-  const std::string d3 = check_realization(inst, Realization{{2.0}});
-  EXPECT_NE(d3.find("covers 1"), std::string::npos);
+  const auto d3 = check::check_invariants(inst, p, Realization{{2.0}}, s);
+  ASSERT_FALSE(d3.empty());
+  EXPECT_NE(d3.front().detail.find("covers 1"), std::string::npos);
 
-  const std::string d4 = check_realization(inst, Realization{{100.0, 3.0}});
-  EXPECT_NE(d4.find("alpha"), std::string::npos);
+  EXPECT_FALSE(respects_uncertainty(inst, Realization{{100.0, 3.0}}));
 }
 
 TEST(EdgeCases, ScheduleValidatorCatchesNegativeStart) {

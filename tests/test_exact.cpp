@@ -32,21 +32,25 @@ namespace {
 
 TEST(LowerBounds, AvgLoad) {
   const std::vector<Time> p = {4.0, 4.0, 4.0};
-  EXPECT_DOUBLE_EQ(avg_load_bound(p, 3), 4.0);
-  EXPECT_DOUBLE_EQ(avg_load_bound(p, 2), 6.0);
+  EXPECT_DOUBLE_EQ(makespan_lower_bound(p, 3), 4.0);
+  // Six unit tasks on two machines: average 3 beats longest 1 and pair 2.
+  const std::vector<Time> q(6, 1.0);
+  EXPECT_DOUBLE_EQ(makespan_lower_bound(q, 2), 3.0);
 }
 
 TEST(LowerBounds, LongestTask) {
+  // Average 13/3, no pairing with n == m: the longest task dominates.
   const std::vector<Time> p = {1.0, 9.0, 3.0};
-  EXPECT_DOUBLE_EQ(longest_task_bound(p), 9.0);
+  EXPECT_DOUBLE_EQ(makespan_lower_bound(p, 3), 9.0);
 }
 
 TEST(LowerBounds, PairingNeedsMoreTasksThanMachines) {
+  // n == m: no pair shares a machine, the longest task is the bound.
   const std::vector<Time> p = {5.0, 4.0};
-  EXPECT_DOUBLE_EQ(pairing_bound(p, 2), 0.0);
+  EXPECT_DOUBLE_EQ(makespan_lower_bound(p, 2), 5.0);
   const std::vector<Time> q = {5.0, 4.0, 3.0};
-  // Top 3 tasks: {5,4,3}; cheapest pair = 3+4.
-  EXPECT_DOUBLE_EQ(pairing_bound(q, 2), 7.0);
+  // Top 3 tasks: {5,4,3}; cheapest pair = 3+4, above average 6.
+  EXPECT_DOUBLE_EQ(makespan_lower_bound(q, 2), 7.0);
 }
 
 TEST(LowerBounds, CombinedTakesMax) {

@@ -35,8 +35,9 @@ Instance small_instance(std::uint64_t seed = 4) {
 
 TEST(RatioExperiment, ExactOptimumOnSmallInstance) {
   const Instance inst = small_instance();
-  const Realization actual = realize(inst, NoiseModel::kUniform, 1);
-  const RatioTrial trial = measure_ratio(make_lpt_no_choice(), inst, actual);
+  const RatioTrial trial =
+      measure_ratio_trials(make_lpt_no_choice(), inst, NoiseModel::kUniform, 1, 1)
+          .front();
   EXPECT_TRUE(trial.exact_optimum);
   EXPECT_GE(trial.ratio, 1.0 - 1e-9);
   EXPECT_GT(trial.optimal_lower_bound, 0.0);
@@ -46,18 +47,19 @@ TEST(RatioExperiment, ExactOptimumOnSmallInstance) {
 
 TEST(RatioExperiment, ZeroBudgetUsesAnalyticBound) {
   const Instance inst = small_instance();
-  const Realization actual = realize(inst, NoiseModel::kUniform, 1);
   RatioExperimentConfig config;
   config.exact_node_budget = 0;
-  const RatioTrial trial = measure_ratio(make_lpt_no_choice(), inst, actual, config);
+  const RatioTrial trial = measure_ratio_trials(make_lpt_no_choice(), inst,
+                                                NoiseModel::kUniform, 1, 1, config)
+                               .front();
   EXPECT_GE(trial.ratio, 1.0 - 1e-9);
 }
 
 TEST(RatioExperiment, AdversarialAtLeastStochastic) {
   const Instance inst = small_instance();
   const RatioTrial adv = measure_adversarial_ratio(make_lpt_no_choice(), inst);
-  const Realization mild = realize(inst, NoiseModel::kNone, 0);
-  const RatioTrial calm = measure_ratio(make_lpt_no_choice(), inst, mild);
+  const RatioTrial calm =
+      measure_ratio_trials(make_lpt_no_choice(), inst, NoiseModel::kNone, 1, 0).front();
   EXPECT_GE(adv.ratio + 1e-9, calm.ratio);
 }
 
@@ -294,10 +296,12 @@ TEST(Sweep, GridShapeAndIndexing) {
 }
 
 TEST(Sweep, SequentialVisitsAll) {
+  // A one-thread pool visits every cell once, in grid order.
   const auto grid = make_grid({2}, {1.5}, {1, 2, 3});
-  int visits = 0;
-  run_sweep(grid, [&](const SweepCell&) { ++visits; });
-  EXPECT_EQ(visits, 3);
+  std::vector<std::size_t> visited;
+  ThreadPool pool(1);
+  run_sweep_parallel(pool, grid, [&](const SweepCell& c) { visited.push_back(c.index); });
+  EXPECT_EQ(visited, (std::vector<std::size_t>{0, 1, 2}));
 }
 
 TEST(Sweep, ParallelMatchesSequential) {
@@ -306,7 +310,7 @@ TEST(Sweep, ParallelMatchesSequential) {
   const auto body = [](const SweepCell& c) {
     return static_cast<double>(c.m) * c.alpha + static_cast<double>(c.seed);
   };
-  run_sweep(grid, [&](const SweepCell& c) { seq[c.index] = body(c); });
+  for (const SweepCell& c : grid) seq[c.index] = body(c);
   ThreadPool pool(4);
   run_sweep_parallel(pool, grid, [&](const SweepCell& c) { par[c.index] = body(c); });
   EXPECT_EQ(seq, par);

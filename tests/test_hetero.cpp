@@ -1,15 +1,16 @@
 // Tests for the uniform-machines (Q||Cmax) extension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "algo/dispatch_policies.hpp"
 #include "algo/lpt.hpp"
+#include "check/invariants.hpp"
 #include "core/instance.hpp"
 #include "core/realization.hpp"
-#include "core/validate.hpp"
 #include "hetero/uniform_machines.hpp"
 #include "perturb/stochastic.hpp"
 #include "workload/generators.hpp"
@@ -28,7 +29,7 @@ TEST(SpeedProfile, ValidationAndFactories) {
   EXPECT_DOUBLE_EQ(p.speed(0), 0.5);
   EXPECT_DOUBLE_EQ(p.speed(3), 1.0);
   EXPECT_DOUBLE_EQ(p.total_speed(), 3.5);
-  EXPECT_DOUBLE_EQ(p.max_speed(), 1.0);
+  EXPECT_DOUBLE_EQ(*std::max_element(p.speeds().begin(), p.speeds().end()), 1.0);
 }
 
 TEST(SpeedProfile, RejectsInfiniteSpeeds) {
@@ -44,11 +45,15 @@ TEST(SpeedProfile, RejectsInfiniteSpeeds) {
 
 TEST(UniformMakespan, ScalesBySpeed) {
   Instance inst = Instance::from_estimates({4.0, 4.0}, 2, 1.0);
-  Assignment a(2);
-  a.machine_of = {0, 1};
   const SpeedProfile p({0.5, 2.0});
+  // Task 0 pinned to machine 0, task 1 to machine 1.
+  const DispatchResult d =
+      dispatch_online(inst, Placement::singleton({0, 1}, 2), exact_realization(inst),
+                      {0, 1}, {}, p.speeds());
   // Machine 0: 4/0.5 = 8; machine 1: 4/2 = 2.
-  EXPECT_DOUBLE_EQ(makespan_uniform(a, exact_realization(inst), p), 8.0);
+  EXPECT_DOUBLE_EQ(d.schedule.finish[0], 8.0);
+  EXPECT_DOUBLE_EQ(d.schedule.finish[1], 2.0);
+  EXPECT_DOUBLE_EQ(d.schedule.makespan(), 8.0);
 }
 
 TEST(UniformLowerBound, KnownValues) {
@@ -146,13 +151,17 @@ TEST(UniformStrategies, RunAndRespectPlacement) {
   const SpeedProfile profile = SpeedProfile::with_stragglers(6, 2, 0.5);
 
   const UniformStrategyResult pinned = run_no_choice_uniform(inst, actual, profile);
-  EXPECT_EQ(check_assignment(inst, pinned.placement, pinned.schedule.assignment),
-            "");
+  check::InvariantOptions with_speeds;
+  with_speeds.speeds = profile.speeds();
+  EXPECT_TRUE(check::check_invariants(inst, pinned.placement, actual, pinned.schedule,
+                                      with_speeds)
+                  .empty());
   EXPECT_EQ(pinned.placement.max_replication_degree(), 1u);
 
   const UniformStrategyResult grouped = run_group_uniform(inst, actual, profile, 3);
-  EXPECT_EQ(check_assignment(inst, grouped.placement, grouped.schedule.assignment),
-            "");
+  EXPECT_TRUE(check::check_invariants(inst, grouped.placement, actual, grouped.schedule,
+                                      with_speeds)
+                  .empty());
   EXPECT_EQ(grouped.placement.max_replication_degree(), 2u);
 
   const UniformStrategyResult full =

@@ -5,6 +5,7 @@
 
 #include "core/instance.hpp"
 #include "core/realization.hpp"
+#include "core/scan.hpp"
 
 namespace rdp {
 namespace {
@@ -108,7 +109,7 @@ TEST(Realization, ClampPullsIntoBand) {
 TEST(Realization, TotalsAndMax) {
   const Realization r{{1.0, 5.0, 2.0}};
   EXPECT_DOUBLE_EQ(total_actual(r), 8.0);
-  EXPECT_DOUBLE_EQ(max_actual(r), 5.0);
+  EXPECT_DOUBLE_EQ(max_scan(r.actual), 5.0);
 }
 
 }  // namespace

@@ -17,10 +17,14 @@
 #include "algo/dispatch_policies.hpp"
 #include "algo/list_scheduling.hpp"
 #include "algo/lpt.hpp"
+#include "bounds/replication_bounds.hpp"
 #include "core/instance.hpp"
+#include "core/placement.hpp"
+#include "core/realization.hpp"
 #include "exact/branch_and_bound.hpp"
 #include "rng/distributions.hpp"
 #include "rng/rng.hpp"
+#include "sim/online_dispatcher.hpp"
 
 namespace rdp {
 namespace {
@@ -71,13 +75,16 @@ TEST(ListScheduling, ZeroMachinesThrows) {
 }
 
 TEST(ListScheduling, OntoInitialLoads) {
-  const std::vector<Time> w = {2.0, 2.0};
-  const std::vector<TaskId> order = {0, 1};
-  const GreedyScheduleResult r = list_schedule_onto(w, order, {10.0, 0.0});
+  // Greedy dispatch onto pre-existing machine loads, as ABO runs its
+  // replicated tasks after the pinned ones.
+  const Instance inst = Instance::from_estimates({2.0, 2.0}, 2, 1.0);
+  const DispatchResult r =
+      dispatch_online(inst, Placement::everywhere(2, 2), exact_realization(inst),
+                      {0, 1}, /*initial_ready=*/{10.0, 0.0});
   // Both tasks land on machine 1 (loads 0 -> 2 -> 4 < 10).
-  EXPECT_EQ(r.assignment[0], 1u);
-  EXPECT_EQ(r.assignment[1], 1u);
-  EXPECT_DOUBLE_EQ(r.makespan, 10.0);
+  EXPECT_EQ(r.schedule.assignment[0], 1u);
+  EXPECT_EQ(r.schedule.assignment[1], 1u);
+  EXPECT_DOUBLE_EQ(r.schedule.makespan(), 4.0);
 }
 
 // The greedy list_schedule ran before the winner tree, kept as the
@@ -92,13 +99,11 @@ struct HeapSlot {
 };
 
 GreedyScheduleResult heap_list_schedule(std::span<const Time> weights,
-                                        std::span<const TaskId> order,
-                                        std::vector<Time> initial_loads) {
-  const auto m = static_cast<MachineId>(initial_loads.size());
+                                        std::span<const TaskId> order, MachineId m) {
   if (m == 0) throw std::invalid_argument("need at least one machine");
   GreedyScheduleResult result;
   result.assignment = Assignment(weights.size());
-  result.loads = std::move(initial_loads);
+  result.loads.assign(m, 0);
   std::priority_queue<HeapSlot> heap;
   for (MachineId i = 0; i < m; ++i) heap.push({result.loads[i], i});
   for (const TaskId j : order) {
@@ -153,27 +158,13 @@ TEST(ListScheduling, MatchesPriorityQueueReferenceBitwise) {
         {"input", input}, {"lpt", lpt_order(w)}, {"random", random}};
     for (const MachineId m : machine_counts) {
       SCOPED_TRACE(std::string(shapes[shape]) + " m=" + std::to_string(m));
-      expect_bitwise_equal(list_schedule(w, m),
-                           heap_list_schedule(w, input, std::vector<Time>(m, 0)));
+      expect_bitwise_equal(list_schedule(w, m), heap_list_schedule(w, input, m));
       for (const auto& [name, order] : orders) {
         for (const std::size_t len : {n, n / 3, std::size_t{0}}) {
           SCOPED_TRACE(std::string(name) + " prefix " + std::to_string(len));
           const std::span<const TaskId> prefix(order.data(), len);
-          expect_bitwise_equal(list_schedule(w, m, prefix),
-                               heap_list_schedule(w, prefix, std::vector<Time>(m, 0)));
+          expect_bitwise_equal(list_schedule(w, m, prefix), heap_list_schedule(w, prefix, m));
         }
-      }
-      // Onto unequal initial loads, and onto signed zeros that tie.
-      std::vector<Time> unequal(m), zeros(m);
-      for (MachineId i = 0; i < m; ++i) {
-        unequal[i] = static_cast<double>(rng.next_below(40));
-        zeros[i] = rng.next_below(2) == 0 ? -0.0 : 0.0;
-      }
-      for (const std::vector<Time>& initial : {unequal, zeros}) {
-        expect_bitwise_equal(list_schedule_onto(w, orders[1].second, initial),
-                             heap_list_schedule(w, orders[1].second, initial));
-        expect_bitwise_equal(list_schedule_onto(w, random, initial),
-                             heap_list_schedule(w, random, initial));
       }
     }
   }
@@ -182,11 +173,11 @@ TEST(ListScheduling, MatchesPriorityQueueReferenceBitwise) {
   const std::vector<TaskId> duplicate = {0, 2, 0};
   const std::vector<TaskId> out_of_range = {0, 3};
   EXPECT_THROW((void)list_schedule(w, 2, duplicate), std::invalid_argument);
-  EXPECT_THROW((void)heap_list_schedule(w, duplicate, {0, 0}), std::invalid_argument);
+  EXPECT_THROW((void)heap_list_schedule(w, duplicate, 2), std::invalid_argument);
   EXPECT_THROW((void)list_schedule(w, 2, out_of_range), std::out_of_range);
-  EXPECT_THROW((void)heap_list_schedule(w, out_of_range, {0, 0}), std::out_of_range);
-  EXPECT_THROW((void)list_schedule_onto(w, out_of_range, {}), std::invalid_argument);
-  EXPECT_THROW((void)heap_list_schedule(w, out_of_range, {}), std::invalid_argument);
+  EXPECT_THROW((void)heap_list_schedule(w, out_of_range, 2), std::out_of_range);
+  EXPECT_THROW((void)list_schedule(w, 0, out_of_range), std::invalid_argument);
+  EXPECT_THROW((void)heap_list_schedule(w, out_of_range, 0), std::invalid_argument);
 }
 
 TEST(Lpt, OrderIsNonIncreasingAndStable) {
@@ -256,8 +247,8 @@ TEST(Lpt, ClassicExample) {
 TEST(Lpt, GuaranteeFormulas) {
   EXPECT_DOUBLE_EQ(lpt_guarantee(1), 1.0);
   EXPECT_NEAR(lpt_guarantee(2), 7.0 / 6.0, 1e-12);
-  EXPECT_DOUBLE_EQ(list_scheduling_guarantee(1), 1.0);
-  EXPECT_DOUBLE_EQ(list_scheduling_guarantee(4), 1.75);
+  EXPECT_DOUBLE_EQ(graham_list_scheduling(1), 1.0);
+  EXPECT_DOUBLE_EQ(graham_list_scheduling(4), 1.75);
 }
 
 TEST(Lpt, LoadsSumToTotal) {
@@ -293,7 +284,7 @@ TEST_P(KernelGuaranteeProperty, GrahamBoundsHold) {
   EXPECT_LE(lpt.makespan / opt.best, lpt_guarantee(m) + 1e-9);
 
   const GreedyScheduleResult ls = list_schedule(w, m);
-  EXPECT_LE(ls.makespan / opt.best, list_scheduling_guarantee(m) + 1e-9);
+  EXPECT_LE(ls.makespan / opt.best, graham_list_scheduling(m) + 1e-9);
 }
 
 // The classic tight family for LPT: two jobs of each size 2m-1 ... m+1

@@ -966,7 +966,8 @@ TEST(ObsIntegration, SweepRecordsCellsAndRate) {
   const auto grid = make_grid({2}, {1.5}, {1, 2, 3, 4});
   {
     obs::ObservabilityScope scope(&registry, nullptr);
-    run_sweep(grid, [](const SweepCell&) {});
+    ThreadPool pool(2);
+    run_sweep_parallel(pool, grid, [](const SweepCell&) {});
   }
   EXPECT_EQ(registry.counter("sweep.cells_done").value(), grid.size());
   EXPECT_EQ(registry.histogram("sweep.cell_seconds").summary().count, grid.size());

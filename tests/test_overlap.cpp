@@ -4,6 +4,7 @@
 #include <set>
 
 #include "algo/overlap.hpp"
+#include "check/invariants.hpp"
 #include "core/instance.hpp"
 #include "core/realization.hpp"
 #include "core/validate.hpp"
@@ -88,7 +89,7 @@ TEST(SlidingWindow, StrategyRunsFeasibly) {
   const Instance inst = demo();
   const Realization actual = realize(inst, NoiseModel::kTwoPoint, 5);
   const StrategyResult r = make_sliding_window(3).run(inst, actual);
-  EXPECT_EQ(check_assignment(inst, r.placement, r.schedule.assignment), "");
+  EXPECT_TRUE(check::check_invariants(inst, r.placement, actual, r.schedule).empty());
   EXPECT_EQ(check_schedule(inst, actual, r.schedule, true), "");
 }
 
@@ -123,7 +124,7 @@ TEST(RandomSubset, StrategyRunsFeasibly) {
   const Instance inst = demo();
   const Realization actual = realize(inst, NoiseModel::kUniform, 2);
   const StrategyResult r = make_random_subset(3, 11).run(inst, actual);
-  EXPECT_EQ(check_assignment(inst, r.placement, r.schedule.assignment), "");
+  EXPECT_TRUE(check::check_invariants(inst, r.placement, actual, r.schedule).empty());
 }
 
 // Property: overlapping windows never do *much* worse than partition

@@ -65,7 +65,7 @@ TEST(Pareto, MeasuredFrontIsMonotone) {
   const Instance inst = independent_sizes_workload(params);
   const Realization actual = realize(inst, NoiseModel::kUniform, 9);
 
-  const auto front = empirical_pareto_front(inst, actual);
+  const auto front = pareto_filter(measure_tradeoff_sweep(inst, actual, 0.05, 20.0, 17));
   ASSERT_GE(front.size(), 2u);
   for (std::size_t i = 1; i < front.size(); ++i) {
     // Along a Pareto front sorted by makespan, memory strictly decreases.
@@ -84,7 +84,7 @@ TEST(Pareto, FrontContainsBothAlgorithmsOnTradeoffWorkloads) {
   params.seed = 15;
   const Instance inst = independent_sizes_workload(params);
   const Realization actual = realize(inst, NoiseModel::kTwoPoint, 16);
-  const auto front = empirical_pareto_front(inst, actual);
+  const auto front = pareto_filter(measure_tradeoff_sweep(inst, actual, 0.05, 20.0, 17));
   bool has_sabo = false, has_abo = false;
   for (const ParetoPoint& pt : front) {
     has_sabo |= pt.algorithm == "SABO";

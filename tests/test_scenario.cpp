@@ -23,8 +23,10 @@ Instance demo(std::uint64_t seed = 5) {
 }
 
 TEST(Scenarios, GeneratedSetsRespectTheBand) {
+  // Misreporting the declared alpha itself is no misreport: every draw
+  // stays inside the band.
   const Instance inst = demo();
-  const ScenarioSet set = make_scenarios(inst, NoiseModel::kTwoPoint, 6, 1);
+  const ScenarioSet set = make_misreported_scenarios(inst, 6, 1, inst.alpha());
   ASSERT_EQ(set.size(), 6u);
   for (const Realization& r : set.scenarios) {
     EXPECT_TRUE(respects_uncertainty(inst, r));
@@ -42,8 +44,8 @@ TEST(Scenarios, MixedSetsCycleModels) {
 
 TEST(Scenarios, DeterministicInSeed) {
   const Instance inst = demo();
-  const ScenarioSet a = make_scenarios(inst, NoiseModel::kUniform, 4, 9);
-  const ScenarioSet b = make_scenarios(inst, NoiseModel::kUniform, 4, 9);
+  const ScenarioSet a = make_mixed_scenarios(inst, 4, 9);
+  const ScenarioSet b = make_mixed_scenarios(inst, 4, 9);
   for (std::size_t s = 0; s < 4; ++s) {
     EXPECT_EQ(a.scenarios[s].actual, b.scenarios[s].actual);
   }
@@ -162,7 +164,7 @@ TEST(Selection, MinMaxPicksTheRobustStrategy) {
 
 TEST(Selection, EmptyStrategyListRejected) {
   const Instance inst = demo();
-  const ScenarioSet set = make_scenarios(inst, NoiseModel::kUniform, 2, 1);
+  const ScenarioSet set = make_mixed_scenarios(inst, 2, 1);
   EXPECT_THROW((void)select_min_max({}, inst, set), std::invalid_argument);
 }
 

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "check/invariants.hpp"
 #include "core/instance.hpp"
 #include "core/metrics.hpp"
 #include "core/placement.hpp"
@@ -157,12 +158,15 @@ TEST(ScheduleValidation, NoIdleFlagDetectsGaps) {
 TEST(AssignmentValidation, RespectsPlacement) {
   const Instance inst = make_inst();
   const Placement p = Placement::singleton({0, 0, 1, 1}, 2);
+  const Realization r = exact_realization(inst);
   Assignment good(4);
   good.machine_of = {0, 0, 1, 1};
-  EXPECT_EQ(check_assignment(inst, p, good), "");
+  EXPECT_TRUE(check::check_invariants(inst, p, r, sequence_assignment(good, r, 2)).empty());
   Assignment bad(4);
   bad.machine_of = {1, 0, 1, 1};  // task 0 not replicated on machine 1
-  EXPECT_NE(check_assignment(inst, p, bad), "");
+  const auto violations = check::check_invariants(inst, p, r, sequence_assignment(bad, r, 2));
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations.front().invariant, "placement");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "algo/selective.hpp"
+#include "check/invariants.hpp"
 #include "core/instance.hpp"
 #include "core/metrics.hpp"
 #include "core/realization.hpp"
@@ -70,7 +71,7 @@ TEST(CriticalTasks, StrategyRunsFeasibly) {
   const Instance inst = demo();
   const Realization actual = realize(inst, NoiseModel::kTwoPoint, 9);
   const StrategyResult r = make_critical_tasks(0.3).run(inst, actual);
-  EXPECT_EQ(check_assignment(inst, r.placement, r.schedule.assignment), "");
+  EXPECT_TRUE(check::check_invariants(inst, r.placement, actual, r.schedule).empty());
   EXPECT_EQ(check_schedule(inst, actual, r.schedule, true), "");
 }
 

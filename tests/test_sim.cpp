@@ -20,6 +20,7 @@
 
 #include "algo/dispatch_policies.hpp"
 #include "algo/lpt.hpp"
+#include "check/invariants.hpp"
 #include "check/reference_dispatcher.hpp"
 #include "core/instance.hpp"
 #include "core/metrics.hpp"
@@ -389,7 +390,7 @@ TEST(Dispatcher, SingletonPlacementIsStatic) {
   const Realization r = exact_realization(inst);
   const DispatchResult d =
       dispatch_online(inst, p, r, make_priority(inst, PriorityRule::kInputOrder));
-  EXPECT_EQ(check_assignment(inst, p, d.schedule.assignment), "");
+  EXPECT_TRUE(check::check_invariants(inst, p, r, d.schedule).empty());
   EXPECT_EQ(check_schedule(inst, r, d.schedule, /*require_no_idle=*/true), "");
   EXPECT_DOUBLE_EQ(d.schedule.makespan(), 9.0);  // 5+3+1 on machine 0
 }
@@ -412,7 +413,7 @@ TEST(Dispatcher, GroupPlacementKeepsTasksInTheirGroup) {
   const Realization r = exact_realization(inst);
   const DispatchResult d =
       dispatch_online(inst, p, r, make_priority(inst, PriorityRule::kInputOrder));
-  EXPECT_EQ(check_assignment(inst, p, d.schedule.assignment), "");
+  EXPECT_TRUE(check::check_invariants(inst, p, r, d.schedule).empty());
   // Tasks 0,2,4 only on machines {0,1}; tasks 1,3 only on {2,3}.
   EXPECT_LT(d.schedule.assignment[0], 2u);
   EXPECT_GE(d.schedule.assignment[1], 2u);
@@ -979,7 +980,7 @@ TEST_P(DispatcherFeasibility, ScheduleFeasibleAndLoadConsistent) {
   ASSERT_TRUE(respects_uncertainty(inst, r));
   const DispatchResult d = dispatch_online(
       inst, p, r, make_priority(inst, PriorityRule::kLongestEstimateFirst));
-  EXPECT_EQ(check_assignment(inst, p, d.schedule.assignment), "");
+  EXPECT_TRUE(check::check_invariants(inst, p, r, d.schedule).empty());
   EXPECT_EQ(check_schedule(inst, r, d.schedule, /*require_no_idle=*/true), "");
   EXPECT_DOUBLE_EQ(d.schedule.makespan(),
                    makespan(d.schedule.assignment, r, inst.num_machines()));

@@ -137,15 +137,12 @@ TEST(Speculative, LoserCopyKilledAndMachineReused) {
   EXPECT_EQ(spec.trace.size(), 4u);  // 3 tasks + 1 backup
 }
 
-// Satellite regression: idle machines with no eligible work used to be
-// found by rescanning all m parked flags on every completion; they now
-// park on an explicit list. Many machines parking and staying parked for
-// most of the run (only 2 of 16 ever hold work) must neither hang the
-// event loop nor perturb the schedule.
-TEST(Speculative, ManyParkedMachinesStayConsistent) {
+// Idle machines with no eligible work retire for the rest of the run.
+// Many machines retiring at once (only 2 of 16 ever hold work) must
+// neither hang the event loop nor perturb the schedule.
+TEST(Speculative, ManyIdleMachinesStayConsistent) {
   constexpr MachineId kMachines = 16;
-  // Both tasks pinned to machines 0 and 1; 14 machines park at t=0 and
-  // are re-woken (to no work) at every completion.
+  // Both tasks pinned to machines 0 and 1; 14 machines retire at t=0.
   Instance inst = Instance::from_estimates({8.0, 8.0}, kMachines, 1.0);
   const Placement p(std::vector<std::vector<MachineId>>(2, {0, 1}), kMachines);
   const Realization r = exact_realization(inst);
@@ -160,12 +157,12 @@ TEST(Speculative, ManyParkedMachinesStayConsistent) {
   EXPECT_DOUBLE_EQ(spec.makespan, 16.0);
   EXPECT_EQ(spec.schedule.assignment[0], 0u);
   EXPECT_EQ(spec.schedule.assignment[1], 1u);
-  // Parked machines never ran anything.
+  // Retired machines never ran anything.
   EXPECT_EQ(spec.trace.size(), 2u + spec.duplicates_launched);
 }
 
-// The parked list lives in the reused thread workspace: a run with fewer
-// machines right after a wider run must not wake machine ids from the
+// Per-run state lives in the reused thread workspace: a run with fewer
+// machines right after a wider run must not touch machine ids from the
 // previous run (they would be out of range).
 TEST(Speculative, WorkspaceReuseAcrossShrinkingMachineCounts) {
   for (const MachineId m : {MachineId{32}, MachineId{4}, MachineId{2}}) {
@@ -214,6 +211,18 @@ TEST(Speculative, ValidatesInputs) {
   EXPECT_THROW((void)dispatch_speculative(inst, p, r, identity(1),
                                           SpeedProfile::identical(1), bad),
                std::invalid_argument);
+  // NaN would pass every `remaining < threshold` test as false, i.e.
+  // speculate on everything; it is rejected by name.
+  SpeculationPolicy nan_threshold;
+  nan_threshold.min_estimated_remaining = std::numeric_limits<Time>::quiet_NaN();
+  try {
+    (void)dispatch_speculative(inst, p, r, identity(1), SpeedProfile::identical(1),
+                               nan_threshold);
+    ADD_FAILURE() << "NaN min_estimated_remaining was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "dispatch_speculative: min_estimated_remaining must not be NaN");
+  }
   EXPECT_THROW((void)dispatch_speculative(inst, p, r, {0, 0},
                                           SpeedProfile::identical(1),
                                           SpeculationPolicy{}),
@@ -272,8 +281,8 @@ TEST(Speculative, RejectsNonFiniteOrNegativeDurations) {
   }
 }
 
-// A winning finish alone at its instant -- no copy killed, no machine
-// parked, nothing else pending then -- runs its machine's free inline.
+// A winning finish alone at its instant -- no copy killed, nothing else
+// pending then -- runs its machine's free inline.
 // Each case below forces a declining path (or a zero-length chain) and
 // must match the queue-only reference bit for bit.
 
@@ -319,7 +328,7 @@ TracedSpeculativeRun run_against_reference(const Instance& inst, const Placement
 TEST(SpeculativeInlineFree, TwoMachinesFinishingTogetherQueueTheirFrees) {
   // t=1: m0 alone, inline: T2 (1-3). t=3: m1's and m0's finishes tie;
   // both frees queue and hand T3 to m0 by machine id. t=4: m0 alone
-  // again, inline; it finds nothing worth a backup and parks.
+  // again, inline; it finds nothing worth a backup and retires.
   const Instance inst = Instance::from_estimates({1.0, 3.0, 2.0, 1.0, 2.0}, 2, 1.0);
   const TracedSpeculativeRun run =
       run_against_reference(inst, Placement::everywhere(5, 2), exact_realization(inst),
@@ -333,7 +342,7 @@ TEST(SpeculativeInlineFree, WinningBackupThatKillsTheOriginalQueuesItsFree) {
   // m0 (speed 0.2) runs T0 from 0 to 50. m1 runs T1 and T2 (inline frees
   // at 3 and 6), then backs T0 up at 6 (inline) and wins at 16. The win
   // kills m0's copy: both frees queue, m0 takes T3 (pinned to it) and
-  // m1 parks.
+  // m1 retires.
   const Instance inst = Instance::from_estimates({10.0, 3.0, 3.0, 2.0}, 2, 1.0);
   const Placement p({{0, 1}, {1}, {1}, {0}}, 2);
   const TracedSpeculativeRun run =
@@ -345,15 +354,17 @@ TEST(SpeculativeInlineFree, WinningBackupThatKillsTheOriginalQueuesItsFree) {
   EXPECT_EQ(run.inline_frees, 2u);
 }
 
-TEST(SpeculativeInlineFree, FinishWhileMachinesAreParkedQueuesItsFree) {
-  // m2 holds no replica and parks at t=0; m1 parks once T2 is done. Each
-  // finish then wakes the parked machines, so none runs inline.
+TEST(SpeculativeInlineFree, FinishWhileMachinesAreRetiredRunsItsFreeInline) {
+  // m2 holds no replica and retires at t=0; m1 retires once T2 is done
+  // (inline, at t=1). Retired machines are never woken, so T0's finish at
+  // t=4 is alone too and hands T1 to m0 inline. The reference, which
+  // still wakes every idle machine, must agree bit for bit.
   const Instance inst = Instance::from_estimates({4.0, 2.0, 1.0}, 3, 1.0);
   const Placement p({{0}, {0}, {1}}, 3);
   const TracedSpeculativeRun run = run_against_reference(
       inst, p, exact_realization(inst), SpeedProfile::identical(3));
   EXPECT_DOUBLE_EQ(run.result.schedule.start[1], 4.0);
-  EXPECT_EQ(run.inline_frees, 0u);
+  EXPECT_EQ(run.inline_frees, 2u);
 }
 
 TEST(SpeculativeInlineFree, ZeroLengthTasksMatchTheReference) {

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Lists library functions whose only outside users are tests.
 
-Prints every public function or method declared in src/**/*.hpp whose
-only users outside its own .hpp/.cpp pair are files under tests/. Such a
-symbol is test-only code in the library: it either moves into tests/ or
-is deleted.
+Prints the C++ line count under src/, then every public function or
+method declared in src/**/*.hpp whose only users outside its own
+.hpp/.cpp pair are files under tests/. Such a symbol is test-only code
+in the library: it is deleted, made internal to its .cpp, or kept on
+tools/test_only_allowlist.txt with a one-line reason.
 
 Users are found by name (a whole-word match in src/, tools/, bench/,
 tests/ and examples/), not by resolving C++ overloads or scopes. So the
@@ -12,9 +13,11 @@ report errs towards silence: a name that some unrelated non-test code
 also spells hides a candidate. Everything it does print is test-only by
 that name.
 
-Informational: it always exits 0.
+With --check it exits 1 when a listed function is missing from the
+allowlist, when an allowlist line names no listed function, or when a
+line is malformed or carries no reason. Without it, it only reports.
 
-Usage: python3 tools/test_only_symbols.py
+Usage: python3 tools/test_only_symbols.py [--check]
 """
 
 import pathlib
@@ -22,11 +25,14 @@ import re
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+ALLOWLIST = ROOT / "tools" / "test_only_allowlist.txt"
 USER_DIRS = ("src", "tools", "bench", "tests", "examples")
 SOURCE_SUFFIXES = {".cpp", ".hpp", ".h"}
 
 TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\S")
 WORD_RE = re.compile(r"[A-Za-z_]\w*")
+# An allowlist line: "<header>: <name>  # <reason>".
+ALLOW_RE = re.compile(r"(\S+): ([A-Za-z_]\w*)\s+#\s*(\S.*)")
 # Comments, then string and character literals (kept apart so an
 # apostrophe inside a comment cannot open a literal).
 STRIP_RE = re.compile(
@@ -139,7 +145,8 @@ def public_functions(header):
     return names
 
 
-def main():
+def test_only_functions():
+    """(header, name, users) for every public function only tests use."""
     files = sorted(
         path for top in USER_DIRS if (ROOT / top).is_dir()
         for path in (ROOT / top).rglob("*")
@@ -154,19 +161,70 @@ def main():
         for name in sorted(public_functions(header)):
             users = [p for p in files if p not in own and name in words_of[p]]
             if users and all(tests_dir in p.parents for p in users):
-                found.append((header.relative_to(ROOT), name,
-                              [p.relative_to(ROOT) for p in users]))
+                found.append((str(header.relative_to(ROOT)), name,
+                              [str(p.relative_to(ROOT)) for p in users]))
+    return found
 
+
+def src_line_count():
+    return sum(path.read_text().count("\n")
+               for path in (ROOT / "src").rglob("*")
+               if path.suffix in (".cpp", ".hpp") and path.is_file())
+
+
+def check_allowlist(found):
+    """Problems with the allowlist against `found`; empty == clean."""
+    problems = []
+    allowed = {}
+    for number, line in enumerate(ALLOWLIST.read_text().splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        match = ALLOW_RE.fullmatch(line.strip())
+        if match is None:
+            problems.append(f"{ALLOWLIST.name}:{number}: not "
+                            f"'<header>: <name>  # <reason>': {line}")
+            continue
+        key = (match.group(1), match.group(2))
+        if key in allowed:
+            problems.append(f"{ALLOWLIST.name}:{number}: duplicate of line "
+                            f"{allowed[key]}: {key[0]}: {key[1]}")
+        allowed[key] = number
+    listed = {(header, name) for header, name, _ in found}
+    for header, name, users in found:
+        if (header, name) not in allowed:
+            problems.append(f"not allowlisted: {header}: {name}  <- "
+                            f"{', '.join(users)}")
+    for key, number in sorted(allowed.items(), key=lambda item: item[1]):
+        if key not in listed:
+            problems.append(f"{ALLOWLIST.name}:{number}: stale, {key[0]}: "
+                            f"{key[1]} is not a test-only function")
+    return problems
+
+
+def main(argv):
+    if argv not in ([], ["--check"]):
+        print("usage: python3 tools/test_only_symbols.py [--check]",
+              file=sys.stderr)
+        return 2
+    found = test_only_functions()
+    print(f"C++ lines under src/: {src_line_count()}")
     print(f"Public src/ functions used outside their own files only by "
           f"tests/: {len(found)}")
-    for header, name, users in found:
-        print(f"  {header}: {name}  <- {', '.join(map(str, users))}")
+    if not argv:
+        for header, name, users in found:
+            print(f"  {header}: {name}  <- {', '.join(users)}")
+        return 0
+    problems = check_allowlist(found)
+    for problem in problems:
+        print(f"  {problem}")
+    if problems:
+        print(f"test_only_symbols: {len(problems)} problem(s); delete the "
+              f"function, make it internal to its .cpp, or add a reviewed "
+              f"line to tools/{ALLOWLIST.name}")
+        return 1
+    print(f"All {len(found)} are on tools/{ALLOWLIST.name}.")
     return 0
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except Exception as error:  # informational: never fail the caller
-        print(f"test_only_symbols: skipped ({error})", file=sys.stderr)
-        sys.exit(0)
+    sys.exit(main(sys.argv[1:]))
