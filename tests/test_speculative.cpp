@@ -293,9 +293,9 @@ struct TracedSpeculativeRun {
 
 TracedSpeculativeRun run_against_reference(const Instance& inst, const Placement& p,
                                            const Realization& r,
-                                           const SpeedProfile& speeds) {
+                                           const SpeedProfile& speeds,
+                                           const SpeculationPolicy& policy = {}) {
   const std::vector<TaskId> priority = identity(inst.num_tasks());
-  const SpeculationPolicy policy;
   obs::MetricsRegistry registry;
   TracedSpeculativeRun run;
   {
@@ -400,6 +400,47 @@ TEST(SpeculativeInlineFree, IntegerTimesWithStragglersMatchTheReference) {
     const SpeedProfile speeds = SpeedProfile::with_stragglers(6, 2, 0.25);
     (void)run_against_reference(inst, Placement::everywhere(40, 6), r, speeds);
     (void)run_against_reference(inst, Placement::in_groups(group, 3, 6), r, speeds);
+  }
+}
+
+// A machine with neither waiting work nor a backup to launch retires for
+// the rest of the run, on the argument that no task becomes waiting again
+// and that every backup condition (copy count, remaining-estimate
+// threshold) only tightens with time. The reference never retires a
+// machine: it wakes every idle one at each completion. Each policy knob
+// the argument leans on must leave the two bit-identical.
+TEST(SpeculativeInlineFree, RetiringMatchesTheReferenceUnderEveryPolicy) {
+  // Six distinct speeds let a task gather a second and a third copy, and
+  // short estimates put the remaining-estimate threshold in play.
+  const SpeedProfile speeds({1.0, 0.2, 0.6, 0.3, 0.8, 0.4});
+  std::vector<MachineId> group(12);
+  for (TaskId j = 0; j < 12; ++j) group[j] = j % 2;
+  for (const unsigned copies : {2u, 3u}) {
+    for (const Time threshold : {-1.0, 0.0, 3.0, 8.0}) {
+      std::size_t backups = 0;
+      SpeculationPolicy policy;
+      policy.max_copies = copies;
+      policy.min_estimated_remaining = threshold;
+      for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        WorkloadParams params;
+        params.num_tasks = 12;
+        params.num_machines = 6;
+        params.alpha = 2.0;
+        params.seed = seed;
+        const Instance inst = uniform_workload(params, 1.0, 10.0);
+        const Realization r = realize(inst, NoiseModel::kUniform, seed + 200);
+        SCOPED_TRACE(::testing::Message() << "max_copies " << copies << ", threshold "
+                                          << threshold << ", seed " << seed);
+        backups += run_against_reference(inst, Placement::everywhere(12, 6), r, speeds,
+                                         policy)
+                       .result.duplicates_launched;
+        backups += run_against_reference(inst, Placement::in_groups(group, 2, 6), r,
+                                         speeds, policy)
+                       .result.duplicates_launched;
+      }
+      // The grid must exercise the backup path, not only plain dispatch.
+      EXPECT_GT(backups, 0u) << "max_copies " << copies << ", threshold " << threshold;
+    }
   }
 }
 
