@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <span>
@@ -11,6 +12,7 @@
 #include "adapt/adaptive_strategy.hpp"
 #include "check/invariants.hpp"
 #include "check/reference_dispatcher.hpp"
+#include "check/reference_slo.hpp"
 #include "exact/certify_scale.hpp"
 #include "exact/optimal.hpp"
 #include "hetero/uniform_machines.hpp"
@@ -23,6 +25,7 @@
 #include "rng/distributions.hpp"
 #include "rng/rng.hpp"
 #include "serve/arrivals.hpp"
+#include "serve/slo.hpp"
 #include "serve/streaming_dispatcher.hpp"
 #include "sim/online_dispatcher.hpp"
 #include "sim/speculative.hpp"
@@ -166,7 +169,7 @@ FuzzCase restrict_tasks(const FuzzCase& fuzz_case, std::size_t num_tasks) {
 
 namespace {
 
-constexpr std::size_t kChecksPerCase = 17;
+constexpr std::size_t kChecksPerCase = 18;
 constexpr double kTol = 1e-9;
 
 struct CheckContext {
@@ -870,6 +873,50 @@ void check_online_shape_parity(const CheckContext& ctx) {
   }
 }
 
+void check_slo_reference_differential(const CheckContext& ctx) {
+  // evaluate_slo groups tasks by window and places each start among its
+  // window's arrivals; it must match the two-sort oracle
+  // (check::reference_evaluate_slo) bit for bit on this case's serve
+  // schedule, under a seed-drawn window width and sustain. Two streams:
+  // Poisson arrivals snapped to a grid (ties) in id order, and the same
+  // arrivals shuffled across tasks, which takes the sorted-copy path.
+  const FuzzCase& c = ctx.c;
+  const std::size_t n = c.instance.num_tasks();
+  Time total = 0;
+  for (TaskId j = 0; j < n; ++j) total += c.actual[j];
+  const Time mean_actual = total / static_cast<double>(n);
+  ArrivalParams params;
+  params.rate = (0.5 + 0.3 * static_cast<double>(c.seed % 4)) *
+                static_cast<double>(c.instance.num_machines()) / mean_actual;
+  params.seed = c.seed + 5;
+  std::vector<Time> in_order = generate_arrivals(params, n);
+  const Time grid = mean_actual / 4.0;
+  for (Time& t : in_order) t = std::floor(t / grid) * grid;
+  std::vector<Time> shuffled = in_order;
+  Xoshiro256 rng(c.seed + 6);
+  shuffle(rng, shuffled);
+  constexpr double kWidths[] = {0.3, 1.0 / 3.0, 1.0, 2.5, 7.3};
+  SloSpec spec;
+  spec.p50 = mean_actual;
+  spec.p99 = 2.0 * mean_actual;
+  spec.backlog = 0.5 * static_cast<double>(c.instance.num_machines());
+  spec.window_seconds = mean_actual * kWidths[rng.next_below(std::size(kWidths))];
+  spec.sustain = 1 + rng.next_below(5);
+  for (const std::vector<Time>* arrivals : {&in_order, &shuffled}) {
+    const StreamingDispatchResult run =
+        serve_stream(c.instance, c.placement, c.actual, c.priority, *arrivals);
+    const std::string diff =
+        diff_slo_reports(evaluate_slo(run.schedule, *arrivals, spec),
+                         reference_evaluate_slo(run.schedule, *arrivals, spec));
+    if (!diff.empty()) {
+      ctx.fail("slo-reference-differential",
+               diff + (arrivals == &in_order ? " (arrivals in id order)"
+                                             : " (shuffled arrivals)"));
+      return;
+    }
+  }
+}
+
 void check_adaptive_bound(const CheckContext& ctx) {
   // Adaptive-degree soundness: warm an estimator on the case's own
   // (estimate, actual) history, let the adaptive policy pick per-class
@@ -940,6 +987,7 @@ std::vector<FuzzFailure> run_fuzz_case(const FuzzCase& fuzz_case) {
   check_speculative_reference_differential(ctx);
   check_serve_stream_parity(ctx);
   check_online_shape_parity(ctx);
+  check_slo_reference_differential(ctx);
   return failures;
 }
 

@@ -1,9 +1,10 @@
 // Process-wide but explicitly-scoped metrics: counters, gauges, and
-// streaming histograms (Welford moments plus log-linear quantile
-// buckets, no sample storage). A MetricsRegistry is an explicit object --
-// nothing is recorded unless one is installed via obs::ObservabilityScope
-// (see obs/hooks.hpp), and the instrumentation sites compile down to a
-// null-pointer check when no registry is attached.
+// streaming histograms (exact order-free moments plus log-linear
+// quantile buckets, no sample storage). A MetricsRegistry is an explicit
+// object -- nothing is recorded unless one is installed via
+// obs::ObservabilityScope (see obs/hooks.hpp), and the instrumentation
+// sites compile down to a null-pointer check when no registry is
+// attached.
 #pragma once
 
 #include <algorithm>
@@ -12,12 +13,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-
-#include "stats/welford.hpp"
 
 namespace rdp {
 class JsonValue;
@@ -61,12 +61,21 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Streaming distribution summary: Welford moments (count/mean/stddev/
-/// min/max), an exactly-compensated running sum (Neumaier), and an
+/// Streaming distribution summary: count, min, max, exact moments and an
 /// HDR-style log-linear bucket array for quantiles. Buckets subdivide
 /// each power-of-two range into kSubBuckets linear slots, so a bucket's
 /// midpoint is within 1/(2*kSubBuckets) < 1% of every value it absorbs
 /// -- that is the documented relative-error bound on p50/p90/p99.
+///
+/// Order-free: every field of summary() is a function of the multiset
+/// of observed values, so any observation order, and any grouping of
+/// merge() calls, gives the same bits. Σx and Σx² are kept exactly, as
+/// integer sums of IEEE-754 significands: per exponent for the values
+/// with a regular bucket (the hot path: one add, one 64x64->128
+/// multiply, one add with carry), and in a fixed-point accumulator for
+/// everything else, allocated on the first such value. summary()
+/// rounds sum and mean once each from those sums, and the variance
+/// once from n Σx² - (Σx)², so mean and sum are correctly rounded.
 ///
 /// Single owner, no lock: one thread fills and reads it (the serve
 /// epilogue, the SLO window ring, the timeline replay). It is movable,
@@ -96,6 +105,11 @@ class LocalHistogram {
   static constexpr std::size_t kOverflow = kFirstRegular + kNumRegular;  ///< and +inf
   static constexpr std::size_t kNumBuckets = kOverflow + 1;
 
+  /// Summary semantics beyond finite values: a NaN counts and lands in
+  /// the non-positive bucket, but is never a min or max; any NaN, or
+  /// both infinities, make mean and sum NaN; otherwise an infinity makes
+  /// them that infinity. stddev is 0 below two samples, NaN when a
+  /// non-finite value was seen. -0.0 orders below +0.0 for min and max.
   struct Summary {
     std::uint64_t count = 0;
     double mean = 0.0;
@@ -109,16 +123,37 @@ class LocalHistogram {
   };
 
   LocalHistogram();
+  ~LocalHistogram();
+  LocalHistogram(LocalHistogram&&) noexcept;
+  LocalHistogram& operator=(LocalHistogram&&) noexcept;
 
   void observe(double x) noexcept {
-    const std::size_t bucket = bucket_index(x);
-    ++buckets_[bucket];
-    lo_ = std::min(lo_, bucket);
-    hi_ = std::max(hi_, bucket);
-    welford_.add(x);
-    // Neumaier-compensated sum: exact to ~1 ulp of the true sum regardless
-    // of count (mean * count drifts once counts get large).
-    neumaier_add(sum_, sum_compensation_, x);
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    // A regular bucket's x is a positive normal whose biased exponent
+    // (sign bit clear) is e + 1022 for a frexp exponent e in [kMinExp,
+    // kMaxExp); anything else wraps past kNumExponents.
+    const std::uint64_t exponent =
+        (bits >> 52) - static_cast<std::uint64_t>(kMinExp + 1022);
+    if (exponent < kNumExponents) {
+      count_in(kFirstRegular + exponent * static_cast<std::size_t>(kSubBuckets) +
+               ((bits >> 46) & 63U));
+      // x = sig * 2^(e - 53), sig in [2^52, 2^53): its exponent's sums
+      // take sig and sig^2 (106 bits; the 128-bit square sum carries out
+      // at most once per add).
+      ExponentSums& sums = cells_->sums[exponent];
+      const std::uint64_t sig = (bits & kMantissaMask) | (kMantissaMask + 1);
+      sums.sig += sig;
+      const u128 square = static_cast<u128>(sig) * sig;
+      sums.square += square;
+      sums.square_carries += sums.square < square ? 1U : 0U;
+      track_extremes(static_cast<std::int64_t>(bits));
+    } else if ((bits << 1) == 0) {
+      count_in(kNonPositive);
+      track_extremes(bits == 0 ? 0 : -1);  // the order keys of +0.0 and -0.0
+    } else {
+      count_in(bucket_index(x));
+      observe_outside(x);
+    }
   }
 
   [[nodiscard]] Summary summary() const noexcept;
@@ -128,15 +163,15 @@ class LocalHistogram {
   /// positive in-range samples; clamped to the observed [min, max].
   [[nodiscard]] double quantile(double q) const noexcept;
 
-  /// Folds `other` into this histogram: bucket-wise count addition,
-  /// Welford moment merge (Chan et al.), and Neumaier sums combined so
-  /// the merged sum() stays exactly compensated. The result summarizes
-  /// the union of both sample streams -- the rollup primitive behind
+  /// Folds `other` into this histogram: bucket-wise count addition and
+  /// exact integer addition of the moment sums, so the result is the
+  /// histogram of the union of both sample streams, bit for bit --
+  /// merge is associative and commutative. The rollup primitive behind
   /// WindowedHistogram (obs/window.hpp) and sweep aggregation.
   void merge(const LocalHistogram& other) noexcept;
 
-  /// Discards every recorded sample (counts, moments, sums). The bucket
-  /// array is retained, so a reset histogram is reusable without
+  /// Discards every recorded sample (counts, extremes, sums). The
+  /// storage is retained, so a reset histogram is reusable without
   /// allocation -- window rings recycle interval slots through this.
   void reset() noexcept;
 
@@ -166,25 +201,59 @@ class LocalHistogram {
   [[nodiscard]] static double bucket_midpoint(std::size_t index) noexcept;
 
  private:
-  /// Neumaier step: folds `x` into the compensated pair (sum, compensation).
-  static void neumaier_add(double& sum, double& compensation, double x) noexcept {
-    const double t = sum + x;
-    if (std::abs(sum) >= std::abs(x)) {
-      compensation += (sum - t) + x;
-    } else {
-      compensation += (x - t) + sum;
-    }
-    sum = t;
+  __extension__ typedef unsigned __int128 u128;
+  static constexpr std::uint64_t kMantissaMask = (std::uint64_t{1} << 52) - 1;
+  static constexpr std::size_t kNumExponents = kNumRegular / kSubBuckets;
+
+  /// Exact sums over the values of one regular exponent: Σ sig (at most
+  /// 2^53 * 2^64, so 128 bits never overflow) and Σ sig^2 as 128 bits
+  /// plus a count of carries out of them.
+  struct ExponentSums {
+    u128 sig = 0;
+    u128 square = 0;
+    std::uint64_t square_carries = 0;
+  };
+  struct Cells {
+    std::uint64_t buckets[kNumBuckets];
+    ExponentSums sums[kNumExponents];
+  };
+  /// Exact Σx and Σx² of the values without a regular bucket (defined in
+  /// metrics.cpp).
+  struct OutsideSums;
+
+  void count_in(std::size_t bucket) noexcept {
+    ++cells_->buckets[bucket];
+    lo_ = std::min(lo_, bucket);
+    hi_ = std::max(hi_, bucket);
+    ++count_;
   }
+  /// Keeps min/max as IEEE-754 order keys: integer order is the total
+  /// order on non-NaN doubles, -0.0 below +0.0, whatever the order of
+  /// observation.
+  void track_extremes(std::int64_t key) noexcept {
+    min_key_ = std::min(min_key_, key);
+    max_key_ = std::max(max_key_, key);
+  }
+  /// Negatives, subnormals, values beyond the regular exponents,
+  /// infinities and NaN.
+  void observe_outside(double x) noexcept;
+  [[nodiscard]] double min_value() const noexcept;
+  [[nodiscard]] double max_value() const noexcept;
+  /// mean, stddev and sum of `s`, rounded from the exact sums.
+  void fill_moments(Summary& s) const noexcept;
 
   /// Nearest-rank estimates for ascending `targets` over the live range.
   void quantiles(const double* targets, double* out,
                  std::size_t num_targets) const noexcept;
 
-  Welford welford_;
-  double sum_ = 0.0;              // Neumaier-compensated running sum
-  double sum_compensation_ = 0.0;
-  std::unique_ptr<std::uint64_t[]> buckets_;
+  std::unique_ptr<Cells> cells_;
+  std::unique_ptr<OutsideSums> outside_;  // null until a value needs it
+  std::uint64_t count_ = 0;
+  std::int64_t min_key_ = std::numeric_limits<std::int64_t>::max();
+  std::int64_t max_key_ = std::numeric_limits<std::int64_t>::min();
+  bool saw_nan_ = false;
+  bool saw_pos_inf_ = false;
+  bool saw_neg_inf_ = false;
   std::size_t lo_ = kNumBuckets;  // live range [lo_, hi_]; empty: lo_ > hi_
   std::size_t hi_ = 0;
 };

@@ -47,6 +47,14 @@ void WindowedHistogram::advance_to(std::int64_t idx) noexcept {
     ring_[static_cast<std::size_t>(i % n)].reset();
   }
   newest_ = idx;
+  newest_slot_ = static_cast<std::size_t>(idx % n);
+}
+
+std::size_t WindowedHistogram::slot_of(std::int64_t idx) const noexcept {
+  const std::size_t n = ring_.size();
+  auto back = static_cast<std::size_t>(newest_ - idx);
+  if (back >= n) back %= n;  // only a summary query behind the window
+  return newest_slot_ >= back ? newest_slot_ - back : newest_slot_ + n - back;
 }
 
 void WindowedHistogram::observe(double t, double value) noexcept {
@@ -57,14 +65,14 @@ void WindowedHistogram::observe(double t, double value) noexcept {
     ++late_dropped_;
     return;
   }
-  ring_[static_cast<std::size_t>(idx % n)].observe(value);
+  ring_[slot_of(idx)].observe(value);
 }
 
 LocalHistogram::Summary WindowedHistogram::interval_summary(double t) const noexcept {
   const std::int64_t idx = interval_index(t, interval_);
   const auto n = static_cast<std::int64_t>(ring_.size());
   if (newest_ < 0 || idx > newest_ || idx <= newest_ - n) return {};
-  return ring_[static_cast<std::size_t>(idx % n)].summary();
+  return ring_[slot_of(idx)].summary();
 }
 
 LocalHistogram::Summary WindowedHistogram::window_summary(double t) noexcept {
@@ -74,7 +82,7 @@ LocalHistogram::Summary WindowedHistogram::window_summary(double t) noexcept {
   const auto n = static_cast<std::int64_t>(ring_.size());
   const std::int64_t first = std::max<std::int64_t>(0, idx - n + 1);
   for (std::int64_t i = first; i <= idx; ++i) {
-    scratch_.merge(ring_[static_cast<std::size_t>(i % n)]);
+    scratch_.merge(ring_[slot_of(i)]);
   }
   return scratch_.summary();
 }

@@ -48,11 +48,15 @@ class WindowedHistogram {
  private:
   /// Rotates so the interval index `idx` is the newest slot.
   void advance_to(std::int64_t idx) noexcept;
+  /// The slot of interval `idx` <= newest_ (idx mod ring size), counted
+  /// back from the newest slot: no division on the per-sample path.
+  [[nodiscard]] std::size_t slot_of(std::int64_t idx) const noexcept;
 
   double interval_;
   std::vector<LocalHistogram> ring_;
   LocalHistogram scratch_;     ///< merge target for window_summary
   std::int64_t newest_ = -1;   ///< highest interval index seen; -1 = none
+  std::size_t newest_slot_ = 0;  ///< newest_ % ring size
   std::uint64_t late_dropped_ = 0;
 };
 

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include "core/order.hpp"
 #include "core/schedule.hpp"
 #include "obs/hooks.hpp"
 #include "obs/window.hpp"
@@ -28,6 +28,133 @@ double parse_slo_number(const std::string& key, const std::string& text) {
   }
   return value;
 }
+
+/// The sweep's windows [t0, t1), t1 = w * width + width computed as the
+/// sweep computes it, and the rule that hands each event to a window.
+struct WindowGrid {
+  double width;
+  double inverse_width;
+  std::size_t count;
+
+  [[nodiscard]] double t1(std::size_t w) const noexcept {
+    return static_cast<double>(w) * width + width;
+  }
+
+  /// The window whose step sweeps an event at time t: the first w with
+  /// t < t1(w), or `count` when t lies at or past the last t1 (or is
+  /// NaN), where no step reaches it. t * inverse_width is a guess within
+  /// a window or so of the answer; the two walks settle it on the t1
+  /// values themselves, so boundary cases such as 626.9999999999999 at
+  /// width 0.3 land where the sweep's `< t1` test puts them.
+  [[nodiscard]] std::size_t window_of(double t) const noexcept {
+    if (!(t >= width)) return std::isnan(t) ? count : 0;  // before t1(0)
+    const double guess = t * inverse_width;
+    std::size_t w =
+        guess < static_cast<double>(count) ? static_cast<std::size_t>(guess) : count;
+    while (w > 0 && t < t1(w - 1)) --w;
+    while (w < count && t >= t1(w)) ++w;
+    return w;
+  }
+};
+
+/// Task ids grouped by sweep window, of their finish and of their start
+/// (one counting sort each, ids ascending within a window): window w's
+/// ids are by_finish[finish_first[w] .. finish_first[w + 1]), likewise
+/// for starts, for w in [0, count]; window `count` holds the times no
+/// step sweeps.
+struct WindowGroups {
+  std::vector<TaskId> by_finish, by_start;
+  std::vector<std::size_t> finish_first, start_first;
+};
+
+WindowGroups group_by_window(const Schedule& schedule, const WindowGrid& grid) {
+  const std::size_t n = schedule.num_tasks();
+  WindowGroups g;
+  // Counts land two slots up; the scatter then advances slot w + 1 as
+  // window w's cursor, which leaves slot w + 1 at w's end and slot w at
+  // its start.
+  g.finish_first.assign(grid.count + 3, 0);
+  g.start_first.assign(grid.count + 3, 0);
+  std::vector<std::uint32_t> finish_window(n), start_window(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    finish_window[j] = static_cast<std::uint32_t>(grid.window_of(schedule.finish[j]));
+    start_window[j] = static_cast<std::uint32_t>(grid.window_of(schedule.start[j]));
+    ++g.finish_first[finish_window[j] + 2];
+    ++g.start_first[start_window[j] + 2];
+  }
+  for (std::size_t w = 1; w < g.finish_first.size(); ++w) {
+    g.finish_first[w] += g.finish_first[w - 1];
+    g.start_first[w] += g.start_first[w - 1];
+  }
+  g.by_finish.resize(n);
+  g.by_start.resize(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    g.by_finish[g.finish_first[finish_window[j] + 1]++] = static_cast<TaskId>(j);
+    g.by_start[g.start_first[start_window[j] + 1]++] = static_cast<TaskId>(j);
+  }
+  return g;
+}
+
+/// How many of the ascending `times` are <= t: a binary search whose
+/// steps select rather than branch, so a start's place costs the same
+/// wherever it falls.
+std::size_t count_at_or_before(std::span<const Time> times, double t) noexcept {
+  if (times.empty()) return 0;
+  const Time* base = times.data();
+  std::size_t len = times.size();
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    base += base[half - 1] <= t ? half : 0;
+    len -= half;
+  }
+  return static_cast<std::size_t>(base - times.data()) + (*base <= t ? 1U : 0U);
+}
+
+/// One window's ascending arrivals and where a time falls among them.
+/// The window is cut into as many equal cells as it has arrivals, by a
+/// formula monotone in time, so the arrivals of earlier cells are at or
+/// before any time in a cell and those of later cells after it: a
+/// search runs inside one cell, about one arrival on average. The cell
+/// index is built on the first search that needs it.
+class WindowArrivals {
+ public:
+  void reset(std::span<const Time> arrivals, double t0, double width) {
+    arrivals_ = arrivals;
+    t0_ = t0;
+    cells_per_second_ = static_cast<double>(arrivals.size()) / width;
+    cell_first_.clear();
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return arrivals_.size(); }
+
+  /// How many arrivals are <= t, given that the first `known` are.
+  [[nodiscard]] std::size_t rank(double t, std::size_t known) {
+    if (known == arrivals_.size() || arrivals_[known] > t) return known;
+    if (cell_first_.empty()) {
+      // cell g's arrivals are [cell_first_[g], cell_first_[g + 1])
+      cell_first_.assign(arrivals_.size() + 1, 0);
+      for (const double a : arrivals_) ++cell_first_[cell_of(a) + 1];
+      for (std::size_t g = 1; g < cell_first_.size(); ++g) {
+        cell_first_[g] += cell_first_[g - 1];
+      }
+    }
+    const std::size_t c = cell_of(t);
+    const std::size_t below = std::max(known, cell_first_[c]);
+    return below + count_at_or_before(arrivals_.subspan(below, cell_first_[c + 1] - below), t);
+  }
+
+ private:
+  [[nodiscard]] std::size_t cell_of(double t) const noexcept {
+    const double c = (t - t0_) * cells_per_second_;
+    const auto last = static_cast<double>(arrivals_.size() - 1);
+    return c > 0.0 ? static_cast<std::size_t>(std::min(c, last)) : 0;
+  }
+
+  std::span<const Time> arrivals_;
+  double t0_ = 0.0;
+  double cells_per_second_ = 0.0;
+  std::vector<std::size_t> cell_first_;
+};
 
 }  // namespace
 
@@ -129,17 +256,12 @@ SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
     ++num_windows;
   }
 
-  // Tasks sorted by finish feed the response series, by start the
-  // queue-wait series; a merged +1/-1 sweep over (arrival, start) events
-  // tracks the admitted-but-unstarted backlog. All three cursors advance
-  // together, one interval at a time. The two orders share one scratch
-  // buffer, freed before the window loop.
-  std::vector<TaskId> by_finish, by_start;
-  {
-    std::vector<std::pair<Time, TaskId>> scratch;
-    by_finish = order_by_time(schedule.finish, SortDirection::kAscending, &scratch);
-    by_start = order_by_time(schedule.start, SortDirection::kAscending, &scratch);
-  }
+  // The sweep takes every event with time < t1 at window w's step. Its
+  // two series are order-free sums (obs::LocalHistogram), so each step
+  // needs only the set of tasks it takes: tasks grouped by finish window
+  // feed the response ring, by start window the queue-wait series.
+  const WindowGrid grid{width, 1.0 / width, num_windows};
+  const WindowGroups groups = group_by_window(schedule, grid);
   // Generated streams arrive non-decreasing already; only an unsorted
   // trace pays for a sorted copy.
   std::vector<Time> arrive_copy;
@@ -149,6 +271,17 @@ SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
     std::sort(arrive_copy.begin(), arrive_copy.end());
     arrive_sorted = arrive_copy;
   }
+  // Backlog: arrivals enqueue, starts dequeue, and at equal times the
+  // arrival goes first, so an arrive-and-start-instantly task still
+  // registers as queued. The backlog right after sorted arrival k is
+  // k + 1 minus the starts before a_k, and the watermark only rises at
+  // arrivals. Starts of earlier windows all precede window w's
+  // arrivals and starts of later windows follow them, so each start of
+  // window w is placed among w's own arrivals: ranked[r] counts the
+  // starts with exactly r of them at or before it.
+  std::vector<std::uint32_t> ranked;
+  WindowArrivals window_arrivals;
+  const bool arrivals_in_id_order = arrivals.data() == arrive_sorted.data();
 
   // The rolling response window is sustain-1 intervals deep (min 1): a
   // single bad interval then pollutes at most sustain-1 consecutive
@@ -163,8 +296,8 @@ SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
   obs::WindowedHistogram response_window(width, depth);
   obs::LocalHistogram interval_wait;
 
-  std::size_t fin_cur = 0, start_cur = 0, arr_cur = 0;
-  std::int64_t backlog_now = 0;
+  std::size_t arrived = 0;  // arrivals swept before this window
+  std::size_t started = 0;  // starts swept before this window
   std::size_t consecutive = 0;
   report.windows.reserve(num_windows);
   for (std::size_t w = 0; w < num_windows; ++w) {
@@ -173,33 +306,35 @@ SloReport evaluate_slo(const Schedule& schedule, std::span<const Time> arrivals,
     win.t1 = win.t0 + width;
     // Half-open [t0, t1); the final window absorbs events at exactly the
     // horizon (num_windows is grown until its t1 exceeds the makespan).
+    for (std::size_t i = groups.finish_first[w]; i < groups.finish_first[w + 1]; ++i) {
+      const TaskId j = groups.by_finish[i];
+      response_window.observe(schedule.finish[j], schedule.finish[j] - arrivals[j]);
+    }
+    std::size_t arrive_end = arrived;
+    while (arrive_end < n && arrive_sorted[arrive_end] < win.t1) ++arrive_end;
+    window_arrivals.reset(arrive_sorted.subspan(arrived, arrive_end - arrived), win.t0,
+                          width);
+    ranked.assign(window_arrivals.size() + 1, 0U);
     interval_wait.reset();
-    double watermark = static_cast<double>(backlog_now);
-    while (fin_cur < n && schedule.finish[by_finish[fin_cur]] < win.t1) {
-      const TaskId j = by_finish[fin_cur++];
-      response_window.observe(schedule.finish[j],
-                              schedule.finish[j] - arrivals[j]);
+    for (std::size_t i = groups.start_first[w]; i < groups.start_first[w + 1]; ++i) {
+      const TaskId j = groups.by_start[i];
+      const double s = schedule.start[j];
+      interval_wait.observe(s - arrivals[j]);
+      // With arrivals in id order, a task that started at or after its
+      // own arrival has arrivals 0..j at or before it.
+      const std::size_t known =
+          arrivals_in_id_order && arrivals[j] <= s && j >= arrived ? j + 1 - arrived : 0;
+      ++ranked[window_arrivals.rank(s, known)];
     }
-    // Backlog sweep: arrivals enqueue, starts dequeue; equal timestamps
-    // process the arrival first so an arrive-and-start-instantly task
-    // still registers as having been queued.
-    while (arr_cur < n || start_cur < n) {
-      const double ta =
-          arr_cur < n ? arrive_sorted[arr_cur] : kNoSloTarget;
-      const double ts = start_cur < n
-                            ? schedule.start[by_start[start_cur]]
-                            : kNoSloTarget;
-      if (ta >= win.t1 && ts >= win.t1) break;
-      if (ta <= ts) {
-        ++arr_cur;
-        ++backlog_now;
-        watermark = std::max(watermark, static_cast<double>(backlog_now));
-      } else {
-        const TaskId j = by_start[start_cur++];
-        interval_wait.observe(schedule.start[j] - arrivals[j]);
-        --backlog_now;
-      }
+    auto swept_starts = static_cast<std::int64_t>(started);
+    std::int64_t peak = static_cast<std::int64_t>(arrived) - swept_starts;
+    for (std::size_t k = 0; k < window_arrivals.size(); ++k) {
+      swept_starts += ranked[k];
+      peak = std::max(peak, static_cast<std::int64_t>(arrived + k + 1) - swept_starts);
     }
+    const double watermark = static_cast<double>(peak);
+    arrived = arrive_end;
+    started += groups.start_first[w + 1] - groups.start_first[w];
     // Query at the interval midpoint: t0/width can round a hair below w
     // and land the lookup in the previous interval.
     win.response = response_window.window_summary(win.t0 + 0.5 * width);

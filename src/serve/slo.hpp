@@ -93,6 +93,13 @@ struct SloReport {
 /// disagree, the schedule has unassigned tasks, window_seconds is not
 /// positive, or makespan / window_seconds is not finite or exceeds
 /// kMaxSloWindows.
+///
+/// Cost: the window summaries are order-free (obs::LocalHistogram keeps
+/// exact sums), so the tasks are grouped by window with two counting
+/// sorts instead of being sorted by time, and the watermark comes from
+/// per-window counts with each start placed among its own window's
+/// arrivals. Arrivals are sorted once, and only when they come unsorted.
+/// check::reference_evaluate_slo is the two-sort oracle it must match.
 [[nodiscard]] SloReport evaluate_slo(const Schedule& schedule,
                                      std::span<const Time> arrivals,
                                      const SloSpec& spec);

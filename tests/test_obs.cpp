@@ -41,6 +41,7 @@
 #include "sim/online_dispatcher.hpp"
 #include "sim/speculative.hpp"
 #include "sim/transfer_dispatcher.hpp"
+#include "stats/welford.hpp"
 #include "workload/generators.hpp"
 
 namespace rdp {
@@ -198,7 +199,7 @@ TEST(HistogramQuantiles, SnapshotJsonCarriesPercentiles) {
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
 
-// --- Compensated sum (satellite: sum is Neumaier-exact, not mean*count) ----
+// --- Sum: exact, rounded once, not mean*count -------------------------------
 
 TEST(HistogramSum, CompensatedSumMatchesExactWithinOneUlp) {
   std::mt19937_64 rng(1234);
@@ -217,7 +218,7 @@ TEST(HistogramSum, CompensatedSumMatchesExactWithinOneUlp) {
   EXPECT_GE(s.sum, lo);
   EXPECT_LE(s.sum, hi);
   // And nothing like the old mean*count rounding: mean recomputed from the
-  // exact sum agrees with Welford's mean to float fuzz.
+  // exact sum agrees with the reported mean to float fuzz.
   EXPECT_NEAR(s.sum / static_cast<double>(s.count), s.mean,
               1e-12 * std::abs(s.mean));
 }
@@ -575,6 +576,191 @@ TEST(HistogramSplit, LockedAndLocalAgreeBitwise) {
   // A moved-from builder hands its whole state on.
   const obs::LocalHistogram moved(std::move(local));
   expect_same(moved, locked);
+}
+
+// --- Order-free moments: Σx and Σx² kept exactly, rounded at summary() ---
+
+// Mixed magnitudes: log-uniform over 1e-13..1e7 (past both ends of the
+// regular exponents), zeros of both signs, subnormals and negatives.
+std::vector<double> mixed_magnitudes(std::mt19937_64& rng, std::size_t n) {
+  std::uniform_real_distribution<double> decade(-13.0, 7.0);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values;
+  values.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (i % 8) {
+      case 0: values.push_back(0.0); break;
+      case 1: values.push_back(-0.0); break;
+      case 2: values.push_back(tiny * static_cast<double>(1 + rng() % 1000)); break;
+      case 3: values.push_back(-std::pow(10.0, decade(rng))); break;
+      default: values.push_back(std::pow(10.0, decade(rng)));
+    }
+  }
+  return values;
+}
+
+obs::LocalHistogram::Summary summarize(const std::vector<double>& values) {
+  obs::LocalHistogram h;
+  for (const double v : values) h.observe(v);
+  return h.summary();
+}
+
+TEST(HistogramOrderFree, PermutationsOfMixedMagnitudesSummarizeBitwiseEqual) {
+  std::mt19937_64 rng(31);
+  std::vector<double> values = mixed_magnitudes(rng, 4000);
+  const obs::LocalHistogram::Summary want = summarize(values);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::shuffle(values.begin(), values.end(), rng);
+    expect_same_summary(summarize(values), want);
+  }
+  // Sorted either way: the orders in which a running sum cancels worst.
+  std::sort(values.begin(), values.end());
+  expect_same_summary(summarize(values), want);
+  std::reverse(values.begin(), values.end());
+  expect_same_summary(summarize(values), want);
+  EXPECT_EQ(bits(want.min), bits(values.back()));
+  EXPECT_EQ(bits(want.max), bits(values.front()));
+}
+
+TEST(HistogramOrderFree, MomentsAreTheExactValuesRoundedOnce) {
+  // Values k / 128 with integer k of both signs: Σx, Σx² and the
+  // variance numerator are exact in integers, so the correctly rounded
+  // mean, sum and stddev are known.
+  std::mt19937_64 rng(5);
+  const std::int64_t n = 1000;
+  std::int64_t sum_k = 0;
+  std::int64_t sum_k2 = 0;
+  obs::LocalHistogram h;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const auto k = static_cast<std::int64_t>(rng() % 2001) - 1000;
+    sum_k += k;
+    sum_k2 += k * k;
+    h.observe(static_cast<double>(k) / 128.0);
+  }
+  const obs::LocalHistogram::Summary s = h.summary();
+  const double variance_k = static_cast<double>(n * sum_k2 - sum_k * sum_k) /
+                            static_cast<double>(n * (n - 1));
+  EXPECT_EQ(bits(s.sum), bits(static_cast<double>(sum_k) / 128.0));
+  EXPECT_EQ(bits(s.mean), bits(static_cast<double>(sum_k) / (128.0 * static_cast<double>(n))));
+  EXPECT_EQ(bits(s.stddev), bits(std::sqrt(variance_k / (128.0 * 128.0))));
+}
+
+TEST(HistogramOrderFree, SplitAndMergeInAnyGroupingEqualsOneStream) {
+  std::mt19937_64 rng(77);
+  const std::vector<double> values = mixed_magnitudes(rng, 3000);
+  const obs::LocalHistogram::Summary want = summarize(values);
+  for (int trial = 0; trial < 12; ++trial) {
+    // Cut the stream into 1..9 pieces (some may be empty) ...
+    const std::size_t pieces = 1 + rng() % 9;
+    std::vector<std::size_t> cuts{0, values.size()};
+    for (std::size_t c = 1; c < pieces; ++c) cuts.push_back(rng() % values.size());
+    std::sort(cuts.begin(), cuts.end());
+    std::vector<obs::LocalHistogram> parts(pieces);
+    for (std::size_t p = 0; p < pieces; ++p) {
+      for (std::size_t i = cuts[p]; i < cuts[p + 1]; ++i) parts[p].observe(values[i]);
+    }
+    // ... and fold them together in a random tree.
+    while (parts.size() > 1) {
+      const std::size_t into = rng() % parts.size();
+      std::size_t from = rng() % (parts.size() - 1);
+      if (from >= into) ++from;
+      parts[into].merge(parts[from]);
+      parts.erase(parts.begin() + static_cast<std::ptrdiff_t>(from));
+    }
+    expect_same_summary(parts.front().summary(), want);
+  }
+}
+
+TEST(HistogramOrderFree, SumsCarryPastTwoToTheTwentyTwoInOneExponent) {
+  // 2 - 2^-52 has significand 2^53 - 1, whose square is just below
+  // 2^106: a 128-bit sum of squares wraps after about 2^22 of them.
+  const double x = std::nextafter(2.0, 0.0);
+  constexpr std::uint64_t n = (std::uint64_t{1} << 22) + 4097;
+  obs::LocalHistogram whole;
+  obs::LocalHistogram even;
+  obs::LocalHistogram odd;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    whole.observe(x);
+    (i % 2 == 0 ? even : odd).observe(x);
+  }
+  const obs::LocalHistogram::Summary s = whole.summary();
+  EXPECT_EQ(s.count, n);
+  EXPECT_EQ(bits(s.mean), bits(x));
+  EXPECT_EQ(bits(s.stddev), bits(0.0));
+  EXPECT_EQ(bits(s.sum), bits(static_cast<double>(n) * x));
+  even.merge(odd);  // the merged square sums carry too
+  expect_same_summary(even.summary(), s);
+
+  // Two values an eighth apart, equally often: the sample variance is
+  // m / (64 (m - 1)) exactly, past one wrap of both square sums.
+  constexpr std::uint64_t m = (std::uint64_t{1} << 23) + 2;
+  obs::LocalHistogram pair;
+  for (std::uint64_t i = 0; i < m; ++i) pair.observe(i % 2 == 0 ? 1.5 : 1.75);
+  const obs::LocalHistogram::Summary p = pair.summary();
+  EXPECT_EQ(bits(p.mean), bits(1.625));
+  EXPECT_EQ(bits(p.sum), bits(static_cast<double>(m) * 1.625));
+  EXPECT_EQ(bits(p.stddev),
+            bits(std::sqrt(static_cast<double>(m) / (64.0 * static_cast<double>(m - 1)))));
+
+  // Past 2^32 samples n (n - 1) no longer fits one word and the variance
+  // divides twice. Alternate merges grow two balanced histograms like
+  // Fibonacci numbers.
+  obs::LocalHistogram a;
+  obs::LocalHistogram b;
+  for (obs::LocalHistogram* h : {&a, &b}) {
+    h->observe(1.5);
+    h->observe(1.75);
+  }
+  while (a.summary().count <= (std::uint64_t{1} << 33)) {
+    a.merge(b);
+    b.merge(a);
+  }
+  const obs::LocalHistogram::Summary big = a.summary();
+  const auto c = static_cast<double>(big.count);
+  EXPECT_EQ(bits(big.mean), bits(1.625));
+  EXPECT_EQ(bits(big.sum), bits(c * 1.625));
+  EXPECT_EQ(bits(big.stddev), bits(std::sqrt(c / (64.0 * (c - 1.0)))));
+}
+
+TEST(HistogramOrderFree, NanAndInfinitiesKeepTheirSummarySemantics) {
+  // A NaN is counted and lands in the non-positive bucket; mean, sum and
+  // stddev are NaN, as they always were. It is never a min or max: that
+  // was so for a NaN after the first sample, while one observed first
+  // used to pin min and max to NaN. An infinity is the max (or min) and
+  // makes stddev NaN, as before; mean and sum are that infinity, or NaN
+  // when both infinities occur. Before, the compensated sum turned any
+  // infinity into NaN and the running mean was the infinity or NaN
+  // depending on whether a finite value followed it. Below two samples
+  // stddev is 0, as it was.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Expect {
+    std::vector<double> values;
+    double mean, stddev, min, max;
+  };
+  const Expect cases[] = {
+      {{nan, 2.0, 5.0, nan}, nan, nan, 2.0, 5.0},
+      {{inf, 1.0, 3.0}, inf, nan, 1.0, inf},
+      {{-inf, 0.5, -0.0}, -inf, nan, -inf, 0.5},
+      {{inf, -inf, 2.0}, nan, nan, -inf, inf},
+      {{-inf}, -inf, 0.0, -inf, -inf},
+      {{nan}, nan, 0.0, nan, nan},
+  };
+  for (const Expect& e : cases) {
+    std::vector<std::size_t> order(e.values.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    do {  // every observation order
+      obs::LocalHistogram h;
+      for (const std::size_t i : order) h.observe(e.values[i]);
+      const obs::LocalHistogram::Summary s = h.summary();
+      EXPECT_EQ(s.count, e.values.size());
+      EXPECT_EQ(bits(s.mean), bits(e.mean));
+      EXPECT_EQ(bits(s.sum), bits(e.mean));
+      EXPECT_EQ(bits(s.stddev), bits(e.stddev));
+      EXPECT_EQ(bits(s.min), bits(e.min));
+      EXPECT_EQ(bits(s.max), bits(e.max));
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
 }
 
 TEST(Metrics, ReferencesAreStableAcrossLookups) {

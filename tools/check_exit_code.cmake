@@ -5,13 +5,20 @@
 # this script instead.
 #
 # Usage: cmake -DCLI=<path> -DEXPECTED=<code> -DARGS="<flag;flag;...>"
-#        -P check_exit_code.cmake
+#        [-DVMEM_KB=<kb>] -P check_exit_code.cmake
+#
+# VMEM_KB runs the command under `ulimit -v`, so an input that would ask
+# for an absurd allocation fails fast instead of exhausting the host.
 if(NOT DEFINED CLI OR NOT DEFINED EXPECTED)
   message(FATAL_ERROR "check_exit_code.cmake: need -DCLI= and -DEXPECTED=")
 endif()
 separate_arguments(arg_list UNIX_COMMAND "${ARGS}")
+set(launcher)
+if(DEFINED VMEM_KB)
+  set(launcher sh -c "ulimit -v ${VMEM_KB} && exec \"$0\" \"$@\"")
+endif()
 execute_process(
-  COMMAND "${CLI}" ${arg_list}
+  COMMAND ${launcher} "${CLI}" ${arg_list}
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)

@@ -131,11 +131,37 @@ NoiseModel noise_from_name(const std::string& name) {
   throw std::invalid_argument("unknown noise model '" + name + "'");
 }
 
-Instance generate_instance(const Args& args, std::size_t force_n = 0) {
+/// A count flag of `command`: below 1, or past `most`, is a usage
+/// error (exit 2) that names the flag, raised before a negative value
+/// can wrap through an unsigned cast into an absurd allocation.
+std::size_t count_flag(const Args& args, const std::string& command,
+                       const std::string& key, std::size_t fallback,
+                       std::uint64_t most = std::numeric_limits<std::uint64_t>::max()) {
+  if (!args.has(key)) return fallback;
+  const std::int64_t value = args.get(key, std::int64_t{0});
+  if (value < 1 || static_cast<std::uint64_t>(value) > most) {
+    const std::string bound = most == std::numeric_limits<std::uint64_t>::max()
+                                  ? ""
+                                  : " no larger than " + std::to_string(most);
+    throw std::invalid_argument(command + ": --" + key + " must be a positive integer" +
+                                bound + " (got '" + args.get(key, std::string("")) + "')");
+  }
+  return static_cast<std::size_t>(value);
+}
+
+/// --m, the machine count, and --n, the task count: ids are 32 bits.
+MachineId machines_flag(const Args& args, const std::string& command) {
+  return static_cast<MachineId>(
+      count_flag(args, command, "m", 8, std::numeric_limits<MachineId>::max()));
+}
+
+Instance generate_instance(const Args& args, const std::string& command,
+                           std::size_t force_n = 0) {
   WorkloadParams params;
-  params.num_tasks =
-      force_n ? force_n : static_cast<std::size_t>(args.get("n", std::int64_t{40}));
-  params.num_machines = static_cast<MachineId>(args.get("m", std::int64_t{8}));
+  params.num_tasks = force_n ? force_n
+                             : count_flag(args, command, "n", 40,
+                                          std::numeric_limits<TaskId>::max());
+  params.num_machines = machines_flag(args, command);
   params.alpha = args.get("alpha", 1.5);
   params.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
   const std::string kind = args.get("kind", std::string("uniform"));
@@ -158,7 +184,7 @@ Instance generate_instance(const Args& args, std::size_t force_n = 0) {
 }
 
 int cmd_generate(const Args& args) {
-  const Instance inst = generate_instance(args);
+  const Instance inst = generate_instance(args, "generate");
   const std::string out = args.get("out", std::string(""));
   if (out.empty()) throw std::invalid_argument("generate: --out is required");
   save_instance(out, inst);
@@ -368,11 +394,9 @@ int cmd_sweep(const Args& args) {
 
 void write_text_file(const std::string& path, const std::string& content);
 
-/// Range checks for the serve command's workload-sizing flags (Args
-/// already rejects partial and non-finite numbers): a zero or negative
-/// rate or duration, or a --tasks that would wrap through size_t into an
-/// absurd allocation, is a usage error (exit 2) before anything reaches
-/// a generator.
+/// Range checks for the serve command's rate and duration flags (Args
+/// already rejects partial and non-finite numbers): zero or negative is
+/// a usage error (exit 2) before anything reaches a generator.
 double serve_positive_flag(const Args& args, const std::string& key,
                            double fallback) {
   if (!args.has(key)) return fallback;
@@ -383,18 +407,6 @@ double serve_positive_flag(const Args& args, const std::string& key,
                                 args.get(key, std::string("")) + "')");
   }
   return value;
-}
-
-std::size_t serve_count_flag(const Args& args, const std::string& key,
-                             std::size_t fallback) {
-  if (!args.has(key)) return fallback;
-  const std::int64_t value = args.get(key, std::int64_t{0});
-  if (value < 1) {
-    throw std::invalid_argument("serve: --" + key +
-                                " must be a positive integer (got '" +
-                                args.get(key, std::string("")) + "')");
-  }
-  return static_cast<std::size_t>(value);
 }
 
 /// Prints the SLO verdict: a totals table plus one row per violating
@@ -483,8 +495,7 @@ int cmd_serve(const Args& args) {
     }
     const Trace trace = load_trace(trace_path);
     arrivals = arrivals_from_trace(trace);
-    ReplayableWorkload workload = workload_from_trace(
-        trace, static_cast<MachineId>(args.get("m", std::int64_t{8})));
+    ReplayableWorkload workload = workload_from_trace(trace, machines_flag(args, "serve"));
     inst.emplace(std::move(workload.instance));
     actual = std::move(workload.actual);
   } else {
@@ -517,7 +528,7 @@ int cmd_serve(const Args& args) {
             "serve: no arrivals inside --duration (raise --rate or --duration)");
       }
     } else {
-      arrivals = generate_arrivals(params, serve_count_flag(args, "tasks", 2000));
+      arrivals = generate_arrivals(params, count_flag(args, "serve", "tasks", 2000));
     }
     const std::string instance_path = args.get("instance", std::string(""));
     if (!instance_path.empty()) {
@@ -525,7 +536,7 @@ int cmd_serve(const Args& args) {
       // cover however many tasks the arrival process produced.
       inst.emplace(cycle_instance(load_instance(instance_path), arrivals.size()));
     } else {
-      inst.emplace(generate_instance(args, arrivals.size()));
+      inst.emplace(generate_instance(args, "serve", arrivals.size()));
     }
     actual = realize(*inst, noise_from_name(args.get("noise", std::string("uniform"))),
                      seed);
@@ -533,11 +544,11 @@ int cmd_serve(const Args& args) {
 
   if (args.get("adaptive", false)) {
     AdaptiveServeOptions opts;
-    opts.epoch_tasks = serve_count_flag(args, "epoch", opts.epoch_tasks);
+    opts.epoch_tasks = count_flag(args, "serve", "epoch", opts.epoch_tasks);
     opts.drift_threshold =
         serve_positive_flag(args, "drift", opts.drift_threshold);
     opts.adapt.estimator.num_classes =
-        serve_count_flag(args, "classes", opts.adapt.estimator.num_classes);
+        count_flag(args, "serve", "classes", opts.adapt.estimator.num_classes);
     const auto wall_start = std::chrono::steady_clock::now();
     const AdaptiveServeResult result = serve_adaptive(*inst, actual, arrivals, opts);
     const double wall_seconds =
